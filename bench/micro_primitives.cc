@@ -356,23 +356,33 @@ BENCHMARK(BM_GemmKernelNaive)
     ->Args({256, 64})
     ->ArgNames({"k", "n"});
 
+/** `w` (k x n) packed once for the active tier, as nn::Linear holds it. */
+kernels::PackedB
+PackWeight(const Tensor& w, kernels::Dtype dtype)
+{
+    kernels::PackedB packed;
+    kernels::PackB(w.data(), w.size(0), w.size(1), /*transposed_src=*/false,
+                   kernels::ActiveIsa(), dtype, &packed);
+    return packed;
+}
+
 void
 BM_GemmKernelPacked(benchmark::State& state)
 {
-    // Packed SIMD kernels + persistent weight cache, but bias/ReLU still
-    // run as separate passes — isolates the microkernel win.
+    // Packed SIMD kernels on weights packed before the loop, but
+    // bias/ReLU still run as separate passes — isolates the microkernel
+    // win.
     const int64_t m = kDecoderBatch, k = state.range(0), n = state.range(1);
     Rng rng(21);
     const Tensor x = Tensor::Randn({m, k}, rng);
     const Tensor w = Tensor::Randn({k, n}, rng);
     const Tensor bias = Tensor::Randn({n}, rng);
+    const kernels::PackedB packed = PackWeight(w, kernels::Dtype::kF32);
     Tensor c({m, n});
     for (auto _ : state) {
-        const auto packed = kernels::PackedWeightCache::Instance().Get(
-            w.data(), k, n, /*transposed_src=*/false);
         kernels::GemmArgs args;
         args.a = x.data();
-        args.b = packed.get();
+        args.b = &packed;
         args.c = c.data();
         args.m = m;
         kernels::GemmPacked(args);
@@ -380,7 +390,6 @@ BM_GemmKernelPacked(benchmark::State& state)
         benchmark::DoNotOptimize(c.data());
     }
     SetGemmCounters(state, m, k, n);
-    kernels::PackedWeightCache::Instance().Clear();
 }
 BENCHMARK(BM_GemmKernelPacked)
     ->Args({1024, 512})
@@ -398,13 +407,13 @@ BM_GemmKernelPackedFused(benchmark::State& state)
     const Tensor x = Tensor::Randn({m, k}, rng);
     const Tensor w = Tensor::Randn({k, n}, rng);
     const Tensor bias = Tensor::Randn({n}, rng);
+    const kernels::PackedB packed = PackWeight(w, kernels::ActiveDtype());
     Tensor c({m, n});
     for (auto _ : state) {
-        AffineActForward(x, w, bias, c, 1, kernels::Activation::kRelu);
+        AffineActForward(x, packed, bias, c, 1, kernels::Activation::kRelu);
         benchmark::DoNotOptimize(c.data());
     }
     SetGemmCounters(state, m, k, n);
-    kernels::PackedWeightCache::Instance().Clear();
 }
 BENCHMARK(BM_GemmKernelPackedFused)
     ->Args({1024, 512})
@@ -427,14 +436,13 @@ GemmKernelPackedDtype(benchmark::State& state, kernels::Dtype dtype)
     const Tensor x = Tensor::Randn({m, k}, rng);
     const Tensor w = Tensor::Randn({k, n}, rng);
     const Tensor bias = Tensor::Randn({n}, rng);
+    const kernels::PackedB packed = PackWeight(w, dtype);
     Tensor c({m, n});
     for (auto _ : state) {
-        AffineActForward(x, w, bias, c, 1, kernels::Activation::kRelu,
-                         nullptr, dtype);
+        AffineActForward(x, packed, bias, c, 1, kernels::Activation::kRelu);
         benchmark::DoNotOptimize(c.data());
     }
     SetGemmCounters(state, m, k, n);
-    kernels::PackedWeightCache::Instance().Clear();
 }
 
 void
@@ -476,11 +484,13 @@ BM_GemmKernelDecoderChain(benchmark::State& state)
     Rng rng(22);
     const Tensor x = Tensor::Randn({kDecoderBatch, kSizes[0]}, rng);
     std::vector<Tensor> weights, biases, outs;
+    std::vector<kernels::PackedB> packed;
     for (int l = 0; l < 3; ++l) {
         weights.push_back(
             Tensor::Randn({kSizes[l], kSizes[l + 1]}, rng));
         biases.push_back(Tensor::Randn({kSizes[l + 1]}, rng));
         outs.push_back(Tensor({kDecoderBatch, kSizes[l + 1]}));
+        if (variant != 0) packed.push_back(PackWeight(weights[l], dtype));
     }
     int64_t flops = 0;
     for (int l = 0; l < 3; ++l) {
@@ -490,9 +500,8 @@ BM_GemmKernelDecoderChain(benchmark::State& state)
         const Tensor* in = &x;
         for (int l = 0; l < 3; ++l) {
             if (variant != 0) {
-                AffineActForward(*in, weights[l], biases[l], outs[l], 1,
-                                 kernels::Activation::kRelu, nullptr,
-                                 dtype);
+                AffineActForward(*in, packed[l], biases[l], outs[l], 1,
+                                 kernels::Activation::kRelu);
             } else {
                 GemmNaive(*in, weights[l], outs[l]);
                 BiasReluPasses(outs[l], biases[l]);
@@ -504,7 +513,6 @@ BM_GemmKernelDecoderChain(benchmark::State& state)
     state.counters["flops"] = benchmark::Counter(
         static_cast<double>(flops),
         benchmark::Counter::kIsIterationInvariantRate);
-    kernels::PackedWeightCache::Instance().Clear();
 }
 BENCHMARK(BM_GemmKernelDecoderChain)
     ->Arg(0)
@@ -530,16 +538,16 @@ BM_GemmKernelSkinnyM(benchmark::State& state)
     const Tensor x = Tensor::Randn({m, k}, rng);
     const Tensor w = Tensor::Randn({k, n}, rng);
     const Tensor bias = Tensor::Randn({n}, rng);
+    const kernels::PackedB packed = PackWeight(w, kernels::ActiveDtype());
     Tensor c({m, n});
     for (auto _ : state) {
-        AffineActForward(x, w, bias, c, nthreads,
+        AffineActForward(x, packed, bias, c, nthreads,
                          kernels::Activation::kRelu);
         benchmark::DoNotOptimize(c.data());
     }
     SetGemmCounters(state, m, k, n);
     state.counters["hw_threads"] = benchmark::Counter(
         static_cast<double>(std::thread::hardware_concurrency()));
-    kernels::PackedWeightCache::Instance().Clear();
 }
 
 /**

@@ -29,6 +29,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -107,11 +108,18 @@ MeasureHardware(core::EmbeddingGenerator& gen,
     return m;
 }
 
+/**
+ * Pearson correlation of x and y, or NaN where it is undefined: fewer
+ * than two points, or a series with zero variance (a flat sweep, or a
+ * counter that reads the same everywhere). NaN reaches the JSON as null,
+ * so "not measured" never reads as "uncorrelated".
+ */
 double
 Pearson(const std::vector<double>& x, const std::vector<double>& y)
 {
+    constexpr double kUndefined = std::numeric_limits<double>::quiet_NaN();
     const size_t n = x.size();
-    if (n < 2 || y.size() != n) return 0.0;
+    if (n < 2 || y.size() != n) return kUndefined;
     double mx = 0.0, my = 0.0;
     for (size_t i = 0; i < n; ++i) {
         mx += x[i];
@@ -125,7 +133,7 @@ Pearson(const std::vector<double>& x, const std::vector<double>& y)
         sxx += (x[i] - mx) * (x[i] - mx);
         syy += (y[i] - my) * (y[i] - my);
     }
-    if (sxx <= 0.0 || syy <= 0.0) return 0.0;
+    if (sxx <= 0.0 || syy <= 0.0) return kUndefined;
     return sxy / std::sqrt(sxx * syy);
 }
 
@@ -201,11 +209,15 @@ main(int argc, char** argv)
         const bool used_hw = hw_misses.size() == sizes.size();
         const double corr = used_hw ? Pearson(sim_misses, hw_misses)
                                     : Pearson(model_ns, wall_ns);
-        std::printf("%-12s correlation (%s): %.3f\n", name.c_str(),
+        char shown[32] = "n/a";
+        if (!std::isnan(corr)) {
+            std::snprintf(shown, sizeof(shown), "%.3f", corr);
+            all_correlated &= corr > 0.5;
+        }
+        std::printf("%-12s correlation (%s): %s\n", name.c_str(),
                     used_hw ? "sim misses vs LLC misses"
                             : "model ns vs wall ns",
-                    corr);
-        all_correlated &= corr > 0.5;
+                    shown);
 
         auto& res = report.AddResult("xcheck/" + name);
         res.num_params.emplace_back("dim", static_cast<double>(dim));

@@ -8,8 +8,8 @@
 # proxy), then rebuilds and re-runs them under sanitizers: ASan (leaks,
 # use-after-free in the failure paths), TSan (queue/batcher/pool races),
 # and UBSan. The TSan pass additionally runs the concurrency label —
-# the ORAM proxy conductor/pool pipeline and the packed-weight cache
-# stress tests are only meaningfully raced there.
+# the ORAM proxy conductor/pool pipeline and the page cache stress tests
+# are only meaningfully raced there.
 #
 # Between the two, a crash drill: the kill-based crash harness (forked
 # children SIGKILLed at seeded points inside the durable RAW ORAM's
@@ -70,8 +70,8 @@ for SAN in ${SANITIZERS}; do
     cmake --build "${SAN_BUILD_DIR}" -j"$(nproc)" \
         --target serving_test chaos_test serving_verify_test \
         parallel_pool_test oram_proxy_test proxy_verify_test \
-        kernel_cache_stress_test store_chaos_test durable_store_test \
-        crash_harness_test page_cache_test
+        store_chaos_test durable_store_test crash_harness_test \
+        page_cache_test flight_recorder_test
     echo "-- ${SAN}: ctest -L robustness --"
     ctest --test-dir "${SAN_BUILD_DIR}" -L robustness \
         --output-on-failure --timeout 600
@@ -80,7 +80,7 @@ for SAN in ${SANITIZERS}; do
         # robustness set.
         cmake --build "${SAN_BUILD_DIR}" -j"$(nproc)" \
             --target telemetry_test tensor_test trace_stress_test \
-            perfmon_test flight_recorder_test
+            perfmon_test
         echo "-- ${SAN}: ctest -L concurrency --"
         ctest --test-dir "${SAN_BUILD_DIR}" -L concurrency \
             --output-on-failure --timeout 600

@@ -87,8 +87,9 @@ class DheEmbedding
 
     /**
      * Decoder weight precision for Forward (f32 / bf16 / int8
-     * quantize-on-pack in the persistent weight cache). Training
-     * (Backward) is unaffected — gradients always run f32.
+     * quantize-on-pack; each decoder Linear repacks on its next
+     * Forward). Training (Backward) is unaffected — gradients always
+     * run f32.
      */
     void set_dtype(kernels::Dtype dtype);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "oblivious/ct_ops.h"
+#include "telemetry/telemetry.h"
 #include "tensor/gemm.h"
 
 namespace secemb::nn {
@@ -34,10 +35,32 @@ Linear::Forward(const Tensor& x)
         cached_preact_ = Tensor({x.size(0), out_features()});
         preact = &cached_preact_;
     }
-    AffineActForward(x, w_.value, b_.value, y, nthreads_, act_, preact,
-                     dtype_);
+    AffineActForward(x, PackedWeight(), b_.value, y, nthreads_, act_,
+                     preact);
     if (act_ == Activation::kRelu) cached_y_ = y;
     return y;
+}
+
+const kernels::PackedB&
+Linear::PackedWeight()
+{
+    const kernels::Isa isa =
+        kernels::EffectiveIsaFor(kernels::ActiveIsa(), dtype_);
+    const bool first = packed_w_.nr == 0;
+    if (!first && packed_version_ == w_.version &&
+        packed_w_.dtype == dtype_ && packed_w_.isa == isa) {
+        TELEMETRY_COUNT("kernels.cache.hits", 1);
+        return packed_w_;
+    }
+    kernels::PackB(w_.value.data(), in_features(), out_features(),
+                   /*transposed_src=*/false, isa, dtype_, &packed_w_);
+    packed_version_ = w_.version;
+    if (first) {
+        TELEMETRY_COUNT("kernels.cache.misses", 1);
+    } else {
+        TELEMETRY_COUNT("kernels.cache.repacks", 1);
+    }
+    return packed_w_;
 }
 
 Tensor
@@ -79,10 +102,10 @@ Linear::Backward(const Tensor& grad_out)
         for (int64_t j = 0; j < n; ++j) db[j] += gi[j];
     }
 
-    // dx = g W^T (weights packed once in the persistent cache).
-    // Always f32: low precision is an inference-path optimisation.
+    // dx = g W^T, packing W^T per call at f32: every optimizer step
+    // changes W, and low precision is an inference-path optimisation.
     Tensor dx({m, in_features()});
-    GemmWeightBT(g, w_.value, dx, nthreads_, kernels::Dtype::kF32);
+    GemmBT(g, w_.value, dx, nthreads_);
     return dx;
 }
 

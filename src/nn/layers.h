@@ -32,6 +32,15 @@ using Activation = kernels::Activation;
  * applies the matching gradient before the weight/input GEMMs (ReLU
  * from the cached output's sign, GELU from the cached pre-activation
  * that the epilogue saves in the same pass).
+ *
+ * The layer owns the packed panels of W for its precision and the
+ * effective ISA tier. Forward packs them on first use and repacks only
+ * when weight().version, dtype() or EffectiveIsaFor(ActiveIsa(), dtype())
+ * has changed since; telemetry counts kernels.cache.{hits,misses,repacks}.
+ * So change W through an optimizer step, LoadParameters or
+ * weight().BumpVersion(): a raw write after the first Forward is not
+ * seen. Like the cached activations, the panels make Forward a
+ * single-caller operation.
  */
 class Linear : public Module
 {
@@ -61,14 +70,17 @@ class Linear : public Module
     /**
      * Weight precision for Forward's packed GEMM (f32 / bf16 / int8
      * quantize-on-pack). Defaults to the process-wide ActiveDtype()
-     * (SECEMB_PRECISION) at construction. Backward always runs f32:
-     * low precision is an inference-path optimisation and gradients
-     * keep full fidelity.
+     * (SECEMB_PRECISION) at construction; a change repacks on the next
+     * Forward. Backward always runs f32: low precision is an
+     * inference-path optimisation and gradients keep full fidelity.
      */
     void set_dtype(kernels::Dtype dtype) { dtype_ = dtype; }
     kernels::Dtype dtype() const { return dtype_; }
 
   private:
+    /** The panels of W, repacked first if stale (see the class doc). */
+    const kernels::PackedB& PackedWeight();
+
     Parameter w_;  ///< (in x out)
     Parameter b_;  ///< (out)
     Tensor cached_x_;
@@ -77,6 +89,8 @@ class Linear : public Module
     int nthreads_;
     Activation act_;
     kernels::Dtype dtype_ = kernels::ActiveDtype();
+    kernels::PackedB packed_w_;   ///< nr stays 0 until the first pack
+    uint64_t packed_version_ = 0;  ///< w_.version packed_w_ was built from
 };
 
 /** Rectified linear unit with branchless (mask-blend) forward. */

@@ -20,11 +20,20 @@
 
 namespace secemb::nn {
 
-/** A trainable tensor with its gradient accumulator. */
+/**
+ * A trainable tensor with its gradient accumulator.
+ *
+ * `version` counts writes to `value`: Sgd::Step, Adam::Step and
+ * LoadParameters bump it, and code that writes `value` any other way
+ * must call BumpVersion(). Layers that derive state from the value (the
+ * packed panels of nn::Linear) rebuild it when the version moves, so a
+ * raw write without a bump is not seen once that state exists.
+ */
 struct Parameter
 {
     Tensor value;
     Tensor grad;
+    uint64_t version = 0;
 
     explicit Parameter(Tensor v)
         : value(std::move(v)), grad(Tensor::Zeros(value.shape()))
@@ -32,6 +41,7 @@ struct Parameter
     }
 
     void ZeroGrad() { grad.Fill(0.0f); }
+    void BumpVersion() { ++version; }
     int64_t numel() const { return value.numel(); }
 };
 

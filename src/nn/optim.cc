@@ -31,6 +31,7 @@ Sgd::Step()
                 w[j] -= lr_ * v[j];
             }
         }
+        p->BumpVersion();
     }
 }
 
@@ -69,6 +70,7 @@ Adam::Step()
             const float vhat = v[j] / bc2;
             w[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
         }
+        p->BumpVersion();
     }
 }
 

@@ -26,7 +26,8 @@ class Optimizer
     }
     virtual ~Optimizer() = default;
 
-    /** Apply one update from the accumulated gradients. */
+    /** Apply one update from the accumulated gradients; bumps each
+     * parameter's version. */
     virtual void Step() = 0;
 
     void

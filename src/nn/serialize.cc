@@ -225,6 +225,7 @@ LoadParameters(const std::vector<Parameter*>& params,
                 std::to_string(offset));
         }
         params[i]->value = std::move(t);
+        params[i]->BumpVersion();
     }
 }
 

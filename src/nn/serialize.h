@@ -39,8 +39,9 @@ void SaveParameters(const std::vector<Parameter*>& params,
                     const std::string& path);
 
 /**
- * Restore parameter values saved by SaveParameters into `params`.
- * Throws std::runtime_error on count/shape mismatch or IO failure.
+ * Restore parameter values saved by SaveParameters into `params`,
+ * bumping each one's version. Throws std::runtime_error on count/shape
+ * mismatch or IO failure.
  */
 void LoadParameters(const std::vector<Parameter*>& params,
                     const std::string& path);

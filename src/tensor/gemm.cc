@@ -98,31 +98,6 @@ GemmBT(const Tensor& a, const Tensor& b_t, Tensor& c, int nthreads)
 }
 
 void
-GemmWeightBT(const Tensor& a, const Tensor& w, Tensor& c, int nthreads,
-             kernels::Dtype dtype)
-{
-    const int64_t m = a.size(0), k = a.size(1), n = w.size(0);
-    if (w.size(1) != k) {
-        throw std::invalid_argument("GemmWeightBT: inner mismatch");
-    }
-    CheckMatMulShapes(a, w, c, m, k, n, n, k);
-    TELEMETRY_SPAN("tensor.gemm_bt");
-    TELEMETRY_COUNT("tensor.gemm.calls", 1);
-    TELEMETRY_COUNT("tensor.gemm.flops", 2 * m * k * n);
-    AssertKernelAlignment(a, c);
-
-    const auto packed = kernels::PackedWeightCache::Instance().Get(
-        w.data(), k, n, /*transposed_src=*/true, dtype);
-    kernels::GemmArgs args;
-    args.a = a.data();
-    args.b = packed.get();
-    args.c = c.data();
-    args.m = m;
-    args.nthreads = nthreads;
-    kernels::GemmPacked(args);
-}
-
-void
 GemmAT(const Tensor& a_t, const Tensor& b, Tensor& c, int nthreads)
 {
     const int64_t k = a_t.size(0), m = a_t.size(1), n = b.size(1);
@@ -159,23 +134,20 @@ MatMul(const Tensor& a, const Tensor& b, int nthreads)
 }
 
 void
-AffineForward(const Tensor& x, const Tensor& w, const Tensor& bias,
-              Tensor& y, int nthreads, kernels::Dtype dtype)
+AffineActForward(const Tensor& x, const kernels::PackedB& w,
+                 const Tensor& bias, Tensor& y, int nthreads,
+                 kernels::Activation act, Tensor* preact)
 {
-    AffineActForward(x, w, bias, y, nthreads,
-                     kernels::Activation::kIdentity, nullptr, dtype);
-}
-
-void
-AffineActForward(const Tensor& x, const Tensor& w, const Tensor& bias,
-                 Tensor& y, int nthreads, kernels::Activation act,
-                 Tensor* preact, kernels::Dtype dtype)
-{
-    const int64_t m = x.size(0), k = x.size(1), n = w.size(1);
-    if (w.size(0) != k) {
-        throw std::invalid_argument("AffineForward: inner mismatch");
+    if (x.dim() != 2 || y.dim() != 2) {
+        throw std::invalid_argument("AffineActForward: operands must be 2-D");
     }
-    CheckMatMulShapes(x, w, y, m, k, n, k, n);
+    const int64_t m = x.size(0), k = w.k, n = w.n;
+    if (x.size(1) != k) {
+        throw std::invalid_argument("AffineActForward: inner mismatch");
+    }
+    if (y.size(0) != m || y.size(1) != n) {
+        throw std::invalid_argument("AffineActForward: C shape mismatch");
+    }
     assert(bias.empty() || bias.numel() == n);
     assert(preact == nullptr ||
            (preact->size(0) == m && preact->size(1) == n));
@@ -184,11 +156,9 @@ AffineActForward(const Tensor& x, const Tensor& w, const Tensor& bias,
     TELEMETRY_COUNT("tensor.gemm.flops", 2 * m * k * n);
     AssertKernelAlignment(x, y);
 
-    const auto packed = kernels::PackedWeightCache::Instance().Get(
-        w.data(), k, n, /*transposed_src=*/false, dtype);
     kernels::GemmArgs args;
     args.a = x.data();
-    args.b = packed.get();
+    args.b = &w;
     args.c = y.data();
     args.m = m;
     args.epilogue.bias = bias.empty() ? nullptr : bias.data();

@@ -13,11 +13,12 @@
  * (tensor/kernels): cache-blocked microkernels selected per the active
  * ISA tier (SECEMB_ISA), with B packed into 64-byte-aligned panels. The
  * *Naive reference loops are kept as the correctness/perf baseline for
- * tests and benchmarks. Weight-operand variants (AffineActForward,
- * GemmWeightBT) pack through the persistent weight cache so FC weights
- * are packed once and reused across batches; they take a kernels::Dtype
- * selecting the weight precision (f32 / bf16 / int8 quantize-on-pack),
- * defaulting to the process-wide kernels::ActiveDtype().
+ * tests and benchmarks. Gemm/GemmBT/GemmAT pack their B operand per call
+ * at f32. AffineActForward takes B already packed: the caller owns the
+ * panels and their precision (f32 / bf16 / int8 quantize-on-pack), and
+ * decides when they are stale. nn::Linear repacks its weight after an
+ * optimizer step, LoadParameters or Parameter::BumpVersion(); a raw
+ * write after the first Forward is not seen.
  */
 
 #include <cstdint>
@@ -41,37 +42,20 @@ void GemmBT(const Tensor& a, const Tensor& b_t, Tensor& c, int nthreads = 1);
 /** C = A^T * B for A (k x m), B (k x n), C (m x n). */
 void GemmAT(const Tensor& a_t, const Tensor& b, Tensor& c, int nthreads = 1);
 
-/**
- * C = A * W^T with W packed via the persistent weight cache — the FC
- * backward data path (dx = g W^T), where W is a layer weight reused
- * across every step at unchanged content.
- */
-void GemmWeightBT(const Tensor& a, const Tensor& w, Tensor& c,
-                  int nthreads = 1,
-                  kernels::Dtype dtype = kernels::ActiveDtype());
-
 /** Returning convenience wrapper around Gemm. */
 Tensor MatMul(const Tensor& a, const Tensor& b, int nthreads = 1);
 
 /**
- * y = x * W + bias broadcast, for x (m x k), w (k x n), bias (n).
- * The canonical FC-layer forward; bias may be empty to skip. W is packed
- * through the persistent weight cache; bias is fused into the GEMM
- * epilogue (no separate pass).
+ * y = act(x * W + bias broadcast) for x (m x k), W packed k x n, bias
+ * (n) — the canonical FC-layer forward. Bias may be empty to skip; bias,
+ * activation and, when `preact` is non-null, the side output
+ * x * W + bias (same shape as y, for Backward) all ride the GEMM's final
+ * store pass. W runs at the precision and tier it was packed for.
  */
-void AffineForward(const Tensor& x, const Tensor& w, const Tensor& bias,
-                   Tensor& y, int nthreads = 1,
-                   kernels::Dtype dtype = kernels::ActiveDtype());
-
-/**
- * y = act(x * W + bias): AffineForward with the activation fused into
- * the same epilogue pass. When `preact` is non-null it receives
- * x * W + bias (same shape as y) for Backward, still in one pass.
- */
-void AffineActForward(const Tensor& x, const Tensor& w, const Tensor& bias,
-                      Tensor& y, int nthreads, kernels::Activation act,
-                      Tensor* preact = nullptr,
-                      kernels::Dtype dtype = kernels::ActiveDtype());
+void AffineActForward(const Tensor& x, const kernels::PackedB& w,
+                      const Tensor& bias, Tensor& y, int nthreads,
+                      kernels::Activation act = kernels::Activation::kIdentity,
+                      Tensor* preact = nullptr);
 
 // ---------------------------------------------------------------------------
 // Naive reference kernels (tests and benchmarks)

@@ -1,13 +1,11 @@
 #include "tensor/kernels/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "telemetry/telemetry.h"
 #include "tensor/kernels/driver.h"
@@ -286,7 +284,6 @@ PackB(const float* b, int64_t k, int64_t n, bool transposed_src, Isa isa,
     out->isa = isa;
     out->dtype = dtype;
     out->transposed_src = transposed_src;
-    out->content_hash = 0;
     out->data.clear();
     out->qdata.clear();
     out->col_scales.clear();
@@ -324,33 +321,6 @@ PackB(const float* b, int64_t k, int64_t n, bool transposed_src, Isa isa,
     TELEMETRY_COUNT("kernels.pack_b.floats", k * n);
 }
 
-uint64_t
-HashWeights(const float* data, int64_t count)
-{
-    // Multiply-xor over 8-byte words: fast change detection for the
-    // packed-weight cache, not adversarial hashing.
-    constexpr uint64_t kMul = 0x9E3779B97F4A7C15ull;
-    uint64_t h = 0x243F6A8885A308D3ull ^
-                 (static_cast<uint64_t>(count) * kMul);
-    const auto* bytes = reinterpret_cast<const unsigned char*>(data);
-    size_t remaining = static_cast<size_t>(count) * sizeof(float);
-    while (remaining >= 8) {
-        uint64_t w;
-        std::memcpy(&w, bytes, 8);
-        h = (h ^ w) * kMul;
-        h ^= h >> 29;
-        bytes += 8;
-        remaining -= 8;
-    }
-    if (remaining > 0) {
-        uint64_t w = 0;
-        std::memcpy(&w, bytes, remaining);
-        h = (h ^ w) * kMul;
-        h ^= h >> 29;
-    }
-    return h * kMul;
-}
-
 void
 GemmPacked(const GemmArgs& args)
 {
@@ -375,131 +345,6 @@ GemmPacked(const GemmArgs& args)
             ops.run_int8(args);
             break;
     }
-}
-
-// ---------------------------------------------------------------------------
-// PackedWeightCache
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct CacheKey
-{
-    uintptr_t ptr;
-    int64_t k;
-    int64_t n;
-    bool transposed;
-    int isa;
-    int dtype;
-
-    bool operator==(const CacheKey&) const = default;
-};
-
-struct CacheKeyHash
-{
-    size_t
-    operator()(const CacheKey& key) const
-    {
-        uint64_t h = key.ptr;
-        h = (h ^ static_cast<uint64_t>(key.k)) * 0x9E3779B97F4A7C15ull;
-        h = (h ^ static_cast<uint64_t>(key.n)) * 0x9E3779B97F4A7C15ull;
-        h ^= (key.transposed ? 0x10000u : 0u) ^
-             static_cast<uint64_t>(key.isa) ^
-             (static_cast<uint64_t>(key.dtype) << 4);
-        h ^= h >> 31;
-        return static_cast<size_t>(h);
-    }
-};
-
-}  // namespace
-
-struct PackedWeightCache::Impl
-{
-    mutable std::mutex mu;
-    std::unordered_map<CacheKey, std::shared_ptr<const PackedB>,
-                       CacheKeyHash>
-        entries;
-    Stats stats;
-};
-
-PackedWeightCache::Impl&
-PackedWeightCache::impl() const
-{
-    static Impl instance;
-    return instance;
-}
-
-PackedWeightCache&
-PackedWeightCache::Instance()
-{
-    static PackedWeightCache cache;
-    return cache;
-}
-
-std::shared_ptr<const PackedB>
-PackedWeightCache::Get(const float* w, int64_t k, int64_t n,
-                       bool transposed_src, Dtype dtype)
-{
-    const Isa isa = EffectiveIsaFor(ActiveIsa(), dtype);
-    // Hash outside the lock: it reads the whole weight buffer (an
-    // input-independent, whole-region access) and is the staleness
-    // check that makes in-place weight updates safe to cache under.
-    // Quantized entries revalidate against the same f32 source hash.
-    const uint64_t hash = HashWeights(w, k * n);
-    const CacheKey key{reinterpret_cast<uintptr_t>(w), k, n,
-                       transposed_src, static_cast<int>(isa),
-                       static_cast<int>(dtype)};
-
-    Impl& im = impl();
-    std::unique_lock<std::mutex> lock(im.mu);
-    auto it = im.entries.find(key);
-    if (it != im.entries.end() && it->second->content_hash == hash) {
-        ++im.stats.hits;
-        TELEMETRY_COUNT("kernels.cache.hits", 1);
-        return it->second;
-    }
-    const bool repack = it != im.entries.end();
-    lock.unlock();
-
-    auto packed = std::make_shared<PackedB>();
-    PackB(w, k, n, transposed_src, isa, dtype, packed.get());
-    packed->content_hash = hash;
-
-    lock.lock();
-    if (repack) {
-        ++im.stats.repacks;
-        TELEMETRY_COUNT("kernels.cache.repacks", 1);
-    } else {
-        ++im.stats.misses;
-        TELEMETRY_COUNT("kernels.cache.misses", 1);
-    }
-    im.entries[key] = packed;
-    return packed;
-}
-
-void
-PackedWeightCache::Clear()
-{
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    im.entries.clear();
-    im.stats = Stats{};
-}
-
-PackedWeightCache::Stats
-PackedWeightCache::stats() const
-{
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    return im.stats;
-}
-
-size_t
-PackedWeightCache::entries() const
-{
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    return im.entries.size();
 }
 
 namespace detail {

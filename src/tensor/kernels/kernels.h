@@ -17,10 +17,13 @@
  * satisfy clamp down to the widest supported tier.
  *
  * B operands are packed into 64-byte-aligned NR-wide column panels
- * (cache-blocked MC/KC/NC traversal); weight matrices are packed once
- * into a persistent process-wide cache keyed by buffer identity and
- * validated by content hash, so serving workloads pack each FC weight a
- * single time and reuse the panels across every batch.
+ * (cache-blocked MC/KC/NC traversal). This layer keeps no weight state:
+ * a PackedB belongs to its caller. nn::Linear owns the panels of its
+ * weight and repacks only when the weight's version, its precision or
+ * the effective tier changes, so serving workloads pack each FC weight
+ * once and reuse the panels across every batch. Weights change through
+ * an optimizer step, LoadParameters or Parameter::BumpVersion(); a raw
+ * write after the first Forward is not seen.
  *
  * Obliviousness: control flow in every kernel depends only on shapes
  * (public in the threat model); the packed traversal touches the whole
@@ -31,7 +34,7 @@
 
 #include <cmath>
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "tensor/aligned.h"
 
@@ -198,7 +201,6 @@ struct PackedB
     Isa isa = Isa::kScalar;
     Dtype dtype = Dtype::kF32;
     bool transposed_src = false;  ///< packed from an n x k (B^T) source
-    uint64_t content_hash = 0;    ///< hash of the source weights
     AlignedFloatVector data;      ///< kF32 panels
     AlignedByteVector qdata;      ///< kBf16 / kInt8 panels
     /** kInt8: dequant scale per padded column (panels() * nr). */
@@ -234,16 +236,13 @@ void PackB(const float* b, int64_t k, int64_t n, bool transposed_src,
            Isa isa, PackedB* out);
 
 /**
- * Pack `b` for (`isa`, `dtype`). `isa` must be the EffectiveIsaFor the
- * dtype (callers that dispatch through ActiveIsa() resolve it first);
- * quantization parameters are derived from the source values here, at
- * pack time.
+ * Pack `b` for (`isa`, `dtype`). `isa` steps down to
+ * EffectiveIsaFor(isa, dtype), so passing ActiveIsa() is fine and
+ * out->isa names the tier that will run it; quantization parameters are
+ * derived from the source values here, at pack time.
  */
 void PackB(const float* b, int64_t k, int64_t n, bool transposed_src,
            Isa isa, Dtype dtype, PackedB* out);
-
-/** Cheap 64-bit content hash used for packed-weight staleness checks. */
-uint64_t HashWeights(const float* data, int64_t count);
 
 // ---------------------------------------------------------------------------
 // Dispatched GEMM
@@ -267,51 +266,5 @@ struct GemmArgs
  * epilogue is applied in the same pass as the final k-block's stores.
  */
 void GemmPacked(const GemmArgs& args);
-
-// ---------------------------------------------------------------------------
-// Persistent packed-weight cache
-// ---------------------------------------------------------------------------
-
-/**
- * Process-wide cache of packed weight panels, keyed by (buffer address,
- * shape, transposition, tier, precision). Every Get() rehashes the
- * source buffer and repacks on mismatch, so in-place optimiser updates
- * (and buffer reuse after frees) can never serve stale panels; the hash
- * pass is O(k*n) reads versus the GEMM's O(2*m*k*n) flops. Entries are
- * returned as shared_ptr so a Clear() or repack cannot invalidate
- * panels a running GEMM still holds. Quantize-on-pack: a quantized
- * precision's scales and integer panels are derived here, once, and
- * revalidated by the same f32 content hash. Thread-safe.
- */
-class PackedWeightCache
-{
-  public:
-    static PackedWeightCache& Instance();
-
-    /** Packed panels for weights `w` (k x n; n x k if transposed_src),
-     * packed for EffectiveIsaFor(ActiveIsa(), dtype). Packs on first
-     * use, content change, or first use at a new precision (distinct
-     * precisions keep distinct entries — switching back is a hit). */
-    std::shared_ptr<const PackedB> Get(const float* w, int64_t k,
-                                       int64_t n, bool transposed_src,
-                                       Dtype dtype = Dtype::kF32);
-
-    /** Drop all entries (tests; also releases panel memory). */
-    void Clear();
-
-    struct Stats
-    {
-        uint64_t hits = 0;
-        uint64_t misses = 0;    ///< first-time packs
-        uint64_t repacks = 0;   ///< content-hash mismatches
-    };
-    Stats stats() const;
-    size_t entries() const;
-
-  private:
-    PackedWeightCache() = default;
-    struct Impl;
-    Impl& impl() const;
-};
 
 }  // namespace secemb::kernels

@@ -3,25 +3,31 @@
  * Packed-kernel subsystem tests (ctest label `kernels`).
  *
  * Seeded property tests compare every compiled ISA tier against the
- * naive reference loops across odd/tail shapes, the fused epilogue
- * against separate bias/activation passes, and the persistent
- * packed-weight cache against in-place weight mutation. The
- * low-precision sections hold the int8/bf16 tiers to a derived
- * per-element quantization error bound against the f32 naive
- * reference, pin cross-tier int8 bit-identity (all tiers share one
- * quantization scheme) and skinny-m 2-D-split determinism, and verify
- * the cache keeps distinct entries per precision. The trace section
- * proves the obliviousness claim: canonical traces of the certified
- * generators are bit-identical regardless of which GEMM tier — and
- * which precision — runs underneath (label `leakage`).
+ * naive reference loops across odd/tail shapes, and the fused epilogue
+ * against separate bias/activation passes. The low-precision sections
+ * hold the int8/bf16 tiers to a derived per-element quantization error
+ * bound against the f32 naive reference, pin cross-tier int8
+ * bit-identity (all tiers share one quantization scheme) and skinny-m
+ * 2-D-split determinism. The nn::Linear section checks the layer-owned
+ * weight panels: packed once, repacked after every API that changes the
+ * weight, the precision or the tier. The trace section proves the
+ * obliviousness claim: canonical traces of the certified generators are
+ * bit-identical regardless of which GEMM tier — and which precision —
+ * runs underneath (label `leakage`).
  */
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "nn/layers.h"
+#include "nn/optim.h"
+#include "nn/serialize.h"
+#include "telemetry/telemetry.h"
 #include "tensor/aligned.h"
 #include "tensor/gemm.h"
 #include "tensor/kernels/driver.h"
@@ -71,6 +77,16 @@ MaxRelError(const Tensor& got, const Tensor& want)
 }
 
 constexpr float kRelTol = 1e-4f;
+
+/** `w` (k x n) packed at f32 for the active tier. */
+kernels::PackedB
+PackF32(const Tensor& w)
+{
+    kernels::PackedB packed;
+    kernels::PackB(w.data(), w.size(0), w.size(1), /*transposed_src=*/false,
+                   kernels::ActiveIsa(), &packed);
+    return packed;
+}
 
 // ---------------------------------------------------------------------------
 // Dispatch plumbing
@@ -310,8 +326,7 @@ TEST(KernelEpilogueTest, FusedBiasActMatchesSeparatePasses)
             }
 
             Tensor got({m, n}), preact({m, n});
-            AffineActForward(x, w, bias, got, 1, act, &preact,
-                             kernels::Dtype::kF32);
+            AffineActForward(x, PackF32(w), bias, got, 1, act, &preact);
             EXPECT_LE(MaxRelError(got, want), kRelTol)
                 << kernels::IsaName(isa) << " act="
                 << static_cast<int>(act);
@@ -327,7 +342,6 @@ TEST(KernelEpilogueTest, FusedBiasActMatchesSeparatePasses)
             EXPECT_LE(MaxRelError(preact, want_pre), kRelTol)
                 << kernels::IsaName(isa);
         }
-        kernels::PackedWeightCache::Instance().Clear();
     }
 }
 
@@ -338,90 +352,8 @@ TEST(KernelEpilogueTest, EmptyBiasSkipsBroadcast)
     const Tensor w = Tensor::Randn({31, 13}, rng);
     Tensor want({9, 13}), got({9, 13});
     GemmNaive(x, w, want);
-    AffineForward(x, w, Tensor(), got, 1, kernels::Dtype::kF32);
+    AffineActForward(x, PackF32(w), Tensor(), got, 1);
     EXPECT_LE(MaxRelError(got, want), kRelTol);
-    kernels::PackedWeightCache::Instance().Clear();
-}
-
-// ---------------------------------------------------------------------------
-// Persistent packed-weight cache
-// ---------------------------------------------------------------------------
-
-TEST(PackedWeightCacheTest, SecondGetHitsWithoutRepacking)
-{
-    auto& cache = kernels::PackedWeightCache::Instance();
-    cache.Clear();
-    Rng rng(113);
-    const Tensor w = Tensor::Randn({24, 16}, rng);
-
-    const auto before = cache.stats();
-    const auto p1 = cache.Get(w.data(), 24, 16, false);
-    const auto p2 = cache.Get(w.data(), 24, 16, false);
-    const auto after = cache.stats();
-
-    EXPECT_EQ(p1.get(), p2.get());
-    EXPECT_EQ(after.misses - before.misses, 1u);
-    EXPECT_EQ(after.hits - before.hits, 1u);
-    EXPECT_EQ(after.repacks - before.repacks, 0u);
-    EXPECT_EQ(cache.entries(), 1u);
-    cache.Clear();
-    EXPECT_EQ(cache.entries(), 0u);
-}
-
-TEST(PackedWeightCacheTest, InPlaceMutationTriggersRepack)
-{
-    auto& cache = kernels::PackedWeightCache::Instance();
-    cache.Clear();
-    Rng rng(115);
-    Tensor w = Tensor::Randn({24, 16}, rng);
-    const Tensor x = Tensor::Randn({8, 24}, rng);
-
-    Tensor y1({8, 16});
-    AffineForward(x, w, Tensor(), y1, 1, kernels::Dtype::kF32);
-
-    // Optimiser-style in-place update: same buffer, new content. The
-    // cache must notice via the content hash and serve fresh panels.
-    w.ScaleInPlace(2.0f);
-    const auto before = cache.stats();
-    Tensor y2({8, 16});
-    AffineForward(x, w, Tensor(), y2, 1, kernels::Dtype::kF32);
-    const auto after = cache.stats();
-    EXPECT_EQ(after.repacks - before.repacks, 1u);
-
-    Tensor want({8, 16});
-    GemmNaive(x, w, want);
-    EXPECT_LE(MaxRelError(y2, want), kRelTol);
-    // And the scaled output really is 2x the original.
-    EXPECT_LE(MaxRelError(y2, y1.Scale(2.0f)), kRelTol);
-    cache.Clear();
-}
-
-TEST(PackedWeightCacheTest, TransposedAndPlainPacksAreDistinct)
-{
-    auto& cache = kernels::PackedWeightCache::Instance();
-    cache.Clear();
-    Rng rng(117);
-    const Tensor w = Tensor::Randn({16, 16}, rng);
-    const auto plain = cache.Get(w.data(), 16, 16, false);
-    const auto trans = cache.Get(w.data(), 16, 16, true);
-    EXPECT_NE(plain.get(), trans.get());
-    EXPECT_EQ(cache.entries(), 2u);
-    cache.Clear();
-}
-
-TEST(PackedWeightCacheTest, EntriesSurviveClearWhileHeld)
-{
-    // shared_ptr contract: Clear() must not invalidate panels a running
-    // GEMM still holds.
-    auto& cache = kernels::PackedWeightCache::Instance();
-    cache.Clear();
-    Rng rng(119);
-    const Tensor w = Tensor::Randn({8, 8}, rng);
-    const auto held = cache.Get(w.data(), 8, 8, false);
-    cache.Clear();
-    EXPECT_EQ(held->k, 8);
-    EXPECT_EQ(held->n, 8);
-    EXPECT_TRUE(IsAligned64(held->data.data()));
 }
 
 // ---------------------------------------------------------------------------
@@ -430,8 +362,6 @@ TEST(PackedWeightCacheTest, EntriesSurviveClearWhileHeld)
 
 TEST(APackScratchTest, ScratchShrinksAfterLargePack)
 {
-    auto& cache = kernels::PackedWeightCache::Instance();
-    cache.Clear();
     Rng rng(121);
 
     // nthreads = 1 keeps both packing and the region on this thread, so
@@ -440,10 +370,10 @@ TEST(APackScratchTest, ScratchShrinksAfterLargePack)
         const Tensor a = Tensor::Randn({m, k}, rng);
         const Tensor b = Tensor::Randn({k, 8}, rng);
         Tensor c({m, 8});
-        const auto packed = cache.Get(b.data(), k, 8, false);
+        const kernels::PackedB packed = PackF32(b);
         kernels::GemmArgs args;
         args.a = a.data();
-        args.b = packed.get();
+        args.b = &packed;
         args.c = c.data();
         args.m = m;
         args.nthreads = 1;
@@ -466,9 +396,8 @@ TEST(APackScratchTest, ScratchShrinksAfterLargePack)
     const Tensor w = Tensor::Randn({16, 8}, rng);
     Tensor want({8, 8}), got({8, 8});
     GemmNaive(x, w, want);
-    AffineForward(x, w, Tensor(), got, 1, kernels::Dtype::kF32);
+    AffineActForward(x, PackF32(w), Tensor(), got, 1);
     EXPECT_LE(MaxRelError(got, want), kRelTol);
-    cache.Clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -744,57 +673,158 @@ TEST(KernelLowPrecisionTest, ZeroRowsAndColumnsStayExact)
     }
 }
 
-TEST(PackedWeightCacheTest, PrecisionSwitchKeepsDistinctEntries)
+// ---------------------------------------------------------------------------
+// Layer-owned weight panels (nn::Linear)
+// ---------------------------------------------------------------------------
+
+/** Which kernels.cache.* counter one Linear::Forward must bump. */
+enum class Pack
 {
-    auto& cache = kernels::PackedWeightCache::Instance();
-    cache.Clear();
-    Rng rng(141);
-    const Tensor w = Tensor::Randn({24, 16}, rng);
+    kHit,
+    kMiss,
+    kRepack,
+};
 
-    const auto f32 = cache.Get(w.data(), 24, 16, false, Dtype::kF32);
-    const auto i8 = cache.Get(w.data(), 24, 16, false, Dtype::kInt8);
-    const auto bf = cache.Get(w.data(), 24, 16, false, Dtype::kBf16);
-    EXPECT_NE(f32.get(), i8.get());
-    EXPECT_NE(f32.get(), bf.get());
-    EXPECT_NE(i8.get(), bf.get());
-    EXPECT_EQ(cache.entries(), 3u);
-    EXPECT_EQ(f32->dtype, Dtype::kF32);
-    EXPECT_EQ(i8->dtype, Dtype::kInt8);
-    EXPECT_EQ(bf->dtype, Dtype::kBf16);
-
-    // Switching back is a hit, not a repack.
-    const auto before = cache.stats();
-    const auto again = cache.Get(w.data(), 24, 16, false, Dtype::kF32);
-    const auto after = cache.stats();
-    EXPECT_EQ(again.get(), f32.get());
-    EXPECT_EQ(after.hits - before.hits, 1u);
-    EXPECT_EQ(after.repacks - before.repacks, 0u);
-    cache.Clear();
+/** The kernels.cache.* counters, indexed by Pack. */
+std::vector<uint64_t>
+PackCounts()
+{
+    auto& reg = telemetry::Registry::Instance();
+    return {reg.GetCounter("kernels.cache.hits").Value(),
+            reg.GetCounter("kernels.cache.misses").Value(),
+            reg.GetCounter("kernels.cache.repacks").Value()};
 }
 
-TEST(PackedWeightCacheTest, MutationRepacksQuantizedEntry)
+/**
+ * Runs lin.Forward(x), checks that it bumped exactly the `expect`
+ * counter (when telemetry is compiled in), and that the output matches
+ * GemmNaive on the layer's current weights plus bias within the bound
+ * of the layer's precision.
+ */
+void
+ExpectForward(nn::Linear& lin, const Tensor& x, Pack expect)
 {
-    // Content-hash revalidation is precision-independent: an in-place
-    // weight update must re-quantize the int8 panels too.
-    auto& cache = kernels::PackedWeightCache::Instance();
-    cache.Clear();
-    Rng rng(143);
-    Tensor w = Tensor::Randn({24, 16}, rng);
-    const Tensor x = Tensor::Randn({4, 24}, rng);
+    telemetry::SetEnabled(true);
+    const std::vector<uint64_t> before = PackCounts();
+    const Tensor got = lin.Forward(x);
+    const std::vector<uint64_t> after = PackCounts();
+    if (SECEMB_TELEMETRY_ENABLED) {
+        for (size_t c = 0; c < before.size(); ++c) {
+            EXPECT_EQ(after[c] - before[c],
+                      c == static_cast<size_t>(expect) ? 1u : 0u)
+                << "counter " << c;
+        }
+    }
 
-    Tensor y1({4, 16});
-    AffineForward(x, w, Tensor(), y1, 1, Dtype::kInt8);
-    w.ScaleInPlace(2.0f);
-    const auto before = cache.stats();
-    Tensor y2({4, 16});
-    AffineForward(x, w, Tensor(), y2, 1, Dtype::kInt8);
-    const auto after = cache.stats();
-    EXPECT_EQ(after.repacks - before.repacks, 1u);
-    // Symmetric quantization commutes with scaling, so the int8 result
-    // doubles exactly.
-    EXPECT_LE(MaxRelError(y2, y1.Scale(2.0f)), kRelTol);
-    cache.Clear();
+    const Tensor& w = lin.weight().value;
+    Tensor want({x.size(0), w.size(1)});
+    GemmNaive(x, w, want);
+    for (int64_t i = 0; i < want.size(0); ++i) {
+        for (int64_t j = 0; j < want.size(1); ++j) {
+            want.at(i, j) += lin.bias().value.at(j);
+        }
+    }
+    const Tensor bound = QuantErrorBound(x, w, lin.dtype());
+    for (int64_t i = 0; i < want.numel(); ++i) {
+        const float tol =
+            bound.at(i) + kRelTol * std::max(1.0f, std::fabs(want.at(i)));
+        ASSERT_LE(std::fabs(got.at(i) - want.at(i)), tol)
+            << kernels::DtypeName(lin.dtype()) << " elem " << i;
+    }
 }
+
+/** Each case runs one 48 -> 40 layer at the parameter's precision. */
+class LinearPackTest : public ::testing::TestWithParam<Dtype>
+{
+  protected:
+    LinearPackTest() : rng_(151), lin_(48, 40, rng_)
+    {
+        lin_.set_dtype(GetParam());
+        x_ = Tensor::Randn({6, 48}, rng_);
+    }
+
+    Rng rng_;
+    nn::Linear lin_;
+    Tensor x_;
+};
+
+TEST_P(LinearPackTest, ForwardsPackOnce)
+{
+    ExpectForward(lin_, x_, Pack::kMiss);
+    for (int i = 0; i < 4; ++i) ExpectForward(lin_, x_, Pack::kHit);
+    // Re-setting the same precision is not a change.
+    lin_.set_dtype(GetParam());
+    ExpectForward(lin_, x_, Pack::kHit);
+}
+
+TEST_P(LinearPackTest, OptimizerStepsRepack)
+{
+    // Learning rates large enough that stale panels would miss the
+    // int8 bound by a wide margin.
+    nn::Sgd sgd(lin_.Parameters(), 0.5f);
+    nn::Adam adam(lin_.Parameters(), 0.5f);
+    ExpectForward(lin_, x_, Pack::kMiss);
+    for (nn::Optimizer* opt : {static_cast<nn::Optimizer*>(&sgd),
+                               static_cast<nn::Optimizer*>(&adam)}) {
+        lin_.ZeroGrad();
+        lin_.Backward(Tensor::Ones({x_.size(0), lin_.out_features()}));
+        opt->Step();
+        ExpectForward(lin_, x_, Pack::kRepack);
+        ExpectForward(lin_, x_, Pack::kHit);
+    }
+}
+
+TEST_P(LinearPackTest, LoadParametersRepacks)
+{
+    ExpectForward(lin_, x_, Pack::kMiss);
+    Rng other_rng(157);
+    nn::Linear other(48, 40, other_rng);
+    const std::string path = ::testing::TempDir() + "secemb_linear_pack_" +
+                             kernels::DtypeName(GetParam()) + ".bin";
+    nn::SaveParameters(other.Parameters(), path);
+    nn::LoadParameters(lin_.Parameters(), path);
+    std::remove(path.c_str());
+    ExpectForward(lin_, x_, Pack::kRepack);
+    ExpectForward(lin_, x_, Pack::kHit);
+}
+
+TEST_P(LinearPackTest, SetDtypeRepacks)
+{
+    ExpectForward(lin_, x_, Pack::kMiss);
+    for (Dtype other : {Dtype::kF32, Dtype::kBf16, Dtype::kInt8}) {
+        if (other == GetParam()) continue;
+        lin_.set_dtype(other);
+        ExpectForward(lin_, x_, Pack::kRepack);
+        lin_.set_dtype(GetParam());
+        ExpectForward(lin_, x_, Pack::kRepack);
+    }
+}
+
+TEST_P(LinearPackTest, IsaChangeRepacks)
+{
+    // A tier change repacks exactly when it changes the tier that serves
+    // the precision (int8 on AVX-512 without VNNI runs the AVX2 kernel).
+    std::vector<Isa> order = SupportedTiers();
+    order.push_back(order.front());
+    Isa served = kernels::EffectiveIsaFor(order.front(), GetParam());
+    {
+        ScopedIsa scoped(order.front());
+        ExpectForward(lin_, x_, Pack::kMiss);
+    }
+    for (size_t t = 1; t < order.size(); ++t) {
+        ScopedIsa scoped(order[t]);
+        const Isa now = kernels::EffectiveIsaFor(order[t], GetParam());
+        ExpectForward(lin_, x_, now == served ? Pack::kHit : Pack::kRepack);
+        served = now;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Precisions, LinearPackTest,
+    ::testing::Values(Dtype::kF32, Dtype::kBf16, Dtype::kInt8),
+    [](const ::testing::TestParamInfo<Dtype>& info) {
+        return std::string(kernels::DtypeName(info.param));
+    });
 
 TEST(KernelLowPrecisionTest, PrecisionSelectionPlumbing)
 {

@@ -70,9 +70,13 @@ TEST(LinearTest, WeightGradientCheck)
     const Tensor w = lin.weight().value;
     ExpectGradientsClose(
         [&](const Tensor& wt) {
+            // Raw writes after the first Forward go through the version
+            // bump, or Forward keeps serving the old packed panels.
             lin.weight().value = wt;
+            lin.weight().BumpVersion();
             const float loss = SumSquares(lin, x);
             lin.weight().value = w;
+            lin.weight().BumpVersion();
             return loss;
         },
         w, lin.weight().grad);

@@ -238,8 +238,11 @@ TEST(GemmTest, AffineAddsBias)
     const Tensor x = Tensor::Randn({4, 3}, rng);
     const Tensor w = Tensor::Randn({3, 2}, rng);
     const Tensor bias = Tensor::Values({10.0f, 20.0f});
+    kernels::PackedB packed;
+    kernels::PackB(w.data(), 3, 2, /*transposed_src=*/false,
+                   kernels::ActiveIsa(), &packed);
     Tensor y({4, 2});
-    AffineForward(x, w, bias, y, 1, kernels::Dtype::kF32);
+    AffineActForward(x, packed, bias, y, 1);
     const Tensor expect = NaiveMatMul(x, w);
     for (int64_t i = 0; i < 4; ++i) {
         EXPECT_NEAR(y.at(i, 0), expect.at(i, 0) + 10.0f, 1e-4f);
