@@ -11,6 +11,9 @@
  *   - OramTable        : table behind a Path / Circuit ORAM controller
  *   - DheGenerator     : Deep Hash Embedding (compute-only, oblivious)
  *   - HybridGenerator  : per-feature linear-scan/DHE choice (Section IV-C)
+ * plus the proxied ORAM and the out-of-core tables (table_generators.h,
+ * paged_generators.h). core::MakeGenerator builds every one of them, and
+ * set_recorder attaches a trace recorder to every one of them.
  */
 
 #include <cstdint>
@@ -92,7 +95,15 @@ class EmbeddingGenerator
      */
     virtual void set_precision(kernels::Dtype dtype) { (void)dtype; }
 
-    /** Attach/detach a memory trace recorder (nullptr to detach). */
+    /**
+     * Attach/detach a memory trace recorder (nullptr to detach). Every
+     * generator in src/core records through it — scans, DHE, the Path,
+     * Circuit, proxied and RAW ORAMs and the paged scan — so this is the
+     * one trace hook; nothing is passed at construction. Trace regions
+     * are reserved when the generator is built, so attaching late does
+     * not move them. The default no-op suits adapters with no memory
+     * trace of their own.
+     */
     virtual void set_recorder(sidechannel::TraceRecorder* recorder)
     {
         (void)recorder;

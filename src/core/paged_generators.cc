@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstring>
-#include <future>
 #include <vector>
 
 namespace secemb::core {
@@ -107,67 +106,6 @@ RawOramTable::Generate(std::span<const int64_t> indices, Tensor& out)
         std::memcpy(out.data() + static_cast<int64_t>(i) * dim_,
                     block.data(), block.size() * sizeof(uint32_t));
     }
-}
-
-ProxiedRawOramTable::ProxiedRawOramTable(
-    const Tensor& table, Rng& rng,
-    const store::StoreConfig& store_config,
-    const store::RawOramConfig& oram_config,
-    const oram::ProxyConfig& proxy_config)
-    : rows_(table.size(0)), dim_(table.size(1))
-{
-    const int64_t pages = store::RawOram::PagesNeeded(
-        rows_, dim_, store_config.page_bytes);
-    std::unique_ptr<store::PageCache> cache;
-    store::ThrowIfError(
-        store::MakePageCache(store_config, pages, &cache));
-    oram_ = std::make_unique<store::RawOram>(rows_, dim_, std::move(cache),
-                                             rng, oram_config);
-    static_assert(sizeof(float) == sizeof(uint32_t));
-    std::vector<uint32_t> words(static_cast<size_t>(rows_ * dim_));
-    std::memcpy(words.data(), table.data(), words.size() * sizeof(float));
-    store::ThrowIfError(oram_->BulkLoad(words));
-    // The conductor thread is the only caller of the backend, so the
-    // (thread-compatible) RAW ORAM needs no locking.
-    proxy_ = std::make_unique<oram::OramProxy>(
-        [this](int64_t id, std::vector<uint32_t>& out) {
-            store::ThrowIfError(oram_->Read(id, out));
-        },
-        rows_, dim_, rng.Next(), proxy_config);
-}
-
-void
-ProxiedRawOramTable::Generate(std::span<const int64_t> indices,
-                              Tensor& out)
-{
-    assert(out.size(0) == static_cast<int64_t>(indices.size()) &&
-           out.size(1) == dim_);
-    std::vector<std::future<std::vector<uint32_t>>> futures;
-    futures.reserve(indices.size());
-    for (const int64_t id : indices) {
-        futures.push_back(proxy_->SubmitRead(id));
-    }
-    for (size_t i = 0; i < futures.size(); ++i) {
-        const std::vector<uint32_t> block = futures[i].get();
-        std::memcpy(out.data() + static_cast<int64_t>(i) * dim_,
-                    block.data(), block.size() * sizeof(uint32_t));
-    }
-}
-
-serving::Status
-ProxiedRawOramTable::SyncStorage()
-{
-    proxy_->Flush();
-    return oram_->Sync();
-}
-
-serving::Status
-ProxiedRawOramTable::CheckpointStorage()
-{
-    // The conductor must be idle while the checkpoint serializes the
-    // client state; Flush() drains the queue and parks it.
-    proxy_->Flush();
-    return oram_->Checkpoint();
 }
 
 }  // namespace secemb::core

@@ -16,7 +16,6 @@
 #include <memory>
 
 #include "core/embedding_generator.h"
-#include "oram/proxy.h"
 #include "store/paged_table.h"
 #include "store/raw_oram.h"
 #include "tensor/rng.h"
@@ -91,9 +90,8 @@ class RawOramTable : public EmbeddingGenerator
   public:
     /**
      * Builds the store (store_config geometry; num_pages is derived from
-     * RawOram::PagesNeeded) and bulk-loads `table` (rows x dim). The trace
-     * recorder must arrive via oram_config.recorder — the position map
-     * binds it at construction. Throws store::StoreError on failure.
+     * RawOram::PagesNeeded) and bulk-loads `table` (rows x dim). Throws
+     * store::StoreError on failure.
      */
     RawOramTable(const Tensor& table, Rng& rng,
                  const store::StoreConfig& store_config,
@@ -120,6 +118,10 @@ class RawOramTable : public EmbeddingGenerator
     }
     std::string_view name() const override { return "RAW ORAM"; }
     bool IsOblivious() const override { return true; }
+    void set_recorder(sidechannel::TraceRecorder* r) override
+    {
+        oram_->set_recorder(r);
+    }
 
     /** Flush dirty cache frames and sync the store durably. */
     serving::Status SyncStorage() override { return oram_->Sync(); }
@@ -142,52 +144,6 @@ class RawOramTable : public EmbeddingGenerator
     int64_t rows_;
     int64_t dim_;
     std::unique_ptr<store::RawOram> oram_;
-};
-
-/**
- * The out-of-core RAW ORAM behind the PR 7 async proxy: batch entries are
- * submitted to the proxy queue, in-window duplicates coalesce into one
- * physical access (padded back with dummy ids), and the conductor thread
- * drives the RAW ORAM serially through OramProxy's generic BlockBackend.
- */
-class ProxiedRawOramTable : public EmbeddingGenerator
-{
-  public:
-    ProxiedRawOramTable(const Tensor& table, Rng& rng,
-                        const store::StoreConfig& store_config,
-                        const store::RawOramConfig& oram_config = {},
-                        const oram::ProxyConfig& proxy_config = {});
-
-    void Generate(std::span<const int64_t> indices, Tensor& out) override;
-    int64_t dim() const override { return dim_; }
-    int64_t num_rows() const override { return rows_; }
-    int64_t MemoryFootprintBytes() const override
-    {
-        return oram_->MemoryFootprintBytes();
-    }
-    std::string_view name() const override { return "RAW ORAM (proxy)"; }
-    bool IsOblivious() const override { return true; }
-
-    /** Quiesce the proxy, then flush + sync the store durably. */
-    serving::Status SyncStorage() override;
-
-    /** Quiesce the proxy, then seal a durable checkpoint. */
-    serving::Status CheckpointStorage() override;
-
-    /** Route the proxy's lifecycle hops into a serving flight recorder. */
-    void set_flight(serving::FlightRecorder* flight)
-    {
-        proxy_->set_flight(flight);
-    }
-
-    store::RawOram& oram() { return *oram_; }
-    oram::OramProxy& proxy() { return *proxy_; }
-
-  private:
-    int64_t rows_;
-    int64_t dim_;
-    std::unique_ptr<store::RawOram> oram_;
-    std::unique_ptr<oram::OramProxy> proxy_;
 };
 
 }  // namespace secemb::core

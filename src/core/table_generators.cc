@@ -11,10 +11,6 @@
 
 namespace secemb::core {
 
-namespace {
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // TableLookup
 // ---------------------------------------------------------------------------
@@ -70,30 +66,18 @@ LinearScanTable::Generate(std::span<const int64_t> indices, Tensor& out)
     TELEMETRY_SCOPED_COUNTERS("scan.generate");
     TELEMETRY_SCOPED_LATENCY("scan.generate.ns");
 
-    if (recorder_ == nullptr) {
-        // Untraced serving path: batch-parallel vectorised scan.
-        oblivious::LinearScanLookupBatch(
-            table_.flat(), rows, d, indices,
-            {out.data(), static_cast<size_t>(n * d)}, nthreads_);
-        return;
-    }
-    // Traced path: every query touches the whole table regardless of its
-    // index. Each slot records into its own buffer from whichever worker
-    // processes it; merging in slot order afterwards reproduces the serial
-    // trace exactly, so obliviousness proofs hold under parallelism.
-    sidechannel::SlotTraceRecorders slots(indices.size(), recorder_);
-    ParallelFor(n, nthreads_, [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-            slots.slot(static_cast<size_t>(i))
-                ->Record(trace_base_,
-                         static_cast<uint32_t>(table_.SizeBytes()),
-                         false);
-            oblivious::LinearScanLookupVec(
-                table_.flat(), rows, d, indices[static_cast<size_t>(i)],
-                {out.data() + i * d, static_cast<size_t>(d)});
+    // Every query reads the whole table whatever its index, so the trace
+    // is recorded up front and the scan itself runs untraced.
+    if (recorder_ != nullptr) {
+        for (int64_t i = 0; i < n; ++i) {
+            recorder_->Record(trace_base_,
+                              static_cast<uint32_t>(table_.SizeBytes()),
+                              false);
         }
-    });
-    slots.MergeInto();
+    }
+    oblivious::LinearScanLookupBatch(
+        table_.flat(), rows, d, indices,
+        {out.data(), static_cast<size_t>(n * d)}, nthreads_);
 }
 
 void
@@ -107,27 +91,23 @@ LinearScanTable::GeneratePooled(std::span<const int64_t> indices,
     assert(out.size(0) == n && out.size(1) == d);
     TELEMETRY_SCOPED_COUNTERS("scan.generate_pooled");
     TELEMETRY_SCOPED_LATENCY("scan.generate.ns");
+    // One whole-table read per bag element, recorded up front as in
+    // Generate (bag sizes are public; see
+    // EmbeddingGenerator::GeneratePooled).
+    if (recorder_ != nullptr) {
+        for (int64_t e = offsets.front(); e < offsets.back(); ++e) {
+            recorder_->Record(trace_base_,
+                              static_cast<uint32_t>(table_.SizeBytes()),
+                              false);
+        }
+    }
     // Accumulating scans: one pass over the table per bag element,
     // summing directly into the output row (no per-element buffer).
-    // Trace recording follows the same per-slot merge discipline as
-    // Generate: slot i records one whole-table touch per bag element,
-    // merged in slot order — identical to the serial trace (bag sizes are
-    // public; see EmbeddingGenerator::GeneratePooled).
     out.Fill(0.0f);
-    sidechannel::SlotTraceRecorders slots(static_cast<size_t>(n),
-                                          recorder_);
     ParallelFor(n, nthreads_, [&](int64_t begin, int64_t end) {
         for (int64_t i = begin; i < end; ++i) {
-            sidechannel::TraceRecorder* slot_rec =
-                slots.slot(static_cast<size_t>(i));
             for (int64_t e = offsets[static_cast<size_t>(i)];
                  e < offsets[static_cast<size_t>(i) + 1]; ++e) {
-                if (slot_rec != nullptr) {
-                    slot_rec->Record(
-                        trace_base_,
-                        static_cast<uint32_t>(table_.SizeBytes()),
-                        false);
-                }
                 oblivious::LinearScanLookupAccumulate(
                     table_.flat(), rows, d,
                     indices[static_cast<size_t>(e)],
@@ -135,7 +115,6 @@ LinearScanTable::GeneratePooled(std::span<const int64_t> indices,
             }
         }
     });
-    slots.MergeInto();
 }
 
 // ---------------------------------------------------------------------------

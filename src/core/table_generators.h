@@ -116,6 +116,10 @@ class OramTable : public EmbeddingGenerator
                                                       : "Circuit ORAM";
     }
     bool IsOblivious() const override { return true; }
+    void set_recorder(sidechannel::TraceRecorder* r) override
+    {
+        oram_->set_recorder(r);
+    }
 
     oram::TreeOram& oram() { return *oram_; }
 
@@ -163,6 +167,12 @@ class ProxiedOramTable : public EmbeddingGenerator
     void set_nthreads(int nthreads) override
     {
         proxy_->set_nthreads(nthreads);
+    }
+    /** The conductor thread records: quiesce it before the swap. */
+    void set_recorder(sidechannel::TraceRecorder* r) override
+    {
+        proxy_->Flush();
+        proxy_->oram().set_recorder(r);
     }
 
     /** Route the proxy's lifecycle hops into a serving flight recorder. */

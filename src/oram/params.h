@@ -11,7 +11,6 @@
 
 #include <cstdint>
 
-#include "sidechannel/trace.h"
 #include "tee/tee_model.h"
 
 namespace secemb::oram {
@@ -34,7 +33,6 @@ struct OramParams
     bool inline_select = true;         ///< false models ZT's stub cmov call
     bool encrypt_payloads = true;      ///< CTR re-encryption per path touch
     double ocall_ns = 0.0;             ///< TEE boundary cost per path op
-    sidechannel::TraceRecorder* recorder = nullptr;
 
     /** Paper defaults for the given algorithm. */
     static OramParams Defaults(OramKind kind);

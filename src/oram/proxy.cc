@@ -23,8 +23,6 @@ using oblivious::EqMask;
 OramProxy::OramProxy(std::unique_ptr<TreeOram> oram,
                      const ProxyConfig& config)
     : tree_(std::move(oram)),
-      num_blocks_(tree_->num_blocks_),
-      block_words_(tree_->block_words_),
       config_(config),
       dummy_rng_(tree_->rng_.Next()),
       nthreads_(config.nthreads),
@@ -44,25 +42,6 @@ OramProxy::OramProxy(std::unique_ptr<TreeOram> oram,
     conductor_ = std::thread([this] { ConductorLoop(); });
 }
 
-OramProxy::OramProxy(BlockBackend backend, int64_t num_blocks,
-                     int64_t block_words, uint64_t dummy_seed,
-                     const ProxyConfig& config)
-    : backend_(std::move(backend)),
-      num_blocks_(num_blocks),
-      block_words_(block_words),
-      config_(config),
-      dummy_rng_(dummy_seed),
-      nthreads_(config.nthreads),
-      flight_(config.flight)
-{
-    if (config_.batch_window < 1) config_.batch_window = 1;
-    if (config_.queue_capacity < 1) config_.queue_capacity = 1;
-    // Generic backends are serial controllers by contract; the parallel
-    // decomposition is TreeOram-specific.
-    parallel_path_ = false;
-    conductor_ = std::thread([this] { ConductorLoop(); });
-}
-
 OramProxy::~OramProxy()
 {
     Shutdown();
@@ -71,7 +50,7 @@ OramProxy::~OramProxy()
 std::future<std::vector<uint32_t>>
 OramProxy::SubmitRead(int64_t id)
 {
-    if (id < 0 || id >= num_blocks_) {
+    if (id < 0 || id >= tree_->num_blocks_) {
         throw std::invalid_argument("OramProxy: id out of range");
     }
     Request req;
@@ -240,13 +219,13 @@ OramProxy::ProcessWindow(std::vector<Request>& window)
     // first-occurrence order, padded with dummy reads of uniformly
     // random ids. Each access has the identical trace shape, so the
     // schedule reveals only w (public).
-    std::vector<uint32_t> block(static_cast<size_t>(block_words_));
+    std::vector<uint32_t> block(static_cast<size_t>(tree_->block_words_));
     for (size_t s = 0; s < w; ++s) {
         const bool real = s < entries.size();
         const int64_t id =
             real ? entries[s].id
                  : static_cast<int64_t>(dummy_rng_.NextBounded(
-                       static_cast<uint64_t>(num_blocks_)));
+                       static_cast<uint64_t>(tree_->num_blocks_)));
         const uint64_t rid = real ? window[entries[s].waiters[0]].rid : 0;
         RecordHop(serving::FlightHop::kProxyAccess, rid,
                   static_cast<uint32_t>(s));
@@ -297,13 +276,6 @@ void
 OramProxy::PhysicalAccess(int64_t id, std::vector<uint32_t>& out)
 {
     TELEMETRY_SCOPED_COUNTERS("oram.proxy.access");
-    if (backend_) {
-        // Generic serial backend (e.g. the out-of-core RAW ORAM): the
-        // backend stages no deferred eviction work here, so there is
-        // nothing to drain.
-        backend_(id, out);
-        return;
-    }
     if (!parallel_path_ || nthreads_.load() <= 1) {
         // Serial fallback (Circuit ORAM / recursive posmap / one thread):
         // identical per-access trace shape by the serial controller's own

@@ -34,6 +34,11 @@
  * Circuit ORAM and recursive position maps fall back to the serial
  * controller behind the same queue (still coalesced + padded).
  *
+ * The proxy always fronts a TreeOram. Its trace recorder is the tree's
+ * (TreeOram::set_recorder); because the conductor records, swap it only
+ * while the conductor is idle, right after Flush() — as
+ * core::ProxiedOramTable::set_recorder does.
+ *
  * Thread-compatibility: SubmitRead/Flush are safe from any thread;
  * construction and destruction must not race submissions.
  */
@@ -41,7 +46,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -84,31 +88,9 @@ struct ProxyStats
 class OramProxy
 {
   public:
-    /**
-     * A pluggable serial ORAM controller: fills `out` (block_words) with
-     * the payload of block `id`. Only the conductor thread calls it, so
-     * implementations need not be thread-safe — this is how the proxy
-     * fronts backends other than TreeOram (the out-of-core RAW ORAM in
-     * src/store).
-     */
-    using BlockBackend =
-        std::function<void(int64_t id, std::vector<uint32_t>& out)>;
-
     /** Takes ownership of a loaded TreeOram. The conductor thread starts
      *  immediately. */
     OramProxy(std::unique_ptr<TreeOram> oram, const ProxyConfig& config);
-
-    /**
-     * Front a generic oblivious block backend: same queue, coalescing,
-     * and dummy padding; every physical access runs the backend serially
-     * on the conductor (the parallel Path decomposition needs TreeOram
-     * internals and does not apply).
-     *
-     * @param dummy_seed seeds the dummy-access id stream
-     */
-    OramProxy(BlockBackend backend, int64_t num_blocks,
-              int64_t block_words, uint64_t dummy_seed,
-              const ProxyConfig& config);
 
     ~OramProxy();
 
@@ -132,10 +114,10 @@ class OramProxy
     /** Flush, then stop the conductor. Idempotent. */
     void Shutdown();
 
-    /** Valid only for the TreeOram-owning constructor (has_tree()). */
+    /** The owned controller. Its trace recorder may only change while
+     *  the conductor is idle, i.e. right after Flush(). */
     TreeOram& oram() { return *tree_; }
     const TreeOram& oram() const { return *tree_; }
-    bool has_tree() const { return tree_ != nullptr; }
     ProxyStats stats() const;
 
     /** ParallelFor width for subsequent accesses (any thread). */
@@ -171,9 +153,6 @@ class OramProxy
     void RecordHop(serving::FlightHop hop, uint64_t rid, uint32_t detail);
 
     std::unique_ptr<TreeOram> tree_;
-    BlockBackend backend_;   ///< set iff tree_ is null
-    int64_t num_blocks_;     ///< cached geometry (both backends)
-    int64_t block_words_;
     ProxyConfig config_;
     bool parallel_path_;  ///< Path kind + flat posmap: parallel pipeline
     Rng dummy_rng_;       ///< dummy-access ids (split from the tree's rng)

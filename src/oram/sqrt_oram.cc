@@ -33,14 +33,12 @@ DeriveKey(uint64_t seed, uint32_t key[4])
 
 }  // namespace
 
-SqrtOram::SqrtOram(int64_t num_blocks, int64_t block_words, Rng& rng,
-                   sidechannel::TraceRecorder* recorder)
+SqrtOram::SqrtOram(int64_t num_blocks, int64_t block_words, Rng& rng)
     : num_blocks_(num_blocks),
       block_words_(block_words),
       shelter_cap_(static_cast<int64_t>(
           std::ceil(std::sqrt(static_cast<double>(num_blocks))))),
-      rng_(rng.Next()),
-      recorder_(recorder)
+      rng_(rng.Next())
 {
     assert(num_blocks > 0 && block_words > 0);
     const int64_t entries = num_blocks_ + shelter_cap_;

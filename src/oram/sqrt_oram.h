@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "oram/crypto.h"
-#include "oram/params.h"
+#include "sidechannel/trace.h"
 #include "tensor/rng.h"
 
 namespace secemb::oram {
@@ -45,10 +45,8 @@ class SqrtOram
      * @param num_blocks logical blocks
      * @param block_words payload words per block
      * @param rng epoch-key and shuffle randomness
-     * @param recorder optional trace sink
      */
-    SqrtOram(int64_t num_blocks, int64_t block_words, Rng& rng,
-             sidechannel::TraceRecorder* recorder = nullptr);
+    SqrtOram(int64_t num_blocks, int64_t block_words, Rng& rng);
 
     /** Oblivious read of block id. */
     void Read(int64_t id, std::span<uint32_t> out);
@@ -63,13 +61,19 @@ class SqrtOram
     const SqrtOramStats& stats() const { return stats_; }
     int64_t num_blocks() const { return num_blocks_; }
     int64_t shelter_capacity() const { return shelter_cap_; }
+    /** Attach a trace sink for table and shelter accesses (nullptr
+     *  detaches). */
+    void set_recorder(sidechannel::TraceRecorder* recorder)
+    {
+        recorder_ = recorder;
+    }
 
   private:
     int64_t num_blocks_;
     int64_t block_words_;
     int64_t shelter_cap_;  ///< m = ceil(sqrt(n)), also dummies per epoch
     Rng rng_;
-    sidechannel::TraceRecorder* recorder_;
+    sidechannel::TraceRecorder* recorder_ = nullptr;
 
     // Permuted store: entry e holds (tag_[e], id_[e], data_).
     // Sorted ascending by tag each epoch; tags are public after sorting.

@@ -60,8 +60,7 @@ PositionMap::PositionMap(OramKind kind, int64_t num_ids, uint32_t leaf_bound,
                          Rng& rng, const OramParams& params)
     : num_ids_(num_ids),
       fanout_(params.posmap_fanout),
-      inline_select_(params.inline_select),
-      recorder_(params.recorder)
+      inline_select_(params.inline_select)
 {
     assert(num_ids > 0 && leaf_bound > 0);
     initial_leaves_.resize(static_cast<size_t>(num_ids));
@@ -128,6 +127,13 @@ PositionMap::Update(int64_t id, uint32_t new_leaf)
         }
     }
     return old;
+}
+
+void
+PositionMap::set_recorder(sidechannel::TraceRecorder* recorder)
+{
+    recorder_ = recorder;
+    if (child_) child_->set_recorder(recorder);
 }
 
 int64_t
@@ -282,10 +288,10 @@ TreeOram::RecordBucket(int64_t bucket, bool is_write)
     } else {
         ++stats_.bucket_reads;
     }
-    if (params_.recorder) {
+    if (recorder_) {
         const uint32_t bucket_bytes = static_cast<uint32_t>(
             params_.bucket_capacity * block_words_ * 4);
-        params_.recorder->Record(
+        recorder_->Record(
             tree_trace_base_ + static_cast<uint64_t>(bucket) * bucket_bytes,
             bucket_bytes, is_write);
     }
@@ -295,8 +301,8 @@ void
 TreeOram::RecordStashScan(bool is_write)
 {
     ++stats_.stash_scans;
-    if (params_.recorder) {
-        params_.recorder->Record(
+    if (recorder_) {
+        recorder_->Record(
             stash_trace_base_,
             static_cast<uint32_t>(params_.stash_capacity * block_words_ * 4),
             is_write);
@@ -892,6 +898,13 @@ TreeOram::BulkLoad(std::span<const uint32_t> data)
             }
         }
     }
+}
+
+void
+TreeOram::set_recorder(sidechannel::TraceRecorder* recorder)
+{
+    recorder_ = recorder;
+    posmap_.set_recorder(recorder);
 }
 
 int64_t

@@ -28,6 +28,7 @@
 #include "oram/crypto.h"
 #include "oram/params.h"
 #include "serving/status.h"
+#include "sidechannel/trace.h"
 #include "tensor/rng.h"
 
 namespace secemb::oram {
@@ -71,6 +72,9 @@ class PositionMap
 
     int64_t FootprintBytes() const;
     bool recursive() const { return child_ != nullptr; }
+    /** Trace sink for the flat map's scans, or for every access of the
+     *  recursive child ORAM (nullptr detaches). */
+    void set_recorder(sidechannel::TraceRecorder* recorder);
     /** Recursion depth below this map (0 for a flat map). */
     int Depth() const;
 
@@ -94,7 +98,7 @@ class PositionMap
     std::vector<uint32_t> flat_;            ///< flat representation
     std::unique_ptr<TreeOram> child_;       ///< recursive representation
     std::vector<uint32_t> initial_leaves_;  ///< for BulkLoad of the parent
-    sidechannel::TraceRecorder* recorder_;
+    sidechannel::TraceRecorder* recorder_ = nullptr;
     uint64_t trace_base_ = 0;
 };
 
@@ -143,6 +147,13 @@ class TreeOram
     /** Total controller footprint: tree + stash + position maps. */
     int64_t MemoryFootprintBytes() const;
 
+    /**
+     * Attach a trace sink for tree, stash and position-map accesses,
+     * recursive maps included (nullptr detaches). Trace regions are
+     * reserved at construction, so attaching never moves them.
+     */
+    void set_recorder(sidechannel::TraceRecorder* recorder);
+
     const OramStats& stats() const { return stats_; }
     int64_t num_blocks() const { return num_blocks_; }
     int64_t block_words() const { return block_words_; }
@@ -190,6 +201,7 @@ class TreeOram
     std::vector<uint64_t> bucket_version_;
 
     OramStats stats_;
+    sidechannel::TraceRecorder* recorder_ = nullptr;
     uint64_t tree_trace_base_ = 0;
     uint64_t stash_trace_base_ = 0;
 

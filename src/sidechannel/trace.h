@@ -53,7 +53,8 @@ class TraceRecorder
     void Clear() { trace_.clear(); }
     size_t size() const { return trace_.size(); }
 
-    /** Append another recorder's trace in order (parallel-slot merging). */
+    /** Append another recorder's trace in order (e.g. a retry's scratch
+     *  buffer once the attempt succeeded). */
     void
     Append(const TraceRecorder& other)
     {
@@ -63,48 +64,6 @@ class TraceRecorder
 
   private:
     std::vector<MemoryAccess> trace_;
-};
-
-/**
- * Per-slot trace buffers for parallel batch regions.
- *
- * TraceRecorder is not thread-safe, and even a locked recorder would
- * interleave accesses in scheduler order — making the recorded trace a
- * function of thread timing rather than of the victim's algorithm. Instead
- * each batch slot records into its own buffer from whichever worker
- * processes it, and MergeInto() concatenates the buffers in slot order
- * after the region. The merged trace equals the serial execution's trace
- * exactly: deterministic across runs, thread counts, and schedules, so
- * trace-identity tests keep proving input-independence under parallelism.
- */
-class SlotTraceRecorders
-{
-  public:
-    /** @param sink final recorder, or nullptr to disable all recording */
-    SlotTraceRecorders(size_t slots, TraceRecorder* sink) : sink_(sink)
-    {
-        if (sink_ != nullptr) slots_.resize(slots);
-    }
-
-    /** Slot i's private recorder; nullptr when recording is disabled. */
-    TraceRecorder*
-    slot(size_t i)
-    {
-        return sink_ != nullptr ? &slots_[i] : nullptr;
-    }
-
-    /** Concatenate all slot traces into the sink, in slot order. */
-    void
-    MergeInto()
-    {
-        if (sink_ == nullptr) return;
-        for (const TraceRecorder& r : slots_) sink_->Append(r);
-        slots_.clear();
-    }
-
-  private:
-    TraceRecorder* sink_;
-    std::vector<TraceRecorder> slots_;
 };
 
 /**

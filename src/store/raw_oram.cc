@@ -52,14 +52,6 @@ Log2(int64_t pow2)
     return l;
 }
 
-oram::OramParams
-PosmapParams(const RawOramConfig& config)
-{
-    oram::OramParams p = config.posmap;
-    p.recorder = config.recorder;
-    return p;
-}
-
 }  // namespace
 
 int64_t
@@ -90,12 +82,10 @@ RawOram::RawOram(int64_t num_blocks, int64_t block_words,
       cache_(std::move(cache)),
       rng_(rng.Next()),
       posmap_(oram::OramKind::kPath, num_blocks,
-              static_cast<uint32_t>(num_leaves_), rng,
-              PosmapParams(config)),
+              static_cast<uint32_t>(num_leaves_), rng, config.posmap),
       cipher_seed_(rng.Next()),
       cipher_(cipher_seed_),
-      durability_(config.durability),
-      recorder_(config.recorder)
+      durability_(config.durability)
 {
     if (cache_->num_pages() < num_buckets_) {
         throw StoreError(serving::Status::Error(

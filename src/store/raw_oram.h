@@ -59,11 +59,9 @@ struct RawOramConfig
     int64_t stash_capacity = 0;
     /** CTR re-encryption of every page written back. */
     bool encrypt_payloads = true;
-    /** Position-map tunables (recursion threshold, fanout, recorder). */
+    /** Position-map tunables (recursion threshold, fanout). */
     oram::OramParams posmap = oram::OramParams::Defaults(
         oram::OramKind::kPath);
-    /** Trace sink for page/stash/metadata accesses (nullptr = off). */
-    sidechannel::TraceRecorder* recorder = nullptr;
     /**
      * Crash consistency: checkpoint + write-ahead journal directory and
      * tunables (see store/durable.h). Requires a flat (non-recursive)
@@ -171,6 +169,18 @@ class RawOram
 
     const RawOramStats& stats() const { return stats_; }
     PageCacheStats cache_stats() const { return cache_->stats(); }
+
+    /**
+     * Attach a trace sink for page, stash, metadata, checkpoint and
+     * journal accesses, position map included (nullptr detaches). Trace
+     * regions are reserved at construction, so attaching never moves
+     * them.
+     */
+    void set_recorder(sidechannel::TraceRecorder* recorder)
+    {
+        recorder_ = recorder;
+        posmap_.set_recorder(recorder);
+    }
 
     /** Route fetch/write-back hops into a serving flight recorder. */
     void set_flight(serving::FlightRecorder* flight, int16_t feature = -1)
@@ -288,7 +298,7 @@ class RawOram
     std::vector<uint8_t> path_pages_;
     std::vector<int64_t> path_buckets_;
 
-    sidechannel::TraceRecorder* recorder_;
+    sidechannel::TraceRecorder* recorder_ = nullptr;
     uint64_t pages_trace_base_ = 0;
     uint64_t stash_trace_base_ = 0;
     uint64_t meta_trace_base_ = 0;

@@ -43,7 +43,6 @@ void
 Histogram::Record(uint64_t value) noexcept
 {
     buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
     uint64_t cur = min_.load(std::memory_order_relaxed);
     while (value < cur &&
@@ -55,12 +54,16 @@ Histogram::Record(uint64_t value) noexcept
            !max_.compare_exchange_weak(cur, value,
                                        std::memory_order_relaxed)) {
     }
+    // Publish last: a reader that acquires a count of c sees the bucket,
+    // sum, min and max updates of those c records, so a snapshot never
+    // reports count > 0 with an empty range.
+    count_.fetch_add(1, std::memory_order_release);
 }
 
 uint64_t
 Histogram::Count() const
 {
-    return count_.load(std::memory_order_relaxed);
+    return count_.load(std::memory_order_acquire);
 }
 
 uint64_t

@@ -11,10 +11,8 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/dhe_generator.h"
-#include "core/hybrid.h"
+#include "core/factory.h"
 #include "core/paged_generators.h"
-#include "core/table_generators.h"
 #include "oblivious/vector_scan.h"
 #include "oram/sqrt_oram.h"
 #include "sidechannel/cache_model.h"
@@ -138,11 +136,8 @@ class VectorScanGenerator : public core::EmbeddingGenerator
 class SqrtOramGenerator : public core::EmbeddingGenerator
 {
   public:
-    SqrtOramGenerator(const Tensor& table, Rng& rng,
-                      sidechannel::TraceRecorder* recorder)
-        : rows_(table.size(0)),
-          dim_(table.size(1)),
-          oram_(rows_, dim_, rng, recorder)
+    SqrtOramGenerator(const Tensor& table, Rng& rng)
+        : rows_(table.size(0)), dim_(table.size(1)), oram_(rows_, dim_, rng)
     {
         std::vector<uint32_t> words(
             static_cast<size_t>(rows_ * dim_));
@@ -171,6 +166,10 @@ class SqrtOramGenerator : public core::EmbeddingGenerator
     }
     std::string_view name() const override { return "Sqrt ORAM"; }
     bool IsOblivious() const override { return true; }
+    void set_recorder(sidechannel::TraceRecorder* r) override
+    {
+        oram_.set_recorder(r);
+    }
 
   private:
     int64_t rows_;
@@ -225,6 +224,15 @@ RunOne(const VerifyConfig& config, const GeneratorFactory& factory,
         gen->Generate(secrets, out);
     }
     return Canonicalize(rec.trace());
+}
+
+/// A run that recorded nothing certifies nothing: the recorder never
+/// reached the code that touches memory.
+std::string
+NoAccessesDetail(const VerifyConfig& config)
+{
+    return config.Name() +
+           ": recorded no accesses (is the recorder attached?)";
 }
 
 /// Two-sample chi-squared over two count histograms sharing a key space.
@@ -434,17 +442,7 @@ GeneratorFactory
 MakeSubjectFactory(const VerifyConfig& config)
 {
     const VerifyConfig c = config;
-    switch (config.subject) {
-      case Subject::kLinearScan:
-        return [c](uint64_t seed, sidechannel::TraceRecorder* rec) {
-            auto gen = std::make_unique<core::LinearScanTable>(
-                SubjectTable(c, seed));
-            gen->set_nthreads(c.nthreads);
-            gen->set_recorder(rec);
-            return std::unique_ptr<core::EmbeddingGenerator>(
-                std::move(gen));
-        };
-      case Subject::kVectorScan:
+    if (c.subject == Subject::kVectorScan) {
         return [c](uint64_t seed, sidechannel::TraceRecorder* rec) {
             auto gen = std::make_unique<VectorScanGenerator>(
                 SubjectTable(c, seed), c.nthreads);
@@ -452,94 +450,74 @@ MakeSubjectFactory(const VerifyConfig& config)
             return std::unique_ptr<core::EmbeddingGenerator>(
                 std::move(gen));
         };
-      case Subject::kDhe:
-        return [c](uint64_t seed, sidechannel::TraceRecorder* rec) {
-            auto gen = std::make_unique<core::DheGenerator>(
-                SubjectDhe(c, seed, c.nthreads), c.rows);
-            gen->set_recorder(rec);
-            return std::unique_ptr<core::EmbeddingGenerator>(
-                std::move(gen));
-        };
-      case Subject::kHybrid:
-        return [c](uint64_t seed, sidechannel::TraceRecorder* rec) {
-            auto gen = std::make_unique<core::HybridGenerator>(
-                SubjectDhe(c, seed, c.nthreads), c.rows,
-                HarnessThresholds(), c.batch, c.nthreads);
-            gen->set_recorder(rec);
-            return std::unique_ptr<core::EmbeddingGenerator>(
-                std::move(gen));
-        };
-      case Subject::kTreeOram:
-        return [c](uint64_t seed, sidechannel::TraceRecorder* rec) {
-            const oram::OramKind kind = c.variant == 0
-                                            ? oram::OramKind::kPath
-                                            : oram::OramKind::kCircuit;
-            Rng rng(Mix(seed, 0x07a3ULL));
-            oram::OramParams params = oram::OramParams::Defaults(kind);
-            params.recorder = rec;
-            return std::unique_ptr<core::EmbeddingGenerator>(
-                std::make_unique<core::OramTable>(SubjectTable(c, seed),
-                                                  kind, rng, &params));
-        };
-      case Subject::kSqrtOram:
+    }
+    if (c.subject == Subject::kSqrtOram) {
         return [c](uint64_t seed, sidechannel::TraceRecorder* rec) {
             Rng rng(Mix(seed, 0x5047ULL));
-            return std::unique_ptr<core::EmbeddingGenerator>(
-                std::make_unique<SqrtOramGenerator>(SubjectTable(c, seed),
-                                                    rng, rec));
-        };
-      case Subject::kIndexLookup:
-        return [c](uint64_t seed, sidechannel::TraceRecorder* rec) {
-            auto gen = std::make_unique<core::TableLookup>(
-                SubjectTable(c, seed));
+            auto gen = std::make_unique<SqrtOramGenerator>(
+                SubjectTable(c, seed), rng);
             gen->set_recorder(rec);
             return std::unique_ptr<core::EmbeddingGenerator>(
                 std::move(gen));
-        };
-      case Subject::kPagedScan:
-        return [c](uint64_t seed, sidechannel::TraceRecorder* rec) {
-            // Small pages and a deliberately tight cache so the certified
-            // page schedule is exercised under constant eviction churn.
-            store::StoreConfig sc;
-            sc.backend = store::StoreBackend::kMemory;
-            sc.page_bytes = 128;
-            sc.cache_pages = 4;
-            auto gen = std::make_unique<core::PagedScanTable>(
-                SubjectTable(c, seed), sc);
-            gen->set_nthreads(c.nthreads);
-            gen->set_recorder(rec);
-            return std::unique_ptr<core::EmbeddingGenerator>(
-                std::move(gen));
-        };
-      case Subject::kRawOram:
-        return [c](uint64_t seed, sidechannel::TraceRecorder* rec) {
-            Rng rng(Mix(seed, 0x0c8aULL));
-            store::StoreConfig sc;
-            sc.backend = store::StoreBackend::kMemory;
-            sc.page_bytes = 384;  // Z in [6, 24] over the corpus dims
-            sc.cache_pages = 4;
-            store::RawOramConfig rc;
-            rc.recorder = rec;
-            return std::unique_ptr<core::EmbeddingGenerator>(
-                std::make_unique<core::RawOramTable>(SubjectTable(c, seed),
-                                                     rng, sc, rc));
-        };
-      case Subject::kProxyOram:
-        return [c](uint64_t seed, sidechannel::TraceRecorder* rec) {
-            Rng rng(Mix(seed, 0x9c0aULL));
-            oram::OramParams params =
-                oram::OramParams::Defaults(oram::OramKind::kPath);
-            params.recorder = rec;
-            oram::ProxyConfig pc;
-            pc.batch_window = 4;
-            pc.nthreads = c.nthreads;
-            return std::unique_ptr<core::EmbeddingGenerator>(
-                std::make_unique<core::ProxiedOramTable>(
-                    SubjectTable(c, seed), oram::OramKind::kPath, rng,
-                    &params, pc));
         };
     }
-    throw std::invalid_argument("unknown verify subject");
+    // Every other subject is built exactly as it is served: through
+    // core::MakeGenerator, with the recorder attached afterwards through
+    // the one trace hook. Each keeps its own RNG salt and store geometry.
+    core::GenKind kind;
+    uint64_t rng_salt = 0;
+    int64_t page_bytes = 0;
+    switch (c.subject) {
+      case Subject::kLinearScan: kind = core::GenKind::kLinearScan; break;
+      case Subject::kDhe: kind = core::GenKind::kDheUniform; break;
+      case Subject::kHybrid: kind = core::GenKind::kHybridUniform; break;
+      case Subject::kIndexLookup: kind = core::GenKind::kIndexLookup; break;
+      case Subject::kTreeOram:
+        kind = c.variant == 0 ? core::GenKind::kPathOram
+                              : core::GenKind::kCircuitOram;
+        rng_salt = 0x07a3ULL;
+        break;
+      case Subject::kProxyOram:
+        kind = core::GenKind::kProxyOram;
+        rng_salt = 0x9c0aULL;
+        break;
+      case Subject::kPagedScan:
+        // Small pages and a deliberately tight cache so the certified
+        // page schedule is exercised under constant eviction churn.
+        kind = core::GenKind::kPagedScan;
+        page_bytes = 128;
+        break;
+      case Subject::kRawOram:
+        kind = core::GenKind::kRawOram;
+        rng_salt = 0x0c8aULL;
+        page_bytes = 384;  // Z in [6, 24] over the corpus dims
+        break;
+      default:
+        throw std::invalid_argument("unknown verify subject");
+    }
+    return [c, kind, rng_salt, page_bytes](
+               uint64_t seed, sidechannel::TraceRecorder* rec) {
+        const Tensor table = SubjectTable(c, seed);
+        const core::ThresholdTable thresholds = HarnessThresholds();
+        store::StoreConfig sc;
+        sc.backend = store::StoreBackend::kMemory;
+        sc.page_bytes = page_bytes;
+        sc.cache_pages = 4;
+        core::GeneratorOptions opt;
+        opt.batch_size = c.batch;
+        opt.nthreads = c.nthreads;
+        opt.table = &table;
+        opt.thresholds = &thresholds;
+        if (page_bytes > 0) opt.store = &sc;
+        if (kind == core::GenKind::kDheUniform ||
+            kind == core::GenKind::kHybridUniform) {
+            opt.dhe = SubjectDhe(c, seed, c.nthreads);
+        }
+        Rng rng(Mix(seed, rng_salt));
+        auto gen = core::MakeGenerator(kind, c.rows, c.dim, rng, opt);
+        gen->set_recorder(rec);
+        return gen;
+    };
 }
 
 std::vector<int64_t>
@@ -577,6 +555,10 @@ RunDifferentialWith(const VerifyConfig& config,
         RunOne(config, factory, cseed, MakeSecretSet(config, 0));
     result.trace_len = reference.accesses.size();
     result.sets_run = 1;
+    if (reference.accesses.empty()) {
+        result.detail = NoAccessesDetail(config);
+        return result;
+    }
     for (int s = 1; s < sets; ++s) {
         const CanonicalTrace trace =
             RunOne(config, factory, cseed, MakeSecretSet(config, s));
@@ -632,6 +614,10 @@ RunStatisticalWith(const VerifyConfig& config,
                            : MakeSecretSet(config, 1000 + run);
             const CanonicalTrace trace =
                 RunOne(config, factory, cseed, secrets);
+            if (trace.accesses.empty()) {
+                result.detail = NoAccessesDetail(config);
+                return result;
+            }
             const auto model = ToModelTrace(trace);
             cache_runs.emplace_back();
             AccumulateCacheSets(cache, model, cache_runs.back());
@@ -719,11 +705,13 @@ MakeDurableRawOramFactory(const VerifyConfig& config,
         rc.durability.checkpoint_interval = 2;
         rc.durability.unsafe_sparse_checkpoint = sparse_negative_control;
         rc.posmap.enable_recursion = false;
-        rc.recorder = rec;
 
+        // Built by hand rather than through core::MakeGenerator: the
+        // eviction period is not a GeneratorOptions field.
         Rng rng(Mix(seed, 0xd0c8aULL));
         auto gen = std::make_unique<core::RawOramTable>(
             SubjectTable(c, seed), rng, sc, rc);
+        gen->set_recorder(rec);
         // Public warmup — one eviction period of id = i mod rows — then a
         // sealed checkpoint. Both arms share this schedule, so fresh and
         // recovered instances face the recorded batch from the same
@@ -743,6 +731,7 @@ MakeDurableRawOramFactory(const VerifyConfig& config,
         std::unique_ptr<core::RawOramTable> back;
         store::ThrowIfError(core::RawOramTable::Recover(
             c.rows, c.dim, recovery_rng, sc, rc, &back));
+        back->set_recorder(rec);
         return back;
     };
 }
@@ -835,6 +824,11 @@ RunInterleavingFuzz(const VerifyConfig& config, int interleavings)
             if (result.runs == 0) {
                 reference = trace;
                 result.trace_len = trace.accesses.size();
+                if (reference.accesses.empty()) {
+                    result.detail = NoAccessesDetail(config);
+                    result.runs++;
+                    return result;
+                }
             } else {
                 const TraceDivergence d =
                     CompareCanonicalShape(reference, trace);

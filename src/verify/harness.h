@@ -29,6 +29,9 @@
  *  3. Fuzz driver: a deterministic corpus sweeps generator kind, table
  *     shape, batch size, and thread count from a seed, so the gate covers
  *     many configurations without hand-picking them.
+ *
+ * Every engine fails a configuration whose runs recorded no accesses: an
+ * empty trace is trivially secret-independent and certifies nothing.
  */
 
 #include <cstdint>
@@ -96,7 +99,12 @@ using GeneratorFactory =
     std::function<std::unique_ptr<core::EmbeddingGenerator>(
         uint64_t construction_seed, sidechannel::TraceRecorder* recorder)>;
 
-/** The harness's own factory for a subject configuration. */
+/**
+ * The harness's own factory for a subject configuration. Every subject
+ * with a core::GenKind is built by core::MakeGenerator, so the certified
+ * object is the object the library serves; the recorder attaches through
+ * EmbeddingGenerator::set_recorder.
+ */
 GeneratorFactory MakeSubjectFactory(const VerifyConfig& config);
 
 /** Deterministic secret-index set `set_index` for a configuration. */

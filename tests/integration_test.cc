@@ -87,18 +87,10 @@ TEST(IntegrationTest, AttackerBeatenByEveryProtectedGenerator)
         Rng rng(5);
         core::GeneratorOptions opt;
         opt.table = &table;
-        oram::OramParams oram_params =
-            oram::OramParams::Defaults(oram::OramKind::kCircuit);
-        opt.oram_params = &oram_params;
         auto gen = core::MakeGenerator(kind, kRows, kDim, rng, opt);
 
         sidechannel::TraceRecorder rec;
         gen->set_recorder(&rec);
-        if (kind == core::GenKind::kCircuitOram) {
-            // ORAM records through its own params-level recorder.
-            oram_params.recorder = &rec;
-            gen = core::MakeGenerator(kind, kRows, kDim, rng, opt);
-        }
 
         // The attacker monitors the region the victim's trace touches;
         // for ORAM that is the tree area, for tables the table base.

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "oram/footprint.h"
@@ -152,6 +153,34 @@ TEST_P(OramKindTest, RecursivePositionMapWorkload)
             EXPECT_EQ(out, expect) << "iter " << iter;
         }
     }
+}
+
+TEST_P(OramKindTest, RecorderReachesRecursivePositionMap)
+{
+    // set_recorder reaches the recursive child ORAM through the position
+    // map: one access touches the parent's and the child's tree regions.
+    Rng rng(9);
+    OramParams p = OramParams::Defaults(GetParam());
+    p.recursion_threshold = 64;
+    auto oram = MakeOram(GetParam(), 512, 4, rng, &p);
+    sidechannel::TraceRecorder rec;
+    oram->set_recorder(&rec);
+    std::vector<uint32_t> out(4);
+    oram->Read(7, out);
+    const auto& space = sidechannel::ProcessAddressSpace();
+    std::set<uint64_t> trees;
+    for (const auto& a : rec.trace()) {
+        const sidechannel::AddressRegion* region = space.Find(a.addr);
+        ASSERT_NE(region, nullptr);
+        if (region->name == "oram.tree") trees.insert(region->base);
+    }
+    EXPECT_EQ(trees.size(), 2u);
+
+    // Detaching silences the whole recursion.
+    oram->set_recorder(nullptr);
+    rec.Clear();
+    oram->Read(7, out);
+    EXPECT_TRUE(rec.trace().empty());
 }
 
 TEST_P(OramKindTest, RmwWordReturnsOldAndWritesNew)

@@ -12,7 +12,6 @@
 #include <cmath>
 #include <vector>
 
-#include "core/factory.h"
 #include "core/table_generators.h"
 #include "dhe/hashing.h"
 #include "oblivious/ct_ops.h"
@@ -42,11 +41,10 @@ TEST(OramDistributionTest, LeafChoicesUniformAcrossAccesses)
     // ORAM security property (revealed paths look random regardless of
     // the access sequence).
     Rng rng(1);
-    oram::OramParams params =
-        oram::OramParams::Defaults(oram::OramKind::kPath);
+    oram::TreeOram oram(oram::OramKind::kPath, 256, 4, rng,
+                        oram::OramParams::Defaults(oram::OramKind::kPath));
     sidechannel::TraceRecorder rec;
-    params.recorder = &rec;
-    oram::TreeOram oram(oram::OramKind::kPath, 256, 4, rng, params);
+    oram.set_recorder(&rec);
     const int64_t leaves = oram.num_leaves();
 
     std::vector<int64_t> counts(static_cast<size_t>(leaves), 0);
@@ -314,45 +312,6 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(info.param.ways) + "_s" +
                std::to_string(info.param.sets);
     });
-
-TEST(ObliviousnessSweepTest, AllSecureKindsHaveStableTraceShape)
-{
-    // For every secure generator kind: run two different secret batches
-    // and require identical trace *shape* (identical content for the
-    // deterministic ones).
-    const int64_t rows = 64, dim = 8;
-    Rng table_rng(5);
-    const Tensor table = Tensor::Randn({rows, dim}, table_rng);
-    for (auto kind : {core::GenKind::kLinearScan,
-                      core::GenKind::kPathOram,
-                      core::GenKind::kCircuitOram}) {
-        Rng rng(6);
-        core::GeneratorOptions opt;
-        opt.table = &table;
-        sidechannel::TraceRecorder rec;
-        oram::OramParams oram_params = oram::OramParams::Defaults(
-            kind == core::GenKind::kPathOram ? oram::OramKind::kPath
-                                             : oram::OramKind::kCircuit);
-        oram_params.recorder = &rec;
-        opt.oram_params = &oram_params;
-        auto gen = core::MakeGenerator(kind, rows, dim, rng, opt);
-        gen->set_recorder(&rec);
-
-        Tensor out({2, dim});
-        std::vector<int64_t> a{1, 2};
-        gen->Generate(a, out);
-        const auto trace_a = rec.trace();
-        rec.Clear();
-        std::vector<int64_t> b{60, 61};
-        gen->Generate(b, out);
-        const auto r = sidechannel::CompareTraces(trace_a, rec.trace());
-        EXPECT_TRUE(r.same_shape)
-            << std::string(core::GenKindName(kind)) << ": " << r.detail;
-        if (kind == core::GenKind::kLinearScan) {
-            EXPECT_TRUE(r.identical);
-        }
-    }
-}
 
 }  // namespace
 }  // namespace secemb

@@ -16,6 +16,9 @@
  *  - level-2 degradation (pooled requests served per-slot) produces a
  *    trace bit-identical to the native pooled path, i.e. whether the
  *    server is degraded is not observable through the memory channel;
+ *  - a served proxied Path ORAM certifies through Server::set_recorder:
+ *    the batcher thread hands the recorder to the proxy, whose conductor
+ *    thread records, and the trace is non-empty and secret-independent;
  *  - a planted value-dependent fallback — a generator that switches
  *    technique (linear scan vs DHE) on the parity of a secret index — is
  *    rejected by the differential engine when served through the same
@@ -31,6 +34,7 @@
 #include <vector>
 
 #include "core/dhe_generator.h"
+#include "core/factory.h"
 #include "core/table_generators.h"
 #include "dhe/dhe.h"
 #include "fault/fault.h"
@@ -342,6 +346,29 @@ TEST(ServingVerifyTest, StatisticalPassesOnServingPathWithFaults)
                                                    cseed);
                                }));
     EXPECT_TRUE(r.passed) << r.detail;
+}
+
+TEST(ServingVerifyTest, ServedProxyOramCertifiesThroughServer)
+{
+    // The recorder travels Server::set_recorder -> batcher thread ->
+    // ProxiedOramTable::set_recorder (which quiesces the proxy) -> the
+    // conductor thread that records. ORAM traces are randomised, so the
+    // differential engine compares shapes and the statistical engine
+    // certifies the rest.
+    const VerifyConfig config = ServingConfig(/*pooled=*/false);
+    const GeneratorFactory factory = ServingFactory(
+        nullptr, /*min_degrade_level=*/0, [&config](uint64_t cseed) {
+            Rng rng(Mix(cseed, 0x9c0aULL));
+            return core::MakeGenerator(core::GenKind::kProxyOram,
+                                       config.rows, config.dim, rng);
+        });
+    const DifferentialResult d = RunDifferentialWith(
+        config, factory, /*expect_bit_identical=*/false);
+    EXPECT_TRUE(d.passed) << d.detail;
+    EXPECT_GT(d.trace_len, 0u);
+
+    const StatisticalResult s = RunStatisticalWith(config, factory);
+    EXPECT_TRUE(s.passed) << s.detail;
 }
 
 TEST(ServingVerifyTest, ValueDependentFallbackThroughServerIsRejected)

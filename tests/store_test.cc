@@ -306,36 +306,6 @@ TEST(StoreTest, RawOramTableMatchesReference)
     EXPECT_TRUE(oram_table.SyncStorage().ok());
 }
 
-TEST(StoreTest, ProxiedRawOramCoalescesAndMatchesReference)
-{
-    Rng table_rng(23);
-    const Tensor table = Tensor::Randn({64, 8}, table_rng);
-    core::LinearScanTable reference(table);
-
-    Rng rng(29);
-    oram::ProxyConfig proxy_config;
-    proxy_config.batch_window = 4;
-    core::ProxiedRawOramTable proxied(
-        table, rng,
-        ConfigFor(StoreBackend::kMemory, "", /*page_bytes=*/512,
-                  /*cache_pages=*/4),
-        RawOramConfig{}, proxy_config);
-
-    // Duplicate-heavy batches: in-window duplicates coalesce into one RAW
-    // ORAM access (padded with dummies), and every copy of the answer
-    // must still be correct.
-    for (int round = 0; round < 4; ++round) {
-        const std::vector<int64_t> indices = {7, 7, 7, 7, 63, 0,
-                                              round, round};
-        Tensor out({static_cast<int64_t>(indices.size()), 8});
-        proxied.Generate(indices, out);
-        EXPECT_TRUE(out.AllClose(reference.GenerateBatch(indices), 0.0f))
-            << "round " << round;
-    }
-    EXPECT_GT(proxied.proxy().stats().coalesced, 0u);
-    EXPECT_TRUE(proxied.SyncStorage().ok());
-}
-
 TEST(StoreTest, SyncStorageDefaultsToOkForInRamGenerators)
 {
     Rng rng(31);

@@ -543,8 +543,8 @@ TEST(ObliviousInstrumentationTest, LinearScanTraceIdenticalAcrossSecrets)
 TEST(ObliviousInstrumentationTest,
      ParallelScanTraceIdenticalOnOffTelemetry)
 {
-    // Multi-threaded batch scan: per-slot trace buffers are merged in
-    // slot order after the region, so the recorded trace must match the
+    // Multi-threaded batch scan: the whole-table reads are recorded up
+    // front on the calling thread, so the recorded trace must match the
     // serial one bit-for-bit — with telemetry on or off.
     Rng rng(55);
     core::LinearScanTable gen(Tensor::Randn({128, 8}, rng));

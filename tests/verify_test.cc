@@ -350,6 +350,35 @@ TEST(NegativeTest, DifferentialCatchesPlantedSecretDependentBranch)
     EXPECT_TRUE(clean.passed) << clean.detail;
 }
 
+TEST(NegativeTest, EnginesRejectARunThatRecordedNothing)
+{
+    // A generator that never records leaves an empty trace, which is
+    // trivially identical across secrets. Neither engine may certify it.
+    VerifyConfig config;
+    config.subject = Subject::kLinearScan;
+    config.rows = 32;
+    config.dim = 8;
+    config.batch = 4;
+    const GeneratorFactory silent =
+        [&config](uint64_t seed, sidechannel::TraceRecorder*) {
+            Rng rng(seed);
+            return std::unique_ptr<core::EmbeddingGenerator>(
+                std::make_unique<core::LinearScanTable>(
+                    Tensor::Randn({config.rows, config.dim}, rng)));
+        };
+    const DifferentialResult d =
+        RunDifferentialWith(config, silent, /*expect_bit_identical=*/true);
+    EXPECT_FALSE(d.passed);
+    EXPECT_EQ(d.trace_len, 0u);
+    EXPECT_NE(d.detail.find("recorded no accesses"), std::string::npos)
+        << d.detail;
+
+    const StatisticalResult s = RunStatisticalWith(config, silent);
+    EXPECT_FALSE(s.passed);
+    EXPECT_NE(s.detail.find("recorded no accesses"), std::string::npos)
+        << s.detail;
+}
+
 TEST(NegativeTest, StatisticalCatchesIndexLookup)
 {
     VerifyConfig config;
