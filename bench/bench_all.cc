@@ -21,7 +21,6 @@
  * malformed, or the regression gate fired.
  *
  * The tier (quick flags in brackets):
- *   micro_primitives gemm-kernel   packed-GEMM kernel comparison
  *   micro_primitives               oblivious-primitive micro set
  *   srv01_serving                  serving latency/shed [fewer requests]
  *   oram01_proxy                   ORAM proxy vs serial controller [smaller]
@@ -51,7 +50,6 @@ namespace {
 struct TierEntry
 {
     std::string binary;       ///< executable name next to this driver
-    std::string mode;         ///< leading mode word ("" = none)
     std::string output_name;  ///< per-bench report file in outdir
     std::string extra_args;   ///< full-size workload flags
     std::string quick_args;   ///< CI-sized workload flags
@@ -61,21 +59,19 @@ const std::vector<TierEntry>&
 Tier()
 {
     static const std::vector<TierEntry> tier{
-        {"micro_primitives", "gemm-kernel", "BENCH_gemm_kernel.json", "",
-         ""},
-        {"micro_primitives", "", "BENCH_micro_primitives.json", "", ""},
-        {"srv01_serving", "", "BENCH_srv01_serving.json", "",
+        {"micro_primitives", "BENCH_micro_primitives.json", "", ""},
+        {"srv01_serving", "BENCH_srv01_serving.json", "",
          "--requests 120 --producers 2"},
-        {"oram01_proxy", "", "BENCH_oram01_proxy.json", "",
+        {"oram01_proxy", "BENCH_oram01_proxy.json", "",
          "--rows 512 --dim 8 --batch 32 --batches 6"},
-        {"oc01_paged", "", "BENCH_oc01_paged.json", "",
+        {"oc01_paged", "BENCH_oc01_paged.json", "",
          "--rows 20000 --oram-rows 4096 --batch 8 --batches 2 "
          "--oram-accesses 48"},
-        {"oc02_recovery", "", "BENCH_oc02_recovery.json", "",
+        {"oc02_recovery", "BENCH_oc02_recovery.json", "",
          "--rows 512 --dim 8 --accesses 100"},
-        {"ver01_certify_cost", "", "BENCH_ver01_certify_cost.json", "",
+        {"ver01_certify_cost", "BENCH_ver01_certify_cost.json", "",
          "--rows 64 --dim 8 --batch 4 --sets 2"},
-        {"perf01_xcheck", "", "BENCH_perf01_xcheck.json", "", "--reps 3"},
+        {"perf01_xcheck", "BENCH_perf01_xcheck.json", "", "--reps 3"},
     };
     return tier;
 }
@@ -129,7 +125,6 @@ RunTier(const std::string& bindir, const std::string& outdir, bool quick)
         const fs::path bin = fs::path(bindir) / e.binary;
         const fs::path out = fs::path(outdir) / e.output_name;
         std::string cmd = "\"" + bin.string() + "\"";
-        if (!e.mode.empty()) cmd += " " + e.mode;
         const std::string& workload = quick ? e.quick_args : e.extra_args;
         if (!workload.empty()) cmd += " " + workload;
         cmd += " --json \"" + out.string() + "\"";

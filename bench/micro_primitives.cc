@@ -21,7 +21,6 @@
 #include "dhe/hashing.h"
 #include "oblivious/ct_ops.h"
 #include "oblivious/scan.h"
-#include "oblivious/vector_scan.h"
 #include "oram/crypto.h"
 #include "oram/tree_oram.h"
 #include "tensor/gemm.h"
@@ -108,14 +107,10 @@ RunBatchScan(benchmark::State& state, ParallelImpl&& parallel_for)
     std::vector<float> out(static_cast<size_t>(batch * cols));
     for (auto _ : state) {
         parallel_for(batch, kCmpThreads, [&](int64_t b, int64_t e) {
-            for (int64_t i = b; i < e; ++i) {
-                oblivious::LinearScanLookupVec(
-                    table.flat(), rows, cols,
-                    ids[static_cast<size_t>(i)],
-                    {out.data() + i * cols, static_cast<size_t>(cols)});
-            }
+            oblivious::ScanRows(table.flat(), 0, cols, ids, {}, b, e, out);
         });
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
     state.SetBytesProcessed(state.iterations() * batch * rows * cols * 4);
 }
@@ -231,9 +226,10 @@ BM_LinearScanLookup(benchmark::State& state)
     std::vector<float> out(static_cast<size_t>(cols));
     int64_t idx = 0;
     for (auto _ : state) {
-        oblivious::LinearScanLookup(table.flat(), rows, cols,
-                                    idx++ % rows, out);
+        const int64_t id = idx++ % rows;
+        oblivious::ScanRows(table.flat(), 0, cols, {&id, 1}, {}, 0, 1, out);
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
     state.SetBytesProcessed(state.iterations() * rows * cols * 4);
 }

@@ -3,10 +3,10 @@
 # Bench-trajectory harness wrapper.
 #
 # Builds the bench tier and runs secemb-bench-all: every --json-capable
-# benchmark in the tier (gemm_kernel, micro_primitives, srv01_serving,
-# oram01_proxy, oc01_paged, oc02_recovery, ver01_certify_cost,
-# perf01_xcheck) runs once, the per-binary reports are
-# merged into a machine-annotated BENCH_summary.json, and — when a
+# benchmark in the tier (micro_primitives, srv01_serving, oram01_proxy,
+# oc01_paged, oc02_recovery, ver01_certify_cost, perf01_xcheck) runs
+# once, the per-binary reports are merged into a machine-annotated
+# BENCH_summary.json, and — when a
 # baseline summary exists — the new summary is gated against it (fail on
 # any shared result >GATE slower).
 #

@@ -1,10 +1,10 @@
 #include "core/table_generators.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
 #include "oblivious/scan.h"
-#include "oblivious/vector_scan.h"
 #include "perfmon/perfmon.h"
 #include "telemetry/telemetry.h"
 #include "tensor/parallel.h"
@@ -59,25 +59,9 @@ LinearScanTable::LinearScanTable(Tensor table)
 void
 LinearScanTable::Generate(std::span<const int64_t> indices, Tensor& out)
 {
-    const int64_t n = static_cast<int64_t>(indices.size());
-    const int64_t d = dim();
-    const int64_t rows = num_rows();
-    assert(out.size(0) == n && out.size(1) == d);
     TELEMETRY_SCOPED_COUNTERS("scan.generate");
     TELEMETRY_SCOPED_LATENCY("scan.generate.ns");
-
-    // Every query reads the whole table whatever its index, so the trace
-    // is recorded up front and the scan itself runs untraced.
-    if (recorder_ != nullptr) {
-        for (int64_t i = 0; i < n; ++i) {
-            recorder_->Record(trace_base_,
-                              static_cast<uint32_t>(table_.SizeBytes()),
-                              false);
-        }
-    }
-    oblivious::LinearScanLookupBatch(
-        table_.flat(), rows, d, indices,
-        {out.data(), static_cast<size_t>(n * d)}, nthreads_);
+    Scan(indices, {}, static_cast<int64_t>(indices.size()), out);
 }
 
 void
@@ -85,35 +69,39 @@ LinearScanTable::GeneratePooled(std::span<const int64_t> indices,
                                 std::span<const int64_t> offsets,
                                 Tensor& out)
 {
-    const int64_t n = static_cast<int64_t>(offsets.size()) - 1;
-    const int64_t d = dim();
-    const int64_t rows = num_rows();
-    assert(out.size(0) == n && out.size(1) == d);
+    assert(!offsets.empty());
     TELEMETRY_SCOPED_COUNTERS("scan.generate_pooled");
     TELEMETRY_SCOPED_LATENCY("scan.generate.ns");
-    // One whole-table read per bag element, recorded up front as in
-    // Generate (bag sizes are public; see
-    // EmbeddingGenerator::GeneratePooled).
+    out.Fill(0.0f);
+    Scan(indices, offsets, static_cast<int64_t>(offsets.size()) - 1, out);
+}
+
+void
+LinearScanTable::Scan(std::span<const int64_t> indices,
+                      std::span<const int64_t> offsets, int64_t slots,
+                      Tensor& out)
+{
+    const int64_t d = dim();
+    assert(out.size(0) == slots && out.size(1) == d);
+    assert(std::all_of(indices.begin(), indices.end(), [&](int64_t idx) {
+        return idx >= 0 && idx < num_rows();
+    }));
+    // Every id reads the whole table whatever its value (bag sizes are
+    // public; see EmbeddingGenerator::GeneratePooled), so the trace is
+    // recorded up front and the scan itself runs untraced.
     if (recorder_ != nullptr) {
-        for (int64_t e = offsets.front(); e < offsets.back(); ++e) {
+        const int64_t scanned =
+            offsets.empty() ? slots : offsets.back() - offsets.front();
+        for (int64_t e = 0; e < scanned; ++e) {
             recorder_->Record(trace_base_,
                               static_cast<uint32_t>(table_.SizeBytes()),
                               false);
         }
     }
-    // Accumulating scans: one pass over the table per bag element,
-    // summing directly into the output row (no per-element buffer).
-    out.Fill(0.0f);
-    ParallelFor(n, nthreads_, [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-            for (int64_t e = offsets[static_cast<size_t>(i)];
-                 e < offsets[static_cast<size_t>(i) + 1]; ++e) {
-                oblivious::LinearScanLookupAccumulate(
-                    table_.flat(), rows, d,
-                    indices[static_cast<size_t>(e)],
-                    {out.data() + i * d, static_cast<size_t>(d)});
-            }
-        }
+    // A full pass over the table per id; slots split across threads.
+    ParallelFor(slots, nthreads_, [&](int64_t b0, int64_t b1) {
+        oblivious::ScanRows(table_.flat(), 0, d, indices, offsets, b0, b1,
+                            out.flat());
     });
 }
 

@@ -80,6 +80,10 @@ class LinearScanTable : public EmbeddingGenerator
     uint64_t trace_base() const { return trace_base_; }
 
   private:
+    /** Generate (offsets empty) or GeneratePooled into `slots` rows. */
+    void Scan(std::span<const int64_t> indices,
+              std::span<const int64_t> offsets, int64_t slots, Tensor& out);
+
     Tensor table_;
     int nthreads_ = 1;
     sidechannel::TraceRecorder* recorder_ = nullptr;

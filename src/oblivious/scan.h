@@ -2,12 +2,11 @@
 
 /**
  * @file
- * Oblivious scans: linear-scan table lookup, oblivious argmax, oblivious
- * scalar lookup/update over small arrays.
+ * Oblivious scans: the linear-scan table lookup kernel, oblivious argmax
+ * and top-k.
  *
  * These are the building blocks of the paper's "Table: Linear Scan"
- * technique and of the software ORAM controllers' stash and position-map
- * accesses (which must themselves be oblivious, Section V-A1).
+ * technique and of its oblivious greedy decoding for LLMs.
  */
 
 #include <cstdint>
@@ -17,23 +16,25 @@
 namespace secemb::oblivious {
 
 /**
- * Copy row `index` of a row-major table (rows x cols) into out by scanning
- * every row and blending; the memory trace is independent of index.
- *
- * @param table flattened row-major table data (rows * cols floats)
- * @param rows number of rows; index must be in [0, rows)
- * @param cols row width; out.size() must equal cols
+ * The oblivious linear scan (Section V-A2), the one kernel behind every
+ * scan-based table. `block` holds rows [first_row, first_row + block.size()
+ * / dim) of a row-major table with rows of `dim` floats. For each batch
+ * slot b in [b0, b1) and each of its ids, the kernel reads every row of the
+ * block and folds the row whose number equals the id into out[b * dim,
+ * (b + 1) * dim):
+ *   - single-hot (offsets empty): slot b has the one id ids[b], and the
+ *     matching row is blended in, a bit-exact copy;
+ *   - pooled: slot b has the bag ids[offsets[b], offsets[b + 1]), and each
+ *     matching row is added in, in bag order.
+ * An id outside the block leaves its slot unchanged, so scanning every
+ * block of a table (the pages of a paged table) completes the lookup. The
+ * rows and columns read are a function of the shapes only, never of the
+ * ids. Offsets must be non-decreasing within [0, ids.size()] (asserted).
  */
-void LinearScanLookup(std::span<const float> table, int64_t rows,
-                      int64_t cols, int64_t index, std::span<float> out);
-
-/**
- * Accumulating variant: out += table[index]. Used for multi-hot sparse
- * features (sum pooling) without a second pass.
- */
-void LinearScanLookupAccumulate(std::span<const float> table, int64_t rows,
-                                int64_t cols, int64_t index,
-                                std::span<float> out);
+void ScanRows(std::span<const float> block, int64_t first_row, int64_t dim,
+              std::span<const int64_t> ids,
+              std::span<const int64_t> offsets, int64_t b0, int64_t b1,
+              std::span<float> out);
 
 /**
  * Index of the maximum value, computed with a constant-time scan
@@ -50,15 +51,5 @@ int64_t ObliviousArgmax(std::span<const float> values);
  */
 std::vector<int64_t> ObliviousTopK(std::span<const float> values,
                                    int64_t k);
-
-/** Oblivious read of values[index] scanning the whole array. */
-uint64_t ObliviousReadU64(std::span<const uint64_t> values, int64_t index);
-
-/**
- * Oblivious write values[index] = v, rewriting every slot (each slot is
- * blended with itself except the target).
- */
-void ObliviousWriteU64(std::span<uint64_t> values, int64_t index,
-                       uint64_t v);
 
 }  // namespace secemb::oblivious

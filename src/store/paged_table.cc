@@ -4,7 +4,7 @@
 #include <cstring>
 #include <vector>
 
-#include "oblivious/ct_ops.h"
+#include "oblivious/scan.h"
 #include "telemetry/telemetry.h"
 #include "tensor/parallel.h"
 
@@ -73,86 +73,13 @@ PagedTable::Recover(int64_t rows, int64_t dim, const StoreConfig& config,
     return serving::Status::Ok();
 }
 
-void
-PagedTable::BlendPage(const float* page_rows, int64_t first_row,
-                      int64_t rows_in_page,
-                      std::span<const int64_t> indices, int64_t b0,
-                      int64_t b1, float* out) const
-{
-    for (int64_t b = b0; b < b1; ++b) {
-        const auto idx = static_cast<uint64_t>(indices[static_cast<size_t>(b)]);
-        float* dst = out + b * dim_;
-        for (int64_t r = 0; r < rows_in_page; ++r) {
-            const uint64_t mask = oblivious::EqMask(
-                static_cast<uint64_t>(first_row + r), idx);
-            oblivious::CtCopyRow(
-                mask,
-                std::span<const float>(page_rows + r * dim_,
-                                       static_cast<size_t>(dim_)),
-                std::span<float>(dst, static_cast<size_t>(dim_)));
-        }
-    }
-}
-
-void
-PagedTable::AccumulatePage(const float* page_rows, int64_t first_row,
-                           int64_t rows_in_page,
-                           std::span<const int64_t> indices,
-                           std::span<const int64_t> offsets, int64_t b0,
-                           int64_t b1, float* out) const
-{
-    for (int64_t b = b0; b < b1; ++b) {
-        float* dst = out + b * dim_;
-        for (int64_t k = offsets[static_cast<size_t>(b)];
-             k < offsets[static_cast<size_t>(b) + 1]; ++k) {
-            const auto idx =
-                static_cast<uint64_t>(indices[static_cast<size_t>(k)]);
-            for (int64_t r = 0; r < rows_in_page; ++r) {
-                const uint64_t mask = oblivious::EqMask(
-                    static_cast<uint64_t>(first_row + r), idx);
-                const float* src = page_rows + r * dim_;
-                for (int64_t c = 0; c < dim_; ++c) {
-                    dst[c] += oblivious::SelectF32(mask, src[c], 0.0f);
-                }
-            }
-        }
-    }
-}
-
 serving::Status
 PagedTable::LookupBatch(std::span<const int64_t> indices, float* out,
                         int nthreads)
 {
     TELEMETRY_SPAN("store.paged_scan.batch");
-    for (const int64_t idx : indices) {
-        if (idx < 0 || idx >= rows_) {
-            return serving::Status::Error(
-                serving::StatusCode::kInvalidArgument,
-                "index " + std::to_string(idx) + " out of range [0, " +
-                    std::to_string(rows_) + ")");
-        }
-    }
-    std::memset(out, 0, static_cast<size_t>(indices.size()) *
-                            static_cast<size_t>(dim_) * sizeof(float));
-    const auto batch = static_cast<int64_t>(indices.size());
-    std::vector<uint8_t> page(static_cast<size_t>(cache_->page_bytes()));
-    for (int64_t p = 0; p < num_pages_; ++p) {
-        if (recorder_ != nullptr) {
-            recorder_->Record(
-                trace_base_ +
-                    static_cast<uint64_t>(p * cache_->page_bytes()),
-                static_cast<uint32_t>(cache_->page_bytes()), false);
-        }
-        if (auto s = cache_->ReadPage(p, page); !s.ok()) return s;
-        const int64_t first = p * rows_per_page_;
-        const int64_t count = std::min(rows_per_page_, rows_ - first);
-        const auto* page_rows =
-            reinterpret_cast<const float*>(page.data());
-        ParallelFor(batch, nthreads, [&](int64_t b0, int64_t b1) {
-            BlendPage(page_rows, first, count, indices, b0, b1, out);
-        });
-    }
-    return serving::Status::Ok();
+    return Scan(indices, {}, static_cast<int64_t>(indices.size()), out,
+                nthreads);
 }
 
 serving::Status
@@ -161,12 +88,22 @@ PagedTable::LookupPooled(std::span<const int64_t> indices,
                          int nthreads)
 {
     TELEMETRY_SPAN("store.paged_scan.pooled");
-    if (offsets.size() < 1 || offsets.front() != 0 ||
-        offsets.back() != static_cast<int64_t>(indices.size())) {
+    if (offsets.empty() || offsets.front() != 0 ||
+        offsets.back() != static_cast<int64_t>(indices.size()) ||
+        !std::is_sorted(offsets.begin(), offsets.end())) {
         return serving::Status::Error(
             serving::StatusCode::kInvalidArgument,
             "pooled lookup: bad offsets");
     }
+    return Scan(indices, offsets, static_cast<int64_t>(offsets.size()) - 1,
+                out, nthreads);
+}
+
+serving::Status
+PagedTable::Scan(std::span<const int64_t> indices,
+                 std::span<const int64_t> offsets, int64_t slots,
+                 float* out, int nthreads)
+{
     for (const int64_t idx : indices) {
         if (idx < 0 || idx >= rows_) {
             return serving::Status::Error(
@@ -175,9 +112,9 @@ PagedTable::LookupPooled(std::span<const int64_t> indices,
                     std::to_string(rows_) + ")");
         }
     }
-    const auto bags = static_cast<int64_t>(offsets.size()) - 1;
-    std::memset(out, 0, static_cast<size_t>(bags) *
-                            static_cast<size_t>(dim_) * sizeof(float));
+    const std::span<float> slots_out(out,
+                                     static_cast<size_t>(slots * dim_));
+    std::fill(slots_out.begin(), slots_out.end(), 0.0f);
     std::vector<uint8_t> page(static_cast<size_t>(cache_->page_bytes()));
     for (int64_t p = 0; p < num_pages_; ++p) {
         if (recorder_ != nullptr) {
@@ -189,11 +126,12 @@ PagedTable::LookupPooled(std::span<const int64_t> indices,
         if (auto s = cache_->ReadPage(p, page); !s.ok()) return s;
         const int64_t first = p * rows_per_page_;
         const int64_t count = std::min(rows_per_page_, rows_ - first);
-        const auto* page_rows =
-            reinterpret_cast<const float*>(page.data());
-        ParallelFor(bags, nthreads, [&](int64_t b0, int64_t b1) {
-            AccumulatePage(page_rows, first, count, indices, offsets, b0,
-                           b1, out);
+        const std::span<const float> block(
+            reinterpret_cast<const float*>(page.data()),
+            static_cast<size_t>(count * dim_));
+        ParallelFor(slots, nthreads, [&](int64_t b0, int64_t b1) {
+            oblivious::ScanRows(block, first, dim_, indices, offsets, b0,
+                                b1, slots_out);
         });
     }
     return serving::Status::Ok();

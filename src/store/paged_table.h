@@ -70,7 +70,8 @@ class PagedTable
     /**
      * Pooled (multi-hot) lookup: out row b accumulates the sum of rows
      * indices[offsets[b]..offsets[b+1]). out must hold
-     * (offsets.size()-1)*dim floats.
+     * (offsets.size()-1)*dim floats. Offsets must start at 0, end at
+     * indices.size() and never decrease; others are kInvalidArgument.
      */
     serving::Status LookupPooled(std::span<const int64_t> indices,
                                  std::span<const int64_t> offsets,
@@ -112,18 +113,14 @@ class PagedTable
     /** For Recover(), which fills every field itself. */
     PagedTable() = default;
 
-    /** Blend rows of one fetched page into the batch slots of [b0, b1). */
-    void BlendPage(const float* page_rows, int64_t first_row,
-                   int64_t rows_in_page,
-                   std::span<const int64_t> indices, int64_t b0,
-                   int64_t b1, float* out) const;
-
-    /** Accumulate rows of one fetched page into pooled out slots. */
-    void AccumulatePage(const float* page_rows, int64_t first_row,
-                        int64_t rows_in_page,
-                        std::span<const int64_t> indices,
-                        std::span<const int64_t> offsets, int64_t b0,
-                        int64_t b1, float* out) const;
+    /**
+     * LookupBatch (offsets empty) or LookupPooled into `slots` rows of
+     * out: every page is fetched once, in order, and scanned into every
+     * slot.
+     */
+    serving::Status Scan(std::span<const int64_t> indices,
+                         std::span<const int64_t> offsets, int64_t slots,
+                         float* out, int nthreads);
 
     int64_t rows_ = 0;
     int64_t dim_ = 0;

@@ -13,7 +13,6 @@
 
 #include "core/factory.h"
 #include "core/paged_generators.h"
-#include "oblivious/vector_scan.h"
 #include "oram/sqrt_oram.h"
 #include "sidechannel/cache_model.h"
 #include "sidechannel/page_channel.h"
@@ -65,72 +64,6 @@ SubjectDhe(const VerifyConfig& config, uint64_t construction_seed,
     Rng rng(Mix(construction_seed, 0xd4eULL));
     return std::make_shared<dhe::DheEmbedding>(cfg, rng, nthreads);
 }
-
-/**
- * Drives the SIMD scan kernel directly with a row-granular trace: one
- * recorded read per table row per batch element, mirroring exactly what
- * LinearScanLookupVec touches (every row, every element, in order).
- */
-class VectorScanGenerator : public core::EmbeddingGenerator
-{
-  public:
-    VectorScanGenerator(const Tensor& table, int nthreads)
-        : rows_(table.size(0)),
-          cols_(table.size(1)),
-          nthreads_(nthreads),
-          data_(table.data(), table.data() + rows_ * cols_)
-    {
-        trace_base_ = sidechannel::ProcessAddressSpace().Reserve(
-            static_cast<uint64_t>(rows_ * cols_) * sizeof(float), 64,
-            "vecscan.table");
-    }
-
-    void
-    Generate(std::span<const int64_t> indices, Tensor& out) override
-    {
-        const uint64_t row_bytes =
-            static_cast<uint64_t>(cols_) * sizeof(float);
-        if (recorder_ != nullptr) {
-            // Row-granular trace, recorded in the serial element order the
-            // kernel is defined by; the parallel execution below touches
-            // the same rows (chunk boundaries are deterministic).
-            for (size_t i = 0; i < indices.size(); ++i) {
-                for (int64_t r = 0; r < rows_; ++r) {
-                    recorder_->Record(
-                        trace_base_ + static_cast<uint64_t>(r) * row_bytes,
-                        static_cast<uint32_t>(row_bytes), false);
-                }
-            }
-        }
-        oblivious::LinearScanLookupBatch(
-            data_, rows_, cols_, indices,
-            std::span<float>(out.data(),
-                             static_cast<size_t>(out.size(0) * cols_)),
-            nthreads_);
-    }
-
-    int64_t dim() const override { return cols_; }
-    int64_t num_rows() const override { return rows_; }
-    int64_t MemoryFootprintBytes() const override
-    {
-        return static_cast<int64_t>(data_.size() * sizeof(float));
-    }
-    std::string_view name() const override { return "Vector Scan"; }
-    bool IsOblivious() const override { return true; }
-    void set_nthreads(int nthreads) override { nthreads_ = nthreads; }
-    void set_recorder(sidechannel::TraceRecorder* r) override
-    {
-        recorder_ = r;
-    }
-
-  private:
-    int64_t rows_;
-    int64_t cols_;
-    int nthreads_;
-    std::vector<float> data_;
-    sidechannel::TraceRecorder* recorder_ = nullptr;
-    uint64_t trace_base_;
-};
 
 /** Square-root ORAM behind the EmbeddingGenerator interface. */
 class SqrtOramGenerator : public core::EmbeddingGenerator
@@ -358,9 +291,9 @@ AccumulateCacheSets(const sidechannel::CacheModel& cache,
 }
 
 void
-AccumulatePages(const sidechannel::PageFaultObserver& observer,
-                const std::vector<sidechannel::MemoryAccess>& trace,
-                std::map<uint64_t, int64_t>& hist)
+AccumulateFaultPages(const sidechannel::PageFaultObserver& observer,
+                     const std::vector<sidechannel::MemoryAccess>& trace,
+                     std::map<uint64_t, int64_t>& hist)
 {
     for (const uint64_t page : observer.ObservePages(trace)) {
         hist[page]++;
@@ -374,7 +307,6 @@ SubjectName(Subject s)
 {
     switch (s) {
       case Subject::kLinearScan: return "scan";
-      case Subject::kVectorScan: return "vecscan";
       case Subject::kDhe: return "dhe";
       case Subject::kHybrid: return "hybrid";
       case Subject::kTreeOram: return "tree_oram";
@@ -391,10 +323,9 @@ bool
 ParseSubject(const std::string& name, Subject* out)
 {
     for (Subject s :
-         {Subject::kLinearScan, Subject::kVectorScan, Subject::kDhe,
-          Subject::kHybrid, Subject::kTreeOram, Subject::kSqrtOram,
-          Subject::kIndexLookup, Subject::kProxyOram,
-          Subject::kPagedScan, Subject::kRawOram}) {
+         {Subject::kLinearScan, Subject::kDhe, Subject::kHybrid,
+          Subject::kTreeOram, Subject::kSqrtOram, Subject::kIndexLookup,
+          Subject::kProxyOram, Subject::kPagedScan, Subject::kRawOram}) {
         if (name == SubjectName(s)) {
             *out = s;
             return true;
@@ -406,9 +337,9 @@ ParseSubject(const std::string& name, Subject* out)
 std::vector<Subject>
 AllSecureSubjects()
 {
-    return {Subject::kLinearScan, Subject::kVectorScan, Subject::kDhe,
-            Subject::kHybrid,     Subject::kTreeOram,   Subject::kSqrtOram,
-            Subject::kProxyOram,  Subject::kPagedScan,  Subject::kRawOram};
+    return {Subject::kLinearScan, Subject::kDhe,       Subject::kHybrid,
+            Subject::kTreeOram,   Subject::kSqrtOram,  Subject::kProxyOram,
+            Subject::kPagedScan,  Subject::kRawOram};
 }
 
 bool
@@ -442,15 +373,6 @@ GeneratorFactory
 MakeSubjectFactory(const VerifyConfig& config)
 {
     const VerifyConfig c = config;
-    if (c.subject == Subject::kVectorScan) {
-        return [c](uint64_t seed, sidechannel::TraceRecorder* rec) {
-            auto gen = std::make_unique<VectorScanGenerator>(
-                SubjectTable(c, seed), c.nthreads);
-            gen->set_recorder(rec);
-            return std::unique_ptr<core::EmbeddingGenerator>(
-                std::move(gen));
-        };
-    }
     if (c.subject == Subject::kSqrtOram) {
         return [c](uint64_t seed, sidechannel::TraceRecorder* rec) {
             Rng rng(Mix(seed, 0x5047ULL));
@@ -622,7 +544,7 @@ RunStatisticalWith(const VerifyConfig& config,
             cache_runs.emplace_back();
             AccumulateCacheSets(cache, model, cache_runs.back());
             page_runs.emplace_back();
-            AccumulatePages(observer, model, page_runs.back());
+            AccumulateFaultPages(observer, model, page_runs.back());
             labels.push_back(group);
         }
     }
@@ -861,7 +783,6 @@ FuzzCorpus(Subject subject, uint64_t seed)
     const std::vector<int64_t> rows_small{16, 33, 48, 64};
     const std::vector<int64_t> rows_large{128, 160, 256};
     const std::vector<int64_t> dims{4, 8, 16};
-    const std::vector<int64_t> dims_with_tail{4, 6, 8, 16};
     const std::vector<int> batches{1, 3, 8};
     const std::vector<int> threads{1, 4};
 
@@ -880,8 +801,7 @@ FuzzCorpus(Subject subject, uint64_t seed)
         } else {
             c.rows = pick(rows_small);
         }
-        c.dim = subject == Subject::kVectorScan ? pick(dims_with_tail)
-                                                : pick(dims);
+        c.dim = pick(dims);
         c.batch = pick(batches);
         c.nthreads = pick(threads);
         c.variant = subject == Subject::kTreeOram ? i % 2 : 0;

@@ -45,28 +45,31 @@
 
 namespace secemb::verify {
 
-/** Generators the harness can certify. */
+/**
+ * Generators the harness can certify. The values are pinned: FuzzCorpus
+ * seeds each subject's corpus with its value, so renumbering would move
+ * every corpus.
+ */
 enum class Subject
 {
-    kLinearScan,   ///< core::LinearScanTable (production scan path)
-    kVectorScan,   ///< SIMD scan kernel driven directly, row-granular trace
-    kDhe,          ///< core::DheGenerator
-    kHybrid,       ///< core::HybridGenerator (both sides of the threshold)
-    kTreeOram,     ///< core::OramTable — Path (variant 0) / Circuit (1)
-    kSqrtOram,     ///< oram::SqrtOram behind a generator adapter
-    kIndexLookup,  ///< non-secure baseline — negative control only
-    kProxyOram,    ///< core::ProxiedOramTable — async coalescing proxy
-    kPagedScan,    ///< core::PagedScanTable — out-of-core page-granular scan
-    kRawOram,      ///< core::RawOramTable — page-optimized RAW ORAM
+    kLinearScan = 0,   ///< core::LinearScanTable (production scan path)
+    kDhe = 2,          ///< core::DheGenerator
+    kHybrid = 3,       ///< core::HybridGenerator (both threshold sides)
+    kTreeOram = 4,     ///< core::OramTable — Path (variant 0) / Circuit (1)
+    kSqrtOram = 5,     ///< oram::SqrtOram behind a generator adapter
+    kIndexLookup = 6,  ///< non-secure baseline — negative control only
+    kProxyOram = 7,    ///< core::ProxiedOramTable — async coalescing proxy
+    kPagedScan = 8,    ///< core::PagedScanTable — out-of-core paged scan
+    kRawOram = 9,      ///< core::RawOramTable — page-optimized RAW ORAM
 };
 
-/** CLI name: "scan", "vecscan", "dhe", "hybrid", "tree_oram", ... */
+/** CLI name: "scan", "dhe", "hybrid", "tree_oram", ... */
 const char* SubjectName(Subject s);
 
 /** Parse a SubjectName; returns false on unknown name. */
 bool ParseSubject(const std::string& name, Subject* out);
 
-/** The nine certified kinds (excludes the non-secure control). */
+/** The eight certified kinds (excludes the non-secure control). */
 std::vector<Subject> AllSecureSubjects();
 
 /** True if the subject's trace must be bit-identical across secrets

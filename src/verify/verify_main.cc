@@ -52,10 +52,10 @@ PrintUsage()
 {
     std::cout
         << "secemb-verify: obliviousness certification harness\n\n"
-           "  --subjects=a,b,...  comma list of: scan vecscan dhe hybrid\n"
+           "  --subjects=a,b,...  comma list of: scan dhe hybrid\n"
            "                      tree_oram sqrt_oram proxy_oram\n"
            "                      paged_scan raw_oram\n"
-           "                      (default: all nine)\n"
+           "                      (default: all eight)\n"
            "  --sets=N            secret sets per differential config\n"
            "  --seed=N            fuzz corpus seed (default 1)\n"
            "  --golden-dir=DIR    diff golden traces in DIR as well\n"

@@ -409,6 +409,19 @@ TEST(PooledTest, LinearScanPooledTraceIndependentOfIds)
         sidechannel::CompareTraces(trace_a, rec.trace()).identical);
 }
 
+TEST(PooledDeathTest, LinearScanAssertsNonDecreasingOffsets)
+{
+    // Earlier tests may have started the thread pool.
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const Tensor table = FixedTable(33);
+    LinearScanTable gen(table);
+    // Bag 0 would sum ids[0, 5) of a 3-id span.
+    const std::vector<int64_t> ids{1, 2, 3};
+    const std::vector<int64_t> offsets{0, 5, 3};
+    Tensor out({2, kDim});
+    EXPECT_DEATH(gen.GeneratePooled(ids, offsets, out), "Assertion");
+}
+
 // --- factory / footprint ordering ----------------------------------------
 
 TEST(FactoryTest, NamesAndSecurity)

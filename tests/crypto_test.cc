@@ -1,18 +1,14 @@
 /**
  * @file
- * Tests for the ORAM bucket cipher (Speck64/128 CTR) and the vectorised
- * oblivious scan.
+ * Tests for the ORAM bucket cipher (Speck64/128 CTR).
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
-#include "oblivious/scan.h"
-#include "oblivious/vector_scan.h"
 #include "oram/crypto.h"
-#include "tensor/rng.h"
-#include "tensor/tensor.h"
 
 namespace secemb {
 namespace {
@@ -87,47 +83,6 @@ TEST(BucketCipherTest, OddWordCountHandled)
     cipher.Apply(0, 1, data);
     cipher.Apply(0, 1, data);
     EXPECT_EQ(data, original);
-}
-
-TEST(VectorScanTest, MatchesScalarForAllDims)
-{
-    Rng rng(1);
-    for (const int64_t dim : {3, 8, 16, 24, 64}) {
-        const int64_t rows = 50;
-        const Tensor table = Tensor::Randn({rows, dim}, rng);
-        std::vector<float> scalar_out(static_cast<size_t>(dim));
-        std::vector<float> vec_out(static_cast<size_t>(dim));
-        for (int64_t idx : {int64_t{0}, rows / 2, rows - 1}) {
-            oblivious::LinearScanLookup(table.flat(), rows, dim, idx,
-                                        scalar_out);
-            oblivious::LinearScanLookupVec(table.flat(), rows, dim, idx,
-                                           vec_out);
-            EXPECT_EQ(scalar_out, vec_out)
-                << "dim " << dim << " idx " << idx;
-        }
-    }
-}
-
-TEST(VectorScanTest, EligibilityRule)
-{
-    EXPECT_TRUE(oblivious::VecScanEligible(8));
-    EXPECT_TRUE(oblivious::VecScanEligible(64));
-    EXPECT_FALSE(oblivious::VecScanEligible(12));
-    EXPECT_FALSE(oblivious::VecScanEligible(3));
-}
-
-TEST(VectorScanTest, UnalignedOutputBuffer)
-{
-    // The output span may start at any float boundary; the vector path
-    // must not assume 32-byte alignment.
-    Rng rng(2);
-    const Tensor table = Tensor::Randn({20, 8}, rng);
-    std::vector<float> buf(16, 0.0f);
-    std::span<float> out(buf.data() + 1, 8);  // deliberately offset
-    oblivious::LinearScanLookupVec(table.flat(), 20, 8, 5, out);
-    for (int64_t j = 0; j < 8; ++j) {
-        EXPECT_FLOAT_EQ(out[static_cast<size_t>(j)], table.at(5, j));
-    }
 }
 
 }  // namespace

@@ -7,12 +7,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "oblivious/ct_ops.h"
 #include "oblivious/scan.h"
-#include "oblivious/vector_scan.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 
@@ -94,30 +95,90 @@ TEST(CtOpsTest, CtSwapU64)
     EXPECT_EQ(b, 5u);
 }
 
-TEST(ScanTest, LinearScanLookupReturnsRequestedRow)
+/**
+ * ScanRows against plain references, on every row-width class (vector
+ * body only, scalar tail only, both): a gather compared with memcmp for
+ * single-hot slots and an in-order sum for pooled bags. Table and output
+ * buffers sit 4 bytes off a vector boundary; each case scans the whole
+ * table and a sub-block starting past row 0 (ids outside it must leave
+ * their slots alone), into a random slot sub-range (slots outside it must
+ * stay untouched), with bags of 0 to 3 ids.
+ */
+TEST(ScanTest, ScanRowsMatchesGatherAndInOrderSum)
 {
     Rng rng(6);
-    const int64_t rows = 37, cols = 5;
-    const Tensor table = Tensor::Randn({rows, cols}, rng);
-    std::vector<float> out(static_cast<size_t>(cols));
-    for (int64_t r = 0; r < rows; ++r) {
-        LinearScanLookup(table.flat(), rows, cols, r, out);
-        for (int64_t c = 0; c < cols; ++c) {
-            EXPECT_FLOAT_EQ(out[static_cast<size_t>(c)], table.at(r, c));
-        }
-    }
-}
+    auto bounded = [&rng](int64_t n) {
+        return static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(n)));
+    };
+    for (const int64_t dim : {1, 3, 4, 7, 8, 12, 17, 24, 64}) {
+        const int64_t rows = 2 + bounded(40);
+        const int64_t slots = 1 + bounded(9);
+        std::vector<float> table_buf(static_cast<size_t>(rows * dim) + 1);
+        for (float& x : table_buf) x = rng.NextGaussian();
+        const std::span<const float> table(table_buf.data() + 1,
+                                           table_buf.size() - 1);
+        const float* row_data = table.data();
+        for (const bool whole : {true, false}) {
+            const int64_t first = whole ? 0 : 1 + bounded(rows - 1);
+            const int64_t count = whole ? rows : 1 + bounded(rows - first);
+            const auto block = table.subspan(static_cast<size_t>(first * dim),
+                                             static_cast<size_t>(count * dim));
+            const int64_t b0 = bounded(slots);
+            const int64_t b1 = b0 + bounded(slots - b0 + 1);
+            auto in_block = [&](int64_t id) {
+                return id >= first && id < first + count;
+            };
+            std::vector<float> out_buf(static_cast<size_t>(slots * dim) + 1);
+            const std::span<float> out(out_buf.data() + 1,
+                                       out_buf.size() - 1);
+            auto reset = [&] {
+                for (float& x : out) x = rng.NextGaussian();
+                return std::vector<float>(out.begin(), out.end());
+            };
+            const std::string where = "dim " + std::to_string(dim) +
+                                      (whole ? " whole" : " sub-block");
 
-TEST(ScanTest, LinearScanAccumulateSums)
-{
-    Rng rng(7);
-    const Tensor table = Tensor::Randn({8, 3}, rng);
-    std::vector<float> out(3, 0.0f);
-    LinearScanLookupAccumulate(table.flat(), 8, 3, 2, out);
-    LinearScanLookupAccumulate(table.flat(), 8, 3, 5, out);
-    for (int64_t c = 0; c < 3; ++c) {
-        EXPECT_NEAR(out[static_cast<size_t>(c)],
-                    table.at(2, c) + table.at(5, c), 1e-5f);
+            std::vector<int64_t> ids(static_cast<size_t>(slots));
+            for (int64_t& id : ids) id = bounded(rows);
+            std::vector<float> want = reset();
+            for (int64_t b = b0; b < b1; ++b) {
+                const int64_t id = ids[static_cast<size_t>(b)];
+                if (!in_block(id)) continue;
+                std::memcpy(want.data() + b * dim, row_data + id * dim,
+                            static_cast<size_t>(dim) * sizeof(float));
+            }
+            ScanRows(block, first, dim, ids, {}, b0, b1, out);
+            EXPECT_EQ(std::memcmp(out.data(), want.data(),
+                                  want.size() * sizeof(float)),
+                      0)
+                << where << " single-hot";
+
+            std::vector<int64_t> bag_ids;
+            std::vector<int64_t> offsets{0};
+            for (int64_t b = 0; b < slots; ++b) {
+                for (int64_t j = bounded(4); j > 0; --j) {
+                    bag_ids.push_back(bounded(rows));
+                }
+                offsets.push_back(static_cast<int64_t>(bag_ids.size()));
+            }
+            want = reset();
+            for (int64_t b = b0; b < b1; ++b) {
+                for (int64_t k = offsets[static_cast<size_t>(b)];
+                     k < offsets[static_cast<size_t>(b) + 1]; ++k) {
+                    const int64_t id = bag_ids[static_cast<size_t>(k)];
+                    if (!in_block(id)) continue;
+                    for (int64_t c = 0; c < dim; ++c) {
+                        want[static_cast<size_t>(b * dim + c)] +=
+                            row_data[id * dim + c];
+                    }
+                }
+            }
+            ScanRows(block, first, dim, bag_ids, offsets, b0, b1, out);
+            EXPECT_EQ(std::memcmp(out.data(), want.data(),
+                                  want.size() * sizeof(float)),
+                      0)
+                << where << " pooled";
+        }
     }
 }
 
@@ -150,88 +211,6 @@ TEST(ScanTest, ObliviousArgmaxSingleElement)
 {
     std::vector<float> v{-3.5f};
     EXPECT_EQ(ObliviousArgmax(v), 0);
-}
-
-TEST(ScanTest, ObliviousReadWriteU64)
-{
-    std::vector<uint64_t> v{10, 20, 30, 40};
-    EXPECT_EQ(ObliviousReadU64(v, 2), 30u);
-    ObliviousWriteU64(v, 1, 99);
-    EXPECT_EQ(v, (std::vector<uint64_t>{10, 99, 30, 40}));
-    EXPECT_EQ(ObliviousReadU64(v, 1), 99u);
-}
-
-TEST(VectorScanTest, MatchesScalarOnAlignedBuffers)
-{
-    const int64_t rows = 37, cols = 16;  // cols % kScanLanes == 0
-    Rng rng(7);
-    const Tensor table = Tensor::Randn({rows, cols}, rng);
-    std::vector<float> got(static_cast<size_t>(cols));
-    std::vector<float> want(static_cast<size_t>(cols));
-    for (int64_t idx : {int64_t{0}, int64_t{17}, rows - 1}) {
-        LinearScanLookupVec(table.flat(), rows, cols, idx, got);
-        LinearScanLookup(table.flat(), rows, cols, idx, want);
-        EXPECT_EQ(got, want) << "idx=" << idx;
-    }
-}
-
-TEST(VectorScanTest, MisalignedBufferMatchesScalar)
-{
-    // The SIMD path views float storage as int32 vector lanes; buffers
-    // are only guaranteed element (4-byte) alignment, never 32-byte. Run
-    // the vector scan on deliberately 4-byte-offset table and output
-    // buffers (odd float offset from a vector allocation) and require
-    // bit-identical results with the scalar path — this is the
-    // regression surface of the strict-aliasing/may_alias fix.
-    const int64_t rows = 33, cols = 24;  // vec-eligible width
-    Rng rng(8);
-    const Tensor src = Tensor::Randn({rows, cols}, rng);
-
-    std::vector<float> table_buf(static_cast<size_t>(rows * cols) + 1);
-    std::copy(src.data(), src.data() + src.numel(),
-              table_buf.data() + 1);
-    const std::span<const float> table{table_buf.data() + 1,
-                                       static_cast<size_t>(rows * cols)};
-    ASSERT_NE(reinterpret_cast<uintptr_t>(table.data()) % 32, 0u);
-
-    std::vector<float> out_buf(static_cast<size_t>(cols) + 1);
-    const std::span<float> out{out_buf.data() + 1,
-                               static_cast<size_t>(cols)};
-    std::vector<float> want(static_cast<size_t>(cols));
-    for (int64_t idx = 0; idx < rows; ++idx) {
-        LinearScanLookupVec(table, rows, cols, idx, out);
-        LinearScanLookup(table, rows, cols, idx, want);
-        for (int64_t c = 0; c < cols; ++c) {
-            EXPECT_EQ(out[static_cast<size_t>(c)],
-                      want[static_cast<size_t>(c)])
-                << "idx=" << idx << " col=" << c;
-        }
-    }
-}
-
-TEST(VectorScanTest, BatchParallelMatchesPerElement)
-{
-    const int64_t rows = 64, cols = 16, batch = 33;
-    Rng rng(9);
-    const Tensor table = Tensor::Randn({rows, cols}, rng);
-    std::vector<int64_t> ids(static_cast<size_t>(batch));
-    for (int64_t i = 0; i < batch; ++i) {
-        ids[static_cast<size_t>(i)] = (i * 31) % rows;
-    }
-    std::vector<float> got(static_cast<size_t>(batch * cols));
-    LinearScanLookupBatch(table.flat(), rows, cols, ids, got,
-                          /*nthreads=*/4);
-
-    std::vector<float> want(static_cast<size_t>(cols));
-    for (int64_t i = 0; i < batch; ++i) {
-        LinearScanLookup(table.flat(), rows, cols,
-                         ids[static_cast<size_t>(i)], want);
-        for (int64_t c = 0; c < cols; ++c) {
-            EXPECT_EQ(got[static_cast<size_t>(i * cols + c)],
-                      want[static_cast<size_t>(c)])
-                << "i=" << i << " c=" << c;
-        }
-    }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "core/table_generators.h"
 #include "store/backing_store.h"
 #include "store/page_cache.h"
+#include "store/paged_table.h"
 #include "store/raw_oram.h"
 #include "tensor/rng.h"
 
@@ -193,6 +194,27 @@ TEST(StoreTest, PagedScanMatchesInRamScan)
     const PageCacheStats stats = paged.paged().cache_stats();
     EXPECT_GT(stats.evictions, 0) << "cache never churned; test is vacuous";
     EXPECT_TRUE(paged.SyncStorage().ok());
+}
+
+TEST(StoreTest, PagedPooledRejectsMalformedOffsets)
+{
+    Rng rng(8);
+    const Tensor table = Tensor::Randn({10, 4}, rng);
+    PagedTable paged(table.data(), 10, 4,
+                     ConfigFor(StoreBackend::kMemory, "", /*page_bytes=*/64));
+    const std::vector<int64_t> ids = {1, 2, 3};
+    std::vector<float> out(3 * 4);
+    // Decreasing offsets ({0, 5, 3}: bag 0 would read ids past the span)
+    // are rejected like offsets that miss 0 or ids.size().
+    for (const std::vector<int64_t>& offsets :
+         std::vector<std::vector<int64_t>>{
+             {0, 5, 3}, {0, 2, 1, 3}, {1, 3}, {0, 2}, {}}) {
+        EXPECT_EQ(paged.LookupPooled(ids, offsets, out.data(), 1).code,
+                  serving::StatusCode::kInvalidArgument)
+            << "offsets of size " << offsets.size();
+    }
+    const std::vector<int64_t> offsets = {0, 1, 1, 3};
+    EXPECT_TRUE(paged.LookupPooled(ids, offsets, out.data(), 1).ok());
 }
 
 TEST(StoreTest, RawOramGeometryIsPageDerived)

@@ -55,7 +55,7 @@ TEST(StoreVerifyTest, SubjectsAreRegistered)
     EXPECT_FALSE(SubjectIsDeterministic(Subject::kRawOram));
 
     const auto secure = AllSecureSubjects();
-    EXPECT_EQ(secure.size(), 9u);
+    EXPECT_EQ(secure.size(), 8u);
     for (const Subject subject :
          {Subject::kPagedScan, Subject::kRawOram}) {
         EXPECT_NE(std::find(secure.begin(), secure.end(), subject),
