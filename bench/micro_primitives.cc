@@ -8,11 +8,18 @@
 
 #include <benchmark/benchmark.h>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <iterator>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -297,6 +304,135 @@ BENCHMARK(BM_OramAccess)
     ->ArgNames({"kind(0=Path,1=Circuit)"});
 
 // ---------------------------------------------------------------------------
+// Host rooflines: one core's multiply-add peak and streaming read rate.
+// They run first, and every BM_GemmKernel* row of the same run reports
+// `pct_of_bound` against them (CollectingReporter), because both bounds
+// move on a shared host.
+// ---------------------------------------------------------------------------
+
+/** Independent multiply-add chains per trip: more than the FMA latency
+ * times the FMA ports of current x86 cores (4 cycles x 2). */
+constexpr int kPeakChains = 12;
+
+#if defined(__x86_64__)
+// Each chain runs c = c * m + a, which converges to a / (1 - m): no
+// chain overflows or turns subnormal however long the row runs. The
+// chains are summed so none is dead code.
+__attribute__((target("avx512f"))) float
+MaddChainsAvx512(int64_t trips, float m, float a)
+{
+    __m512 c[kPeakChains] = {};
+    const __m512 vm = _mm512_set1_ps(m), va = _mm512_set1_ps(a);
+    for (int64_t t = 0; t < trips; ++t) {
+#pragma GCC unroll kPeakChains
+        for (int i = 0; i < kPeakChains; ++i) {
+            c[i] = _mm512_fmadd_ps(c[i], vm, va);
+        }
+    }
+    float out[kPeakChains * 16];
+    std::memcpy(out, c, sizeof(c));
+    return std::accumulate(std::begin(out), std::end(out), 0.0f);
+}
+
+__attribute__((target("avx2,fma"))) float
+MaddChainsAvx2(int64_t trips, float m, float a)
+{
+    __m256 c[kPeakChains] = {};
+    const __m256 vm = _mm256_set1_ps(m), va = _mm256_set1_ps(a);
+    for (int64_t t = 0; t < trips; ++t) {
+#pragma GCC unroll kPeakChains
+        for (int i = 0; i < kPeakChains; ++i) {
+            c[i] = _mm256_fmadd_ps(c[i], vm, va);
+        }
+    }
+    float out[kPeakChains * 8];
+    std::memcpy(out, c, sizeof(c));
+    return std::accumulate(std::begin(out), std::end(out), 0.0f);
+}
+
+/** The scalar tier's tile compiles to SSE2 mulps + addps. */
+float
+MaddChainsSse2(int64_t trips, float m, float a)
+{
+    __m128 c[kPeakChains] = {};
+    const __m128 vm = _mm_set1_ps(m), va = _mm_set1_ps(a);
+    for (int64_t t = 0; t < trips; ++t) {
+#pragma GCC unroll kPeakChains
+        for (int i = 0; i < kPeakChains; ++i) {
+            c[i] = _mm_add_ps(_mm_mul_ps(c[i], vm), va);
+        }
+    }
+    float out[kPeakChains * 4];
+    std::memcpy(out, c, sizeof(c));
+    return std::accumulate(std::begin(out), std::end(out), 0.0f);
+}
+#endif
+
+/**
+ * One core's f32 multiply-add peak at the active tier's vector width
+ * (label): the compute bound of the GEMM rows. int8 rows count f32
+ * flops against it, so on VNNI (4 multiply-adds per lane and
+ * instruction) they can read above 100.
+ */
+void
+BM_HostFmaPeak(benchmark::State& state)
+{
+#if defined(__x86_64__)
+    constexpr int64_t kTrips = 1 << 16;
+    float m = 0.999f, a = 1e-3f;
+    benchmark::DoNotOptimize(m);
+    benchmark::DoNotOptimize(a);
+    const kernels::Isa isa = kernels::ActiveIsa();
+    const int lanes = isa == kernels::Isa::kAvx512 ? 16
+                      : isa == kernels::Isa::kAvx2 ? 8
+                                                   : 4;
+    for (auto _ : state) {
+        const float sum =
+            isa == kernels::Isa::kAvx512 ? MaddChainsAvx512(kTrips, m, a)
+            : isa == kernels::Isa::kAvx2 ? MaddChainsAvx2(kTrips, m, a)
+                                         : MaddChainsSse2(kTrips, m, a);
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetLabel(kernels::IsaName(isa));
+    state.counters["flops"] = benchmark::Counter(
+        2.0 * kTrips * kPeakChains * lanes,
+        benchmark::Counter::kIsIterationInvariantRate);
+#else
+    state.SkipWithError("the multiply-add peak probe is x86-64 only");
+#endif
+}
+BENCHMARK(BM_HostFmaPeak);
+
+/** One core reading a 64 MB buffer end to end, far past the caches:
+ * the bandwidth bound of the GEMM rows. Like the f32 tile it prefetches
+ * ahead (4 KB), because the hardware prefetcher stops at page
+ * boundaries; a plain sweep reads about 20% slower. */
+void
+BM_HostStreamRead(benchmark::State& state)
+{
+    constexpr size_t kBytes = size_t{64} << 20;
+    constexpr uintptr_t kAhead = 4096;
+    const std::vector<uint64_t> buf(kBytes / sizeof(uint64_t), 1);
+    for (auto _ : state) {
+        uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+        for (size_t i = 0; i < buf.size(); i += 4) {
+            // An integer address: it runs past the buffer's end.
+            __builtin_prefetch(reinterpret_cast<const void*>(
+                reinterpret_cast<uintptr_t>(&buf[i]) + kAhead));
+            s0 += buf[i];
+            s1 += buf[i + 1];
+            s2 += buf[i + 2];
+            s3 += buf[i + 3];
+        }
+        benchmark::DoNotOptimize(s0 + s1 + s2 + s3);
+    }
+    state.counters["bytes"] = benchmark::Counter(
+        static_cast<double>(kBytes),
+        benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_HostStreamRead);
+
+// ---------------------------------------------------------------------------
 // gemm-kernel mode: naive vs packed vs packed+fused epilogue
 //
 // `micro_primitives gemm-kernel --json BENCH_gemm.json` runs only this
@@ -322,11 +458,26 @@ BiasReluPasses(Tensor& c, const Tensor& bias)
     for (int64_t i = 0; i < m * n; ++i) cp[i] = std::max(0.0f, cp[i]);
 }
 
+/** Bytes one GEMM call must move at least once: A and C in f32, B at
+ * its packed element size. */
+double
+GemmBytes(int64_t m, int64_t k, int64_t n, kernels::Dtype dtype)
+{
+    const int64_t b_elem = dtype == kernels::Dtype::kF32    ? 4
+                           : dtype == kernels::Dtype::kBf16 ? 2
+                                                            : 1;
+    return static_cast<double>(4 * m * k + b_elem * k * n + 4 * m * n);
+}
+
 void
-SetGemmCounters(benchmark::State& state, int64_t m, int64_t k, int64_t n)
+SetGemmCounters(benchmark::State& state, int64_t m, int64_t k, int64_t n,
+                kernels::Dtype dtype)
 {
     state.counters["flops"] = benchmark::Counter(
         static_cast<double>(2 * m * k * n),
+        benchmark::Counter::kIsIterationInvariantRate);
+    state.counters["bytes"] = benchmark::Counter(
+        GemmBytes(m, k, n, dtype),
         benchmark::Counter::kIsIterationInvariantRate);
 }
 
@@ -344,7 +495,7 @@ BM_GemmKernelNaive(benchmark::State& state)
         BiasReluPasses(c, bias);
         benchmark::DoNotOptimize(c.data());
     }
-    SetGemmCounters(state, m, k, n);
+    SetGemmCounters(state, m, k, n, kernels::Dtype::kF32);
 }
 BENCHMARK(BM_GemmKernelNaive)
     ->Args({1024, 512})
@@ -385,7 +536,7 @@ BM_GemmKernelPacked(benchmark::State& state)
         BiasReluPasses(c, bias);
         benchmark::DoNotOptimize(c.data());
     }
-    SetGemmCounters(state, m, k, n);
+    SetGemmCounters(state, m, k, n, kernels::Dtype::kF32);
 }
 BENCHMARK(BM_GemmKernelPacked)
     ->Args({1024, 512})
@@ -409,7 +560,7 @@ BM_GemmKernelPackedFused(benchmark::State& state)
         AffineActForward(x, packed, bias, c, 1, kernels::Activation::kRelu);
         benchmark::DoNotOptimize(c.data());
     }
-    SetGemmCounters(state, m, k, n);
+    SetGemmCounters(state, m, k, n, kernels::ActiveDtype());
 }
 BENCHMARK(BM_GemmKernelPackedFused)
     ->Args({1024, 512})
@@ -438,7 +589,7 @@ GemmKernelPackedDtype(benchmark::State& state, kernels::Dtype dtype)
         AffineActForward(x, packed, bias, c, 1, kernels::Activation::kRelu);
         benchmark::DoNotOptimize(c.data());
     }
-    SetGemmCounters(state, m, k, n);
+    SetGemmCounters(state, m, k, n, dtype);
 }
 
 void
@@ -489,8 +640,10 @@ BM_GemmKernelDecoderChain(benchmark::State& state)
         if (variant != 0) packed.push_back(PackWeight(weights[l], dtype));
     }
     int64_t flops = 0;
+    double bytes = 0.0;
     for (int l = 0; l < 3; ++l) {
         flops += 2 * kDecoderBatch * kSizes[l] * kSizes[l + 1];
+        bytes += GemmBytes(kDecoderBatch, kSizes[l], kSizes[l + 1], dtype);
     }
     for (auto _ : state) {
         const Tensor* in = &x;
@@ -509,6 +662,8 @@ BM_GemmKernelDecoderChain(benchmark::State& state)
     state.counters["flops"] = benchmark::Counter(
         static_cast<double>(flops),
         benchmark::Counter::kIsIterationInvariantRate);
+    state.counters["bytes"] = benchmark::Counter(
+        bytes, benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_GemmKernelDecoderChain)
     ->Arg(0)
@@ -521,9 +676,10 @@ BENCHMARK(BM_GemmKernelDecoderChain)
  * Skinny-m scaling: decoder GEMMs at serving batch sizes (m <= 8) have
  * tiles_m = 1, so only the 2-D column-panel split can use extra
  * threads. Registered from main() over the --threads sweep (default
- * 1/2/4/8) at the two big decoder layers; `hw_threads` is recorded per
- * run so cross-machine trajectory comparisons can tell "no cores" from
- * "no scaling".
+ * 1/2/4/8) at the two big decoder layers and the GPT LM head
+ * (4 x 256 x 50257, 51 MB of f32 weights: bandwidth bound);
+ * `hw_threads` is recorded per run so cross-machine trajectory
+ * comparisons can tell "no cores" from "no scaling".
  */
 void
 BM_GemmKernelSkinnyM(benchmark::State& state)
@@ -541,14 +697,22 @@ BM_GemmKernelSkinnyM(benchmark::State& state)
                          kernels::Activation::kRelu);
         benchmark::DoNotOptimize(c.data());
     }
-    SetGemmCounters(state, m, k, n);
+    SetGemmCounters(state, m, k, n, kernels::ActiveDtype());
     state.counters["hw_threads"] = benchmark::Counter(
         static_cast<double>(std::thread::hardware_concurrency()));
 }
 
 /**
  * Console reporter that additionally captures every run so main() can
- * emit the secemb-bench-v1 JSON document next to the usual table.
+ * emit the secemb-bench-v1 JSON document next to the usual table. It
+ * also gives every BM_GemmKernel* row an integer `pct_of_bound`: the
+ * row's time as a percentage of the larger of its compute time at the
+ * BM_HostFmaPeak rate and its traffic time at the BM_HostStreamRead
+ * rate, both from this run (a t-thread row gets t cores' bounds). The
+ * stream rate is a DRAM rate taken once per run, so a row can read
+ * above 100 when its operands stay cached between iterations or the
+ * host's bandwidth rises after the host rows ran. A row gets none when
+ * the filter left the host rows out.
  */
 class CollectingReporter : public benchmark::ConsoleReporter
 {
@@ -562,8 +726,35 @@ class CollectingReporter : public benchmark::ConsoleReporter
     };
 
     void
-    ReportRuns(const std::vector<Run>& runs) override
+    ReportRuns(const std::vector<Run>& reported) override
     {
+        std::vector<Run> runs = reported;
+        for (Run& run : runs) {
+            // Repetitions: bounds and percentages come from each run and
+            // the median, not from the mean, stddev or cv rows.
+            if (run.error_occurred || run.iterations <= 0 ||
+                (run.run_type == Run::RT_Aggregate &&
+                 run.aggregate_name != "median")) {
+                continue;
+            }
+            const std::string name = run.benchmark_name();
+            if (name.rfind("BM_HostFmaPeak", 0) == 0) {
+                peak_flops_ = run.counters["flops"].value;
+            } else if (name.rfind("BM_HostStreamRead", 0) == 0) {
+                read_bytes_ = run.counters["bytes"].value;
+            } else if (name.rfind("BM_GemmKernel", 0) == 0 &&
+                       peak_flops_ > 0.0 && read_bytes_ > 0.0) {
+                const size_t t = name.find("threads:");
+                const double cores = std::min<double>(
+                    t == std::string::npos ? 1 : std::atoi(&name[t + 8]),
+                    std::max(1u, std::thread::hardware_concurrency()));
+                const double share = std::max(
+                    run.counters["flops"].value / (cores * peak_flops_),
+                    run.counters["bytes"].value / (cores * read_bytes_));
+                run.counters["pct_of_bound"] =
+                    benchmark::Counter(std::round(100.0 * share));
+            }
+        }
         for (const Run& run : runs) {
             if (run.error_occurred || run.iterations <= 0) continue;
             CapturedRun captured;
@@ -584,6 +775,8 @@ class CollectingReporter : public benchmark::ConsoleReporter
 
   private:
     std::vector<CapturedRun> captured_;
+    double peak_flops_ = 0.0;  // per second, one core
+    double read_bytes_ = 0.0;  // per second, one core
 };
 
 }  // namespace
@@ -618,9 +811,10 @@ main(int argc, char** argv)
             passthrough.push_back(argv[i]);
         }
     }
-    // The mode restricts the run to the kernel comparison unless the
-    // caller supplied an explicit filter of their own.
-    static char gemm_filter[] = "--benchmark_filter=^BM_GemmKernel";
+    // The mode restricts the run to the kernel comparison and its two
+    // host bounds unless the caller supplied an explicit filter of their
+    // own.
+    static char gemm_filter[] = "--benchmark_filter=^BM_(Host|GemmKernel)";
     if (gemm_mode && !user_filter) passthrough.push_back(gemm_filter);
     int filtered_argc = static_cast<int>(passthrough.size());
     benchmark::Initialize(&filtered_argc, passthrough.data());
@@ -643,7 +837,7 @@ main(int argc, char** argv)
             }
         }
         static const int64_t kSkinnyShapes[][3] = {
-            {1, 1024, 512}, {4, 1024, 512}, {8, 512, 256}};
+            {1, 1024, 512}, {4, 1024, 512}, {8, 512, 256}, {4, 256, 50257}};
         for (const auto& shape : kSkinnyShapes) {
             for (int64_t t : threads) {
                 auto* bench = benchmark::RegisterBenchmark(

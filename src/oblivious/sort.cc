@@ -85,20 +85,4 @@ ObliviousSortByKey(std::span<uint64_t> keys, std::span<uint32_t> rows,
     }
 }
 
-void
-ObliviousSort(std::span<uint64_t> keys)
-{
-    ObliviousSortByKey(keys, {}, 0);
-}
-
-void
-ObliviousShuffle(std::span<uint32_t> rows, int64_t row_words,
-                 int64_t num_rows, Rng& rng)
-{
-    assert(static_cast<int64_t>(rows.size()) == num_rows * row_words);
-    std::vector<uint64_t> keys(static_cast<size_t>(num_rows));
-    for (auto& k : keys) k = rng.Next();
-    ObliviousSortByKey(keys, rows, row_words);
-}
-
 }  // namespace secemb::oblivious

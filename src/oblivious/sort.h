@@ -2,7 +2,7 @@
 
 /**
  * @file
- * Oblivious sorting and shuffling (bitonic network).
+ * Oblivious sorting (bitonic network).
  *
  * A sorting network's compare-exchange sequence depends only on the input
  * *length*, so sorting with constant-time swaps is data-oblivious — the
@@ -14,8 +14,6 @@
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "tensor/rng.h"
 
 namespace secemb::oblivious {
 
@@ -32,16 +30,5 @@ namespace secemb::oblivious {
  */
 void ObliviousSortByKey(std::span<uint64_t> keys,
                         std::span<uint32_t> rows, int64_t row_words);
-
-/** Key-only convenience wrapper. */
-void ObliviousSort(std::span<uint64_t> keys);
-
-/**
- * Oblivious uniform shuffle: attach random keys and sort by them. The
- * resulting permutation is uniform (up to RNG quality and the negligible
- * probability of key collisions) and the trace is input-independent.
- */
-void ObliviousShuffle(std::span<uint32_t> rows, int64_t row_words,
-                      int64_t num_rows, Rng& rng);
 
 }  // namespace secemb::oblivious

@@ -15,6 +15,15 @@
  *                    int64_t kc,            // depth of this k block
  *                    float* acc);           // kMr*kNr out, 64B aligned
  *
+ * Tile keeps its kMr x kNr accumulators in registers. Every SIMD tile
+ * follows one idiom: `c[kMr][2] = {}` zeroes them, `#pragma GCC
+ * unroll kMr` unrolls the row loop inside the k loop (GCC 12 does not
+ * at -O2), and one memcpy of c stores them, so no access indexes c by
+ * a loop variable and c never lives on the stack (the scalar tiles
+ * unroll the same row loop). tests/codegen_test.cc fails any
+ * multiply-accumulate loop that loads and stores the same memory
+ * operand.
+ *
  * Tile computes acc = pa * pb over kc steps (overwriting acc); the
  * driver owns everything else, including C accumulation across k blocks
  * and the bias/activation/preact epilogue on the final block. Keeping

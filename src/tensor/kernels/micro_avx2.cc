@@ -3,8 +3,9 @@
  * AVX2+FMA microkernels: the f32 6x16 register tile (12 ymm
  * accumulators + 2 B vectors + 1 broadcast = 15 of 16 registers), the
  * bf16 variant (same FMA pattern behind widening B loads), and the
- * int8 tile (pmaddubsw + pmaddwd over depth-groups of 4 — the 7-bit
- * unsigned A quantization keeps the i16 pair sums below saturation).
+ * 4x16 int8 tile (pmaddubsw + pmaddwd over depth-groups of 4 — the
+ * 7-bit unsigned A quantization keeps the i16 pair sums below
+ * saturation). All three follow the register-tile idiom of driver.h.
  * Compiled with -mavx2 -mfma on this TU only; the dispatcher never
  * selects it unless the CPU reports both features.
  */
@@ -27,59 +28,31 @@ struct MicroAvx2
     static void
     Tile(const float* pa, const float* pb, int64_t kc, float* acc)
     {
-        __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
-        __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
-        __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
-        __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
-        __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
-        __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
+        __m256 c[kMr][2] = {};
         for (int64_t p = 0; p < kc; ++p) {
             // Panel rows are 64B groups off a 64B base: aligned loads.
             const __m256 b0 = _mm256_load_ps(pb + p * kNr);
             const __m256 b1 = _mm256_load_ps(pb + p * kNr + 8);
             const float* av = pa + p * kMr;
-            __m256 a;
-            a = _mm256_broadcast_ss(av + 0);
-            c00 = _mm256_fmadd_ps(a, b0, c00);
-            c01 = _mm256_fmadd_ps(a, b1, c01);
-            a = _mm256_broadcast_ss(av + 1);
-            c10 = _mm256_fmadd_ps(a, b0, c10);
-            c11 = _mm256_fmadd_ps(a, b1, c11);
-            a = _mm256_broadcast_ss(av + 2);
-            c20 = _mm256_fmadd_ps(a, b0, c20);
-            c21 = _mm256_fmadd_ps(a, b1, c21);
-            a = _mm256_broadcast_ss(av + 3);
-            c30 = _mm256_fmadd_ps(a, b0, c30);
-            c31 = _mm256_fmadd_ps(a, b1, c31);
-            a = _mm256_broadcast_ss(av + 4);
-            c40 = _mm256_fmadd_ps(a, b0, c40);
-            c41 = _mm256_fmadd_ps(a, b1, c41);
-            a = _mm256_broadcast_ss(av + 5);
-            c50 = _mm256_fmadd_ps(a, b0, c50);
-            c51 = _mm256_fmadd_ps(a, b1, c51);
+#pragma GCC unroll kMr
+            for (int r = 0; r < kMr; ++r) {
+                const __m256 a = _mm256_broadcast_ss(av + r);
+                c[r][0] = _mm256_fmadd_ps(a, b0, c[r][0]);
+                c[r][1] = _mm256_fmadd_ps(a, b1, c[r][1]);
+            }
         }
-        _mm256_store_ps(acc + 0 * kNr, c00);
-        _mm256_store_ps(acc + 0 * kNr + 8, c01);
-        _mm256_store_ps(acc + 1 * kNr, c10);
-        _mm256_store_ps(acc + 1 * kNr + 8, c11);
-        _mm256_store_ps(acc + 2 * kNr, c20);
-        _mm256_store_ps(acc + 2 * kNr + 8, c21);
-        _mm256_store_ps(acc + 3 * kNr, c30);
-        _mm256_store_ps(acc + 3 * kNr + 8, c31);
-        _mm256_store_ps(acc + 4 * kNr, c40);
-        _mm256_store_ps(acc + 4 * kNr + 8, c41);
-        _mm256_store_ps(acc + 5 * kNr, c50);
-        _mm256_store_ps(acc + 5 * kNr + 8, c51);
+        std::memcpy(acc, c, sizeof(c));
     }
 };
 
-/** 16 bf16 lanes widened to two f32 ymm vectors (exact: bf16 is the
- * truncated top half of the f32 bit pattern). */
+/** 8 bf16 lanes at a 16B-aligned `h` widened to one f32 ymm (exact:
+ * bf16 is the truncated top half of the f32 bit pattern). */
 inline __m256
-WidenBf16(__m128i h)
+WidenBf16(const uint16_t* h)
 {
+    const __m128i v = _mm_load_si128(reinterpret_cast<const __m128i*>(h));
     return _mm256_castsi256_ps(
-        _mm256_slli_epi32(_mm256_cvtepu16_epi32(h), 16));
+        _mm256_slli_epi32(_mm256_cvtepu16_epi32(v), 16));
 }
 
 struct MicroAvx2Bf16
@@ -90,69 +63,37 @@ struct MicroAvx2Bf16
     static void
     TileBf16(const float* pa, const uint16_t* pb, int64_t kc, float* acc)
     {
-        __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
-        __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
-        __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
-        __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
-        __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
-        __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
+        __m256 c[kMr][2] = {};
         for (int64_t p = 0; p < kc; ++p) {
             // Panel rows are 32B groups off a 64B base: aligned loads.
-            const __m256i bh = _mm256_load_si256(
-                reinterpret_cast<const __m256i*>(pb + p * kNr));
-            const __m256 b0 = WidenBf16(_mm256_castsi256_si128(bh));
-            const __m256 b1 = WidenBf16(_mm256_extracti128_si256(bh, 1));
+            const __m256 b0 = WidenBf16(pb + p * kNr);
+            const __m256 b1 = WidenBf16(pb + p * kNr + 8);
             const float* av = pa + p * kMr;
-            __m256 a;
-            a = _mm256_broadcast_ss(av + 0);
-            c00 = _mm256_fmadd_ps(a, b0, c00);
-            c01 = _mm256_fmadd_ps(a, b1, c01);
-            a = _mm256_broadcast_ss(av + 1);
-            c10 = _mm256_fmadd_ps(a, b0, c10);
-            c11 = _mm256_fmadd_ps(a, b1, c11);
-            a = _mm256_broadcast_ss(av + 2);
-            c20 = _mm256_fmadd_ps(a, b0, c20);
-            c21 = _mm256_fmadd_ps(a, b1, c21);
-            a = _mm256_broadcast_ss(av + 3);
-            c30 = _mm256_fmadd_ps(a, b0, c30);
-            c31 = _mm256_fmadd_ps(a, b1, c31);
-            a = _mm256_broadcast_ss(av + 4);
-            c40 = _mm256_fmadd_ps(a, b0, c40);
-            c41 = _mm256_fmadd_ps(a, b1, c41);
-            a = _mm256_broadcast_ss(av + 5);
-            c50 = _mm256_fmadd_ps(a, b0, c50);
-            c51 = _mm256_fmadd_ps(a, b1, c51);
+#pragma GCC unroll kMr
+            for (int r = 0; r < kMr; ++r) {
+                const __m256 a = _mm256_broadcast_ss(av + r);
+                c[r][0] = _mm256_fmadd_ps(a, b0, c[r][0]);
+                c[r][1] = _mm256_fmadd_ps(a, b1, c[r][1]);
+            }
         }
-        _mm256_store_ps(acc + 0 * kNr, c00);
-        _mm256_store_ps(acc + 0 * kNr + 8, c01);
-        _mm256_store_ps(acc + 1 * kNr, c10);
-        _mm256_store_ps(acc + 1 * kNr + 8, c11);
-        _mm256_store_ps(acc + 2 * kNr, c20);
-        _mm256_store_ps(acc + 2 * kNr + 8, c21);
-        _mm256_store_ps(acc + 3 * kNr, c30);
-        _mm256_store_ps(acc + 3 * kNr + 8, c31);
-        _mm256_store_ps(acc + 4 * kNr, c40);
-        _mm256_store_ps(acc + 4 * kNr + 8, c41);
-        _mm256_store_ps(acc + 5 * kNr, c50);
-        _mm256_store_ps(acc + 5 * kNr + 8, c51);
+        std::memcpy(acc, c, sizeof(c));
     }
 };
 
+/** 4 rows, not the f32 tile's 6: 12 accumulators plus the two B
+ * vectors, the broadcast, `ones` and a product need 17 ymm registers,
+ * one more than AVX2 has, so a 6-row tile spills an accumulator. */
 struct MicroAvx2Int8
 {
-    static constexpr int kMr = 6;
+    static constexpr int kMr = 4;
     static constexpr int kNr = 16;
 
     static void
     TileInt8(const uint8_t* qa, const int8_t* qb, int64_t groups,
              int32_t* acc)
     {
-        // 12 i32 accumulators; each ymm covers 8 columns x 4 depths.
-        __m256i c[kMr][2];
-        for (int r = 0; r < kMr; ++r) {
-            c[r][0] = _mm256_setzero_si256();
-            c[r][1] = _mm256_setzero_si256();
-        }
+        // 8 i32 accumulators; each ymm covers 8 columns x 4 depths.
+        __m256i c[kMr][2] = {};
         const __m256i ones = _mm256_set1_epi16(1);
         for (int64_t g = 0; g < groups; ++g) {
             // Panel groups are 64B off a 64B base: aligned loads.
@@ -161,6 +102,7 @@ struct MicroAvx2Int8
             const __m256i b1 = _mm256_load_si256(
                 reinterpret_cast<const __m256i*>(qb + g * 4 * kNr + 32));
             const uint8_t* av = qa + g * 4 * kMr;
+#pragma GCC unroll kMr
             for (int r = 0; r < kMr; ++r) {
                 uint32_t aw;
                 std::memcpy(&aw, av + r * 4, sizeof(aw));
@@ -176,12 +118,7 @@ struct MicroAvx2Int8
                                            _mm256_madd_epi16(p1, ones));
             }
         }
-        for (int r = 0; r < kMr; ++r) {
-            _mm256_store_si256(reinterpret_cast<__m256i*>(acc + r * kNr),
-                               c[r][0]);
-            _mm256_store_si256(
-                reinterpret_cast<__m256i*>(acc + r * kNr + 8), c[r][1]);
-        }
+        std::memcpy(acc, c, sizeof(c));
     }
 };
 

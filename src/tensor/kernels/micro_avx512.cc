@@ -1,14 +1,18 @@
 /**
  * @file
  * AVX-512F microkernels: the f32 8x32 register tile (16 zmm
- * accumulators + 2 B vectors + 1 broadcast of 32 registers) and the
- * bf16 variant widening 2-byte B groups on load (avx512f only — no
- * avx512bf16 needed). Compiled with -mavx512f on this TU only;
- * selected at runtime only when the CPU reports avx512f. The int8
- * vpdpbusd tile needs -mavx512vnni and lives in micro_int8_avx512.cc.
+ * accumulators + 2 B vectors + 1 broadcast of 32 registers), which
+ * also prefetches its B panel, and the bf16 variant widening 2-byte B
+ * groups on load (avx512f only — no avx512bf16 needed). Both follow
+ * the register-tile idiom of driver.h. Compiled with -mavx512f on this
+ * TU only; selected at runtime only when the CPU reports avx512f. The
+ * int8 vpdpbusd tile needs -mavx512vnni and lives in
+ * micro_int8_avx512.cc.
  */
 
 #include <immintrin.h>
+
+#include <cstring>
 
 #include "tensor/kernels/driver.h"
 
@@ -20,39 +24,55 @@ struct MicroAvx512
 {
     static constexpr int kMr = 8;
     static constexpr int kNr = 32;
+    /** B-panel prefetch distance in k steps: 16 groups of 128 B run
+     * 2 KB ahead of the loads. On the 4 x 256 x 50257 LM head, one
+     * thread, 16 steps took 4.3 ms against 6.3 ms at 8, 5.8 ms at 32
+     * and 8.9 ms with no prefetch (medians of 6 interleaved runs). */
+    static constexpr int64_t kPrefetchSteps = 16;
 
     static void
     Tile(const float* pa, const float* pb, int64_t kc, float* acc)
     {
-        __m512 c[kMr][2];
-        for (int r = 0; r < kMr; ++r) {
-            c[r][0] = _mm512_setzero_ps();
-            c[r][1] = _mm512_setzero_ps();
-        }
+        __m512 c[kMr][2] = {};
         for (int64_t p = 0; p < kc; ++p) {
+            // Skinny-m shapes stream B from memory, and the hardware
+            // prefetcher stops at 4 KB pages: request both lines of the
+            // group kPrefetchSteps ahead. The address depends only on
+            // the panel base and p (public shape), never on data. It
+            // may lie past the panel's end, where a prefetch cannot
+            // fault, so it is formed as an integer, not a float*.
+            const uintptr_t ahead =
+                reinterpret_cast<uintptr_t>(pb + p * kNr) +
+                kPrefetchSteps * kNr * sizeof(float);
+            _mm_prefetch(reinterpret_cast<const char*>(ahead), _MM_HINT_T0);
+            _mm_prefetch(reinterpret_cast<const char*>(ahead + 64),
+                         _MM_HINT_T0);
             // Panel rows are 128B groups off a 64B base: aligned loads.
             const __m512 b0 = _mm512_load_ps(pb + p * kNr);
             const __m512 b1 = _mm512_load_ps(pb + p * kNr + 16);
             const float* av = pa + p * kMr;
+#pragma GCC unroll kMr
             for (int r = 0; r < kMr; ++r) {
                 const __m512 a = _mm512_set1_ps(av[r]);
                 c[r][0] = _mm512_fmadd_ps(a, b0, c[r][0]);
                 c[r][1] = _mm512_fmadd_ps(a, b1, c[r][1]);
             }
         }
-        for (int r = 0; r < kMr; ++r) {
-            _mm512_store_ps(acc + r * kNr, c[r][0]);
-            _mm512_store_ps(acc + r * kNr + 16, c[r][1]);
-        }
+        std::memcpy(acc, c, sizeof(c));
     }
 };
 
-/** 16 bf16 lanes widened to one f32 zmm (exact widening). */
+/** 16 bf16 lanes at a 32B-aligned `h` widened to one f32 zmm (exact
+ * widening). The all-ones maskz forms compute the same values as the
+ * unmasked intrinsics, whose undefined pass-through operand GCC 12
+ * reports as maybe-uninitialized. */
 inline __m512
-WidenBf16(__m256i h)
+WidenBf16(const uint16_t* h)
 {
-    return _mm512_castsi512_ps(
-        _mm512_slli_epi32(_mm512_cvtepu16_epi32(h), 16));
+    const __m256i v =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(h));
+    return _mm512_castsi512_ps(_mm512_maskz_slli_epi32(
+        0xFFFF, _mm512_maskz_cvtepu16_epi32(0xFFFF, v), 16));
 }
 
 struct MicroAvx512Bf16
@@ -63,28 +83,20 @@ struct MicroAvx512Bf16
     static void
     TileBf16(const float* pa, const uint16_t* pb, int64_t kc, float* acc)
     {
-        __m512 c[kMr][2];
-        for (int r = 0; r < kMr; ++r) {
-            c[r][0] = _mm512_setzero_ps();
-            c[r][1] = _mm512_setzero_ps();
-        }
+        __m512 c[kMr][2] = {};
         for (int64_t p = 0; p < kc; ++p) {
             // Panel rows are 64B groups off a 64B base: aligned loads.
-            const __m512i bh = _mm512_load_si512(pb + p * kNr);
-            const __m512 b0 = WidenBf16(_mm512_castsi512_si256(bh));
-            const __m512 b1 =
-                WidenBf16(_mm512_extracti64x4_epi64(bh, 1));
+            const __m512 b0 = WidenBf16(pb + p * kNr);
+            const __m512 b1 = WidenBf16(pb + p * kNr + 16);
             const float* av = pa + p * kMr;
+#pragma GCC unroll kMr
             for (int r = 0; r < kMr; ++r) {
                 const __m512 a = _mm512_set1_ps(av[r]);
                 c[r][0] = _mm512_fmadd_ps(a, b0, c[r][0]);
                 c[r][1] = _mm512_fmadd_ps(a, b1, c[r][1]);
             }
         }
-        for (int r = 0; r < kMr; ++r) {
-            _mm512_store_ps(acc + r * kNr, c[r][0]);
-            _mm512_store_ps(acc + r * kNr + 16, c[r][1]);
-        }
+        std::memcpy(acc, c, sizeof(c));
     }
 };
 

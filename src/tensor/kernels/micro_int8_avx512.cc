@@ -28,16 +28,13 @@ struct MicroInt8Avx512
              int32_t* acc)
     {
         // 16 i32 accumulators; each zmm covers 16 columns x 4 depths.
-        __m512i c[kMr][2];
-        for (int r = 0; r < kMr; ++r) {
-            c[r][0] = _mm512_setzero_si512();
-            c[r][1] = _mm512_setzero_si512();
-        }
+        __m512i c[kMr][2] = {};
         for (int64_t g = 0; g < groups; ++g) {
             // Panel groups are 128B off a 64B base: aligned loads.
             const __m512i b0 = _mm512_load_si512(qb + g * 4 * kNr);
             const __m512i b1 = _mm512_load_si512(qb + g * 4 * kNr + 64);
             const uint8_t* av = qa + g * 4 * kMr;
+#pragma GCC unroll kMr
             for (int r = 0; r < kMr; ++r) {
                 uint32_t aw;
                 std::memcpy(&aw, av + r * 4, sizeof(aw));
@@ -47,10 +44,7 @@ struct MicroInt8Avx512
                 c[r][1] = _mm512_dpbusd_epi32(c[r][1], a, b1);
             }
         }
-        for (int r = 0; r < kMr; ++r) {
-            _mm512_store_si512(acc + r * kNr, c[r][0]);
-            _mm512_store_si512(acc + r * kNr + 16, c[r][1]);
-        }
+        std::memcpy(acc, c, sizeof(c));
     }
 };
 

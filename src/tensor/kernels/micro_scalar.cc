@@ -24,6 +24,7 @@ struct MicroScalar
         for (int64_t p = 0; p < kc; ++p) {
             const float* av = pa + p * kMr;
             const float* bv = pb + p * kNr;
+#pragma GCC unroll kMr
             for (int r = 0; r < kMr; ++r) {
                 const float a = av[r];
                 for (int j = 0; j < kNr; ++j) sum[r][j] += a * bv[j];
@@ -49,6 +50,7 @@ struct MicroScalarBf16
             const uint16_t* bv = pb + p * kNr;
             float b[kNr];
             for (int j = 0; j < kNr; ++j) b[j] = Bf16ToF32(bv[j]);
+#pragma GCC unroll kMr
             for (int r = 0; r < kMr; ++r) {
                 const float a = av[r];
                 for (int j = 0; j < kNr; ++j) sum[r][j] += a * b[j];

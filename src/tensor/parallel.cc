@@ -48,8 +48,10 @@ JitterSpin()
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     const uint32_t spins = static_cast<uint32_t>(z >> 33) % max_spin;
-    for (volatile uint32_t i = 0; i < spins; ++i) {
-    }
+    // The volatile counter keeps the loop from being deleted (a plain
+    // assignment: ++ on a volatile is deprecated in C++20).
+    volatile uint32_t spun = 0;
+    while (spun < spins) spun = spun + 1;
 }
 
 /**

@@ -1,0 +1,531 @@
+/**
+ * @file
+ * Codegen guard for the GEMM microkernels: every tile must keep its
+ * accumulators in registers.
+ *
+ * The test disassembles the micro_*.cc objects of secemb_tensor with
+ * the toolchain's objdump and walks every innermost loop (a backward
+ * branch with no other backward branch inside it). A loop that issues
+ * a packed multiply-accumulate (vfmadd*ps, vpdpbusd, vpmaddwd, or
+ * mulps together with addps) must not both read and store the same
+ * memory operand: that is an accumulator living on the stack, loaded
+ * and stored around every multiply-accumulate. Operands are compared
+ * as addresses, not as text, by tracking constant pointer bumps
+ * (add/sub/lea/inc/dec) through the loop body, so `(%rax)` read before
+ * `sub $-0x80,%rax` matches `-0x80(%rax)` stored after it.
+ *
+ * The first tests run the checker on fixed listings so its rule is
+ * pinned independently of what the compiler emits today.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cctype>
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
+namespace {
+
+struct Insn
+{
+    uint64_t addr = 0;
+    std::string mnemonic;
+    std::vector<std::string> operands;  // AT&T order: destination last
+    std::string text;
+};
+
+struct Function
+{
+    std::string object;
+    std::string name;
+    std::vector<Insn> insns;
+};
+
+/** A loop that round-trips an accumulator through memory. */
+struct Finding
+{
+    std::string object;
+    std::string function;
+    std::vector<std::string> lines;  // the loop body
+};
+
+bool
+StartsWith(const std::string& s, const std::string& prefix)
+{
+    return s.compare(0, prefix.size(), prefix) == 0;
+}
+
+std::string
+Trim(const std::string& s)
+{
+    const size_t b = s.find_first_not_of(" \t");
+    if (b == std::string::npos) return "";
+    const size_t e = s.find_last_not_of(" \t");
+    return s.substr(b, e - b + 1);
+}
+
+/** Splits "a,(b,c,4),d" at top-level commas. */
+std::vector<std::string>
+SplitOperands(const std::string& s)
+{
+    std::vector<std::string> out;
+    std::string cur;
+    int depth = 0;
+    for (const char ch : s) {
+        if (ch == '(' || ch == '{') ++depth;
+        if (ch == ')' || ch == '}') --depth;
+        if (ch == ',' && depth == 0) {
+            out.push_back(Trim(cur));
+            cur.clear();
+        } else {
+            cur.push_back(ch);
+        }
+    }
+    if (!Trim(cur).empty()) out.push_back(Trim(cur));
+    return out;
+}
+
+/** Parses `objdump -d --no-show-raw-insn` output into functions. */
+std::vector<Function>
+ParseListing(const std::string& listing)
+{
+    static const std::set<std::string> kPrefixes = {
+        "lock", "rep", "repz", "repnz", "repe", "repne", "notrack",
+        "bnd", "data16", "addr32", "cs", "ds", "es", "ss", "fs", "gs"};
+    std::vector<Function> fns;
+    std::string object;
+    std::istringstream in(listing);
+    std::string line;
+    while (std::getline(in, line)) {
+        const size_t fmt = line.find(":     file format ");
+        if (fmt != std::string::npos) {
+            object = line.substr(0, fmt);
+            continue;
+        }
+        // "0000000000000e40 <symbol>:" opens a function.
+        const size_t lt = line.find(" <");
+        if (lt != std::string::npos && line.back() == ':' &&
+            std::isxdigit(static_cast<unsigned char>(line[0]))) {
+            fns.push_back(
+                {object, line.substr(lt + 2, line.size() - lt - 4), {}});
+            continue;
+        }
+        // "     e40:\tvpmovzxwd (%rcx),%zmm1" is one instruction.
+        const size_t colon = line.find(":\t");
+        if (fns.empty() || colon == std::string::npos) continue;
+        const std::string addr = Trim(line.substr(0, colon));
+        if (addr.empty() ||
+            addr.find_first_not_of("0123456789abcdef") != std::string::npos) {
+            continue;
+        }
+        std::string body = line.substr(colon + 2);
+        const size_t hash = body.find('#');
+        if (hash != std::string::npos) body = body.substr(0, hash);
+        const size_t sym = body.find(" <");
+        if (sym != std::string::npos) body = body.substr(0, sym);
+        Insn insn;
+        insn.addr = std::stoull(addr, nullptr, 16);
+        insn.text = Trim(line.substr(colon + 2));
+        std::istringstream words(body);
+        std::string word;
+        while (words >> word && kPrefixes.count(word) != 0) {
+        }
+        insn.mnemonic = word;
+        std::string rest;
+        std::getline(words, rest);
+        insn.operands = SplitOperands(Trim(rest));
+        fns.back().insns.push_back(std::move(insn));
+    }
+    return fns;
+}
+
+bool
+IsMemory(const std::string& op)
+{
+    return op.find('(') != std::string::npos;
+}
+
+/** 64-bit name of a general-purpose register ("%r8d" -> "r8",
+ * "%eax" -> "rax"); empty for anything else. */
+std::string
+Gpr64(std::string op)
+{
+    if (op.empty() || op[0] != '%') return "";
+    op = op.substr(1);
+    static const std::map<std::string, std::string> kLegacy = {
+        {"eax", "rax"}, {"ax", "rax"}, {"al", "rax"}, {"ebx", "rbx"},
+        {"bx", "rbx"},  {"bl", "rbx"}, {"ecx", "rcx"}, {"cx", "rcx"},
+        {"cl", "rcx"},  {"edx", "rdx"}, {"dx", "rdx"}, {"dl", "rdx"},
+        {"esi", "rsi"}, {"si", "rsi"}, {"sil", "rsi"}, {"edi", "rdi"},
+        {"di", "rdi"},  {"dil", "rdi"}, {"ebp", "rbp"}, {"bp", "rbp"},
+        {"bpl", "rbp"}, {"esp", "rsp"}, {"sp", "rsp"}, {"spl", "rsp"}};
+    const auto it = kLegacy.find(op);
+    if (it != kLegacy.end()) return it->second;
+    static const std::set<std::string> k64 = {"rax", "rbx", "rcx", "rdx",
+                                              "rsi", "rdi", "rbp", "rsp"};
+    if (k64.count(op) != 0) return op;
+    // r8..r15 with an optional d/w/b suffix.
+    const size_t digits = op.find_first_not_of("0123456789", 1);
+    if (op[0] == 'r' && digits != 1) return op.substr(0, digits);
+    return "";
+}
+
+int64_t
+ParseSigned(const std::string& s)
+{
+    if (s.empty()) return 0;
+    const bool neg = s[0] == '-';
+    const std::string mag = neg ? s.substr(1) : s;
+    const uint64_t v = std::stoull(mag, nullptr, 0);
+    return neg ? -static_cast<int64_t>(v) : static_cast<int64_t>(v);
+}
+
+/** Symbolic register state over one pass of a loop body: each GPR has
+ * a generation (bumped when it is overwritten) and a constant offset
+ * accumulated from pointer bumps since then. */
+struct RegState
+{
+    std::map<std::string, int> gen;
+    std::map<std::string, int64_t> delta;
+
+    /** "disp(base,index,scale)" as a canonical address; empty for
+     * RIP-relative operands (read-only constants). */
+    std::string
+    Address(std::string op) const
+    {
+        const size_t brace = op.find('{');
+        if (brace != std::string::npos) op = op.substr(0, brace);
+        const size_t colon = op.find(':');  // segment override
+        if (colon != std::string::npos) op = op.substr(colon + 1);
+        const size_t lp = op.find('(');
+        const size_t rp = op.find(')', lp);
+        const std::vector<std::string> parts =
+            SplitOperands(op.substr(lp + 1, rp - lp - 1));
+        if (!parts.empty() && parts[0] == "%rip") return "";
+        const std::string base = parts.size() > 0 ? Gpr64(parts[0]) : "";
+        const std::string index = parts.size() > 1 ? Gpr64(parts[1]) : "";
+        const int64_t scale = parts.size() > 2 ? ParseSigned(parts[2]) : 1;
+        int64_t disp = ParseSigned(Trim(op.substr(0, lp)));
+        disp += Delta(base) + scale * Delta(index);
+        std::ostringstream key;
+        key << base << '#' << Gen(base) << ',' << index << '#' << Gen(index)
+            << ',' << scale << ',' << disp;
+        return key.str();
+    }
+
+    int
+    Gen(const std::string& r) const
+    {
+        const auto it = gen.find(r);
+        return it == gen.end() ? 0 : it->second;
+    }
+
+    int64_t
+    Delta(const std::string& r) const
+    {
+        const auto it = delta.find(r);
+        return it == delta.end() ? 0 : it->second;
+    }
+
+    /** Applies the instruction's effect on general-purpose registers. */
+    void
+    Update(const Insn& insn)
+    {
+        if (insn.operands.empty()) return;
+        const std::string dst = Gpr64(insn.operands.back());
+        if (dst.empty()) return;
+        const std::string& m = insn.mnemonic;
+        if (StartsWith(m, "cmp") || StartsWith(m, "test") ||
+            StartsWith(m, "push")) {
+            return;
+        }
+        const std::string& src = insn.operands.front();
+        const bool imm = insn.operands.size() == 2 && StartsWith(src, "$");
+        const size_t lp = src.find('('), rp = src.find(')');
+        if (imm && StartsWith(m, "add")) {
+            delta[dst] += ParseSigned(src.substr(1));
+        } else if (imm && StartsWith(m, "sub")) {
+            delta[dst] -= ParseSigned(src.substr(1));
+        } else if (insn.operands.size() == 1 && StartsWith(m, "inc")) {
+            delta[dst] += 1;
+        } else if (insn.operands.size() == 1 && StartsWith(m, "dec")) {
+            delta[dst] -= 1;
+        } else if (StartsWith(m, "lea") && insn.operands.size() == 2 &&
+                   lp != std::string::npos &&
+                   src.find(',') == std::string::npos &&
+                   Gpr64(src.substr(lp + 1, rp - lp - 1)) == dst) {
+            // lea disp(%reg),%reg: a pointer bump by disp.
+            delta[dst] += ParseSigned(Trim(src.substr(0, lp)));
+        } else {
+            ++gen[dst];
+            delta[dst] = 0;
+        }
+    }
+};
+
+bool
+IsPureStore(const std::string& m)
+{
+    return StartsWith(m, "mov") || StartsWith(m, "vmov") ||
+           StartsWith(m, "vextract") || StartsWith(m, "vpmov");
+}
+
+bool
+WritesNothing(const std::string& m)
+{
+    return StartsWith(m, "cmp") || StartsWith(m, "test") ||
+           StartsWith(m, "vptest") || StartsWith(m, "prefetch") ||
+           StartsWith(m, "bt") || StartsWith(m, "ucomi") ||
+           StartsWith(m, "comi") || StartsWith(m, "vucomi") ||
+           StartsWith(m, "vcomi") || StartsWith(m, "push") ||
+           StartsWith(m, "nop");
+}
+
+/** Whether a loop body issues a packed multiply-accumulate. */
+bool
+HasPackedMac(const std::vector<const Insn*>& body)
+{
+    bool mulps = false, addps = false;
+    for (const Insn* insn : body) {
+        const std::string& m = insn->mnemonic;
+        if ((StartsWith(m, "vfmadd") && m.size() > 2 &&
+             m.compare(m.size() - 2, 2, "ps") == 0) ||
+            m == "vpdpbusd" || m == "vpmaddwd") {
+            return true;
+        }
+        mulps |= m == "mulps" || m == "vmulps";
+        addps |= m == "addps" || m == "vaddps";
+    }
+    return mulps && addps;
+}
+
+/** Every innermost multiply-accumulate loop of `listing` that reads
+ * and stores the same memory operand. `mac_loops` counts the innermost
+ * multiply-accumulate loops seen, so a caller can tell "clean" from
+ * "checked nothing". */
+std::vector<Finding>
+FindAccumulatorRoundTrips(const std::string& listing, int* mac_loops)
+{
+    std::vector<Finding> findings;
+    *mac_loops = 0;
+    for (const Function& fn : ParseListing(listing)) {
+        // Backward branches within the function: [target, branch].
+        std::vector<std::pair<size_t, size_t>> loops;
+        for (size_t i = 0; i < fn.insns.size(); ++i) {
+            const Insn& insn = fn.insns[i];
+            if (insn.mnemonic.empty() || insn.mnemonic[0] != 'j' ||
+                insn.operands.size() != 1) {
+                continue;
+            }
+            const std::string& op = insn.operands[0];
+            if (op.empty() ||
+                op.find_first_not_of("0123456789abcdef") !=
+                    std::string::npos) {
+                continue;  // indirect, or not an address
+            }
+            const uint64_t target = std::stoull(op, nullptr, 16);
+            if (target > insn.addr) continue;
+            for (size_t t = 0; t <= i; ++t) {
+                if (fn.insns[t].addr == target) {
+                    loops.emplace_back(t, i);
+                    break;
+                }
+            }
+        }
+        for (const auto& [b, e] : loops) {
+            bool innermost = true;
+            for (const auto& [b2, e2] : loops) {
+                if ((b2 != b || e2 != e) && b <= b2 && e2 <= e) {
+                    innermost = false;
+                }
+            }
+            if (!innermost) continue;
+            std::vector<const Insn*> body;
+            for (size_t i = b; i <= e; ++i) body.push_back(&fn.insns[i]);
+            if (!HasPackedMac(body)) continue;
+            ++*mac_loops;
+
+            RegState regs;
+            std::set<std::string> reads, writes;
+            for (const Insn* insn : body) {
+                const auto& ops = insn->operands;
+                for (size_t o = 0; o < ops.size(); ++o) {
+                    if (!IsMemory(ops[o])) continue;
+                    const std::string addr = regs.Address(ops[o]);
+                    if (addr.empty() || StartsWith(insn->mnemonic, "lea") ||
+                        StartsWith(insn->mnemonic, "prefetch")) {
+                        continue;
+                    }
+                    const bool dst = o + 1 == ops.size() && ops.size() > 1;
+                    if (!dst || !IsPureStore(insn->mnemonic)) {
+                        reads.insert(addr);
+                    }
+                    if ((dst || ops.size() == 1) &&
+                        !WritesNothing(insn->mnemonic)) {
+                        writes.insert(addr);
+                    }
+                }
+                regs.Update(*insn);
+            }
+            bool round_trip = false;
+            for (const std::string& w : writes) {
+                round_trip |= reads.count(w) != 0;
+            }
+            if (!round_trip) continue;
+            Finding f{fn.object, fn.name, {}};
+            for (const Insn* insn : body) f.lines.push_back(insn->text);
+            findings.push_back(std::move(f));
+        }
+    }
+    return findings;
+}
+
+std::string
+Describe(const std::vector<Finding>& findings)
+{
+    std::ostringstream out;
+    for (const Finding& f : findings) {
+        out << "\n" << f.object << ": " << f.function << "\n";
+        for (const std::string& l : f.lines) out << "    " << l << "\n";
+    }
+    return out.str();
+}
+
+// Loop bodies as GCC 12 emitted them for the tiles before their row
+// loops were unrolled.
+constexpr const char* kStackAccumulatorF32 =
+    "micro_avx512.cc.o:     file format elf64-x86-64\n"
+    "0000000000000d00 <tile>:\n"
+    "     e60:\tvbroadcastss (%rcx),%zmm0\n"
+    "     e66:\tsub    $0xffffffffffffff80,%rdx\n"
+    "     e6a:\tadd    $0x4,%rcx\n"
+    "     e6e:\tvmovaps %zmm0,%zmm2\n"
+    "     e74:\tvfmadd213ps -0x40(%rdx),%zmm1,%zmm0\n"
+    "     e7b:\tvfmadd213ps -0x80(%rdx),%zmm3,%zmm2\n"
+    "     e82:\tvmovaps %zmm0,-0x40(%rdx)\n"
+    "     e89:\tvmovaps %zmm2,-0x80(%rdx)\n"
+    "     e90:\tcmp    %rdx,%rbx\n"
+    "     e93:\tjne    e60 <tile+0x160>\n";
+
+constexpr const char* kStackAccumulatorVnni =
+    "micro_int8_avx512.cc.o:     file format elf64-x86-64\n"
+    "0000000000000a00 <tile>:\n"
+    "     b70:\tvpbroadcastd (%rdx),%zmm1\n"
+    "     b76:\tvmovdqa32 (%rax),%zmm0\n"
+    "     b7c:\tsub    $0xffffffffffffff80,%rax\n"
+    "     b80:\tadd    $0x4,%rdx\n"
+    "     b84:\tvpdpbusd %zmm3,%zmm1,%zmm0\n"
+    "     b8a:\tvmovdqa32 %zmm0,-0x80(%rax)\n"
+    "     ba5:\tcmp    %rbx,%rax\n"
+    "     ba8:\tjne    b70 <tile+0x170>\n";
+
+constexpr const char* kRegisterTile =
+    "micro_avx512.cc.o:     file format elf64-x86-64\n"
+    "0000000000000d00 <tile>:\n"
+    "     e40:\tprefetcht0 0x800(%rdx)\n"
+    "     e47:\tvmovaps (%rdx),%zmm1\n"
+    "     e4d:\tadd    $0x80,%rdx\n"
+    "     e51:\tvbroadcastss (%rcx),%zmm2\n"
+    "     e57:\tvfmadd231ps %zmm1,%zmm2,%zmm18\n"
+    "     e5d:\tadd    $0x20,%rcx\n"
+    "     e61:\tcmp    %rdx,%rbx\n"
+    "     e64:\tjne    e40 <tile+0x140>\n"
+    // A merge loop (no multiply-accumulate) may update memory freely.
+    "     e70:\tvmovups (%rdi,%rax,1),%zmm0\n"
+    "     e77:\tvaddps (%rsi,%rax,1),%zmm0,%zmm0\n"
+    "     e7e:\tvmovups %zmm0,(%rdi,%rax,1)\n"
+    "     e85:\tadd    $0x40,%rax\n"
+    "     e89:\tcmp    %rax,%r8\n"
+    "     e8c:\tjne    e70 <tile+0x170>\n";
+
+TEST(CodegenCheckerTest, FlagsAccumulatorLoadedAndStoredAtOneAddress)
+{
+    int mac_loops = 0;
+    EXPECT_EQ(FindAccumulatorRoundTrips(kStackAccumulatorF32, &mac_loops)
+                  .size(),
+              1u);
+    EXPECT_EQ(mac_loops, 1);
+}
+
+TEST(CodegenCheckerTest, FollowsPointerBumpsBetweenLoadAndStore)
+{
+    // (%rax) before `sub $-0x80,%rax` is -0x80(%rax) after it.
+    int mac_loops = 0;
+    EXPECT_EQ(FindAccumulatorRoundTrips(kStackAccumulatorVnni, &mac_loops)
+                  .size(),
+              1u);
+    EXPECT_EQ(mac_loops, 1);
+}
+
+TEST(CodegenCheckerTest, PassesRegisterTileAndMergeLoop)
+{
+    int mac_loops = 0;
+    const std::vector<Finding> findings =
+        FindAccumulatorRoundTrips(kRegisterTile, &mac_loops);
+    EXPECT_TRUE(findings.empty()) << Describe(findings);
+    EXPECT_EQ(mac_loops, 1);
+}
+
+/** `cmd`'s standard output; `ok` is false unless it exited 0. */
+std::string
+RunCommand(const std::string& cmd, bool* ok)
+{
+    std::string out;
+    FILE* pipe = popen(cmd.c_str(), "r");
+    *ok = pipe != nullptr;
+    if (pipe == nullptr) return out;
+    char buf[4096];
+    size_t n;
+    while ((n = fread(buf, 1, sizeof(buf), pipe)) > 0) out.append(buf, n);
+    *ok = pclose(pipe) == 0;
+    return out;
+}
+
+TEST(CodegenTest, MicrokernelAccumulatorsStayInRegisters)
+{
+    bool ok = false;
+    const std::string listing = RunCommand(
+        std::string("'") + SECEMB_OBJDUMP + "' -d -C --no-show-raw-insn '" +
+            SECEMB_TENSOR_ARCHIVE + "'",
+        &ok);
+    ASSERT_TRUE(ok) << "objdump failed on " << SECEMB_TENSOR_ARCHIVE;
+
+    // The archive's listing, split per object. Only the microkernel
+    // objects are checked: the naive reference GEMM in gemm.cc
+    // accumulates into C in memory by design.
+    std::map<std::string, std::string> objects;
+    std::string* current = nullptr;
+    std::istringstream in(listing);
+    std::string line;
+    while (std::getline(in, line)) {
+        const size_t fmt = line.find(":     file format ");
+        if (fmt != std::string::npos) {
+            const std::string object = line.substr(0, fmt);
+            current = StartsWith(object, "micro_") ? &objects[object]
+                                                   : nullptr;
+        }
+        if (current != nullptr) *current += line + "\n";
+    }
+    // The scalar tier is built everywhere.
+    EXPECT_EQ(objects.count("micro_scalar.cc.o"), 1u);
+    for (const auto& [object, text] : objects) {
+        int mac_loops = 0;
+        const std::vector<Finding> findings =
+            FindAccumulatorRoundTrips(text, &mac_loops);
+        EXPECT_TRUE(findings.empty())
+            << object << ": " << findings.size()
+            << " multiply-accumulate loop(s) keep an accumulator in "
+               "memory:"
+            << Describe(findings);
+        // Every tier has a multiply-accumulate tile; finding none means
+        // the checker saw nothing, not that the code is clean.
+        EXPECT_GT(mac_loops, 0) << object;
+    }
+}
+
+}  // namespace

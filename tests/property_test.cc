@@ -107,30 +107,6 @@ TEST(HashDistributionTest, BucketOccupancyUniform)
         << ChiSquaredUniform(counts);
 }
 
-TEST(ShuffleDistributionTest, PairwisePositionsUniform)
-{
-    // Position histogram of a tracked element across shuffles.
-    const int64_t n = 16;
-    std::vector<int64_t> counts(static_cast<size_t>(n), 0);
-    Rng rng(3);
-    const int trials = 8000;
-    for (int t = 0; t < trials; ++t) {
-        std::vector<uint32_t> rows(static_cast<size_t>(n));
-        for (int64_t i = 0; i < n; ++i) {
-            rows[static_cast<size_t>(i)] = static_cast<uint32_t>(i);
-        }
-        oblivious::ObliviousShuffle(rows, 1, n, rng);
-        for (int64_t i = 0; i < n; ++i) {
-            if (rows[static_cast<size_t>(i)] == 3) {
-                ++counts[static_cast<size_t>(i)];
-                break;
-            }
-        }
-    }
-    EXPECT_TRUE(ChiSquaredAcceptable(ChiSquaredUniform(counts), n))
-        << ChiSquaredUniform(counts);
-}
-
 // --- oblivious sort: randomized-shape invariants ---------------------------
 
 TEST(SortPropertyTest, RandomShapesAgreeWithStdSort)
@@ -145,7 +121,7 @@ TEST(SortPropertyTest, RandomShapesAgreeWithStdSort)
         for (auto& k : keys) k = rng.NextBounded(16);  // many duplicates
         std::vector<uint64_t> expected = keys;
         std::sort(expected.begin(), expected.end());
-        oblivious::ObliviousSort(keys);
+        oblivious::ObliviousSortByKey(keys, {}, 0);
         ASSERT_EQ(keys, expected) << "n=" << n << " trial=" << trial;
     }
 }

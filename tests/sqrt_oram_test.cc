@@ -8,8 +8,6 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
-#include <set>
 
 #include "oblivious/sort.h"
 #include "oram/sqrt_oram.h"
@@ -23,7 +21,7 @@ TEST(ObliviousSortTest, SortsRandomKeys)
     for (const int64_t n : {1, 2, 3, 7, 8, 33, 100, 257}) {
         std::vector<uint64_t> keys(static_cast<size_t>(n));
         for (auto& k : keys) k = rng.Next() >> 1;  // avoid the pad value
-        oblivious::ObliviousSort(keys);
+        oblivious::ObliviousSortByKey(keys, {}, 0);
         EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()))
             << "n = " << n;
     }
@@ -58,59 +56,11 @@ TEST(ObliviousSortTest, PayloadTravelsWithKey)
 TEST(ObliviousSortTest, AlreadySortedAndReverse)
 {
     std::vector<uint64_t> asc{1, 2, 3, 4, 5};
-    oblivious::ObliviousSort(asc);
+    oblivious::ObliviousSortByKey(asc, {}, 0);
     EXPECT_EQ(asc, (std::vector<uint64_t>{1, 2, 3, 4, 5}));
     std::vector<uint64_t> desc{5, 4, 3, 2, 1};
-    oblivious::ObliviousSort(desc);
+    oblivious::ObliviousSortByKey(desc, {}, 0);
     EXPECT_EQ(desc, (std::vector<uint64_t>{1, 2, 3, 4, 5}));
-}
-
-TEST(ObliviousShuffleTest, PermutesWithoutLoss)
-{
-    Rng rng(3);
-    const int64_t n = 64, words = 2;
-    std::vector<uint32_t> rows(static_cast<size_t>(n * words));
-    for (int64_t i = 0; i < n; ++i) {
-        rows[static_cast<size_t>(i * words)] = static_cast<uint32_t>(i);
-        rows[static_cast<size_t>(i * words + 1)] =
-            static_cast<uint32_t>(i * 7);
-    }
-    oblivious::ObliviousShuffle(rows, words, n, rng);
-    std::set<uint32_t> seen;
-    bool moved = false;
-    for (int64_t i = 0; i < n; ++i) {
-        const uint32_t v = rows[static_cast<size_t>(i * words)];
-        EXPECT_EQ(rows[static_cast<size_t>(i * words + 1)], v * 7);
-        seen.insert(v);
-        moved |= (v != static_cast<uint32_t>(i));
-    }
-    EXPECT_EQ(seen.size(), static_cast<size_t>(n));  // a permutation
-    EXPECT_TRUE(moved);  // ... and almost surely not the identity
-}
-
-TEST(ObliviousShuffleTest, DistributionRoughlyUniform)
-{
-    // Element 0's final position over many shuffles should be ~uniform.
-    const int64_t n = 8;
-    std::vector<int64_t> counts(static_cast<size_t>(n), 0);
-    Rng rng(4);
-    const int trials = 4000;
-    for (int t = 0; t < trials; ++t) {
-        std::vector<uint32_t> rows(static_cast<size_t>(n));
-        for (int64_t i = 0; i < n; ++i) {
-            rows[static_cast<size_t>(i)] = static_cast<uint32_t>(i);
-        }
-        oblivious::ObliviousShuffle(rows, 1, n, rng);
-        for (int64_t i = 0; i < n; ++i) {
-            if (rows[static_cast<size_t>(i)] == 0) {
-                ++counts[static_cast<size_t>(i)];
-            }
-        }
-    }
-    for (int64_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(counts[static_cast<size_t>(i)], trials / n,
-                    trials / 10);
-    }
 }
 
 // ---------------------------------------------------------------------------
