@@ -242,6 +242,34 @@ BM_LinearScanLookup(benchmark::State& state)
 }
 BENCHMARK(BM_LinearScanLookup)->Arg(1024)->Arg(16384);
 
+/**
+ * One ScanRows call on one thread over the largest dlrm scan table
+ * (2208 x 64): 1 and 4 ids are serve-sized calls, 32 ids a dlrm batch.
+ * `glanes_per_s` counts the lane selects, rows x dim x ids, in G/s.
+ * Report-only: no baseline row gates it.
+ */
+void
+BM_ScanRowsBatch(benchmark::State& state)
+{
+    const int64_t ids_n = state.range(0), rows = 2208, cols = 64;
+    Rng rng(12);
+    const Tensor table = Tensor::Randn({rows, cols}, rng);
+    std::vector<int64_t> ids(static_cast<size_t>(ids_n));
+    for (int64_t i = 0; i < ids_n; ++i) {
+        ids[static_cast<size_t>(i)] = (i * 131) % rows;
+    }
+    std::vector<float> out(static_cast<size_t>(ids_n * cols));
+    for (auto _ : state) {
+        oblivious::ScanRows(table.flat(), 0, cols, ids, {}, 0, ids_n, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["glanes_per_s"] = benchmark::Counter(
+        1e-9 * static_cast<double>(rows * cols * ids_n),
+        benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_ScanRowsBatch)->ArgName("ids")->Arg(1)->Arg(4)->Arg(32);
+
 void
 BM_ObliviousArgmax(benchmark::State& state)
 {

@@ -5,7 +5,9 @@
 #include <limits>
 
 #include "oblivious/ct_ops.h"
+#include "oblivious/scan_tile.h"
 #include "telemetry/telemetry.h"
+#include "tensor/kernels/kernels.h"
 
 // Obliviousness-preserving instrumentation: every probe below fires once
 // per call or per public shape (rows, k), never conditionally on the
@@ -13,49 +15,49 @@
 
 namespace secemb::oblivious {
 
+namespace detail {
+
 namespace {
 
-// Element-aligned views of float storage: callers hand in subspans and
-// page buffers with 4-byte alignment only. may_alias because the int32
-// lanes alias float tables and outputs.
-using Lanes = int32_t __attribute__((vector_size(16), aligned(4), may_alias));
-using FloatLanes =
-    float __attribute__((vector_size(16), aligned(4), may_alias));
-constexpr int64_t kLanes = sizeof(Lanes) / sizeof(int32_t);
-
-// The row loops are unrolled by two. On the dlrm scan shape (dim 64, a
-// 4-vCPU Xeon, -O2) one blend per iteration ran 2.2 to 4.1 G lanes/s
-// depending on where the linker placed the loop; two per iteration ran
-// 3.1 to 4.8 G lanes/s over the same placements.
-
-/** dst = mask ? src : dst, over one row, touching every element. */
-inline void
-BlendRow(uint64_t mask, const float* src, float* dst, int64_t dim)
+// The baseline tier: SSE2, which every x86-64 target has. 3 lookups of
+// 2 xmm vectors keep 6 accumulators, 3 keys, the row counter and the
+// row's 2 vectors in the 16 xmm registers.
+struct BaselineTier
 {
-    const Lanes m = Lanes{} + static_cast<int32_t>(mask);
-    int64_t c = 0;
-#pragma GCC unroll 2
-    for (; c + kLanes <= dim; c += kLanes) {
-        const Lanes s = *reinterpret_cast<const Lanes*>(src + c);
-        Lanes& d = *reinterpret_cast<Lanes*>(dst + c);
-        d = (s & m) | (d & ~m);
-    }
-    for (; c < dim; ++c) dst[c] = SelectF32(mask, src[c], dst[c]);
+    using Lanes =
+        int32_t __attribute__((vector_size(16), aligned(4), may_alias));
+    using Floats =
+        float __attribute__((vector_size(16), aligned(4), may_alias));
+    static constexpr int kSlots = 3;
+    static constexpr int kVecs = 2;
+};
+
+}  // namespace
+
+void
+ScanRowsBaseline(const ScanArgs& args)
+{
+    TiledScan<BaselineTier>::Run(args);
 }
 
-/** dst += mask ? src : 0, over one row, touching every element. */
-inline void
-AddRow(uint64_t mask, const float* src, float* dst, int64_t dim)
+}  // namespace detail
+
+namespace {
+
+/** The scan tile for the active ISA tier (resolved per call, so
+ *  SECEMB_ISA and SetIsaForTest take effect at once). */
+detail::ScanFn
+ActiveScan()
 {
-    const Lanes m = Lanes{} + static_cast<int32_t>(mask);
-    int64_t c = 0;
-#pragma GCC unroll 2
-    for (; c + kLanes <= dim; c += kLanes) {
-        const Lanes s = *reinterpret_cast<const Lanes*>(src + c);
-        *reinterpret_cast<FloatLanes*>(dst + c) +=
-            __builtin_bit_cast(FloatLanes, s & m);
+    switch (kernels::ActiveIsa()) {
+#if defined(SECEMB_SCAN_AVX512)
+      case kernels::Isa::kAvx512: return &detail::ScanRowsAvx512;
+#endif
+#if defined(SECEMB_SCAN_AVX2)
+      case kernels::Isa::kAvx2: return &detail::ScanRowsAvx2;
+#endif
+      default: return &detail::ScanRowsBaseline;
     }
-    for (; c < dim; ++c) dst[c] += SelectF32(mask, src[c], 0.0f);
 }
 
 }  // namespace
@@ -83,27 +85,14 @@ ScanRows(std::span<const float> block, int64_t first_row, int64_t dim,
         assert(b1 <= static_cast<int64_t>(ids.size()));
     }
     const int64_t rows = static_cast<int64_t>(block.size()) / dim;
+    // Row counters and keys are 32-bit lanes; the row count is public.
+    assert(rows < static_cast<int64_t>(detail::kNoRow));
     // Public shapes only: block rows times the ids of the slots.
     TELEMETRY_COUNT("oblivious.vscan.rows",
                     rows * (slot_begin(b1) - slot_begin(b0)));
-
-    for (int64_t b = b0; b < b1; ++b) {
-        float* dst = out.data() + b * dim;
-        for (int64_t k = slot_begin(b); k < slot_begin(b + 1); ++k) {
-            const auto id =
-                static_cast<uint64_t>(ids[static_cast<size_t>(k)]);
-            const float* src = block.data();
-            for (int64_t r = 0; r < rows; ++r, src += dim) {
-                const uint64_t mask =
-                    EqMask(static_cast<uint64_t>(first_row + r), id);
-                if (pooled) {
-                    AddRow(mask, src, dst, dim);
-                } else {
-                    BlendRow(mask, src, dst, dim);
-                }
-            }
-        }
-    }
+    if (rows == 0) return;  // nothing to read, so every slot stays as is
+    ActiveScan()({block.data(), rows, first_row, dim, ids.data(),
+                  pooled ? offsets.data() : nullptr, b0, b1, out.data()});
 }
 
 int64_t

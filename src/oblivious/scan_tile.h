@@ -1,0 +1,235 @@
+#pragma once
+
+/**
+ * @file
+ * Internal: the slot-tiled body of oblivious::ScanRows, one template
+ * instantiated per ISA tier under that tier's -m flags (scan.cc for the
+ * baseline, scan_avx2.cc, scan_avx512.cc) and dispatched on
+ * kernels::ActiveIsa(), like dhe/hash_kernels.h.
+ *
+ * A tile is up to kSlots lookups and a column chunk of kVecs vectors.
+ * Its output chunk lives in registers while it walks every row of the
+ * block once: the row's chunk is loaded once and blended into every
+ * lookup of the tile, under the lane mask `row counter == key`. The key
+ * is the only place a secret enters; every load, branch and address is
+ * a function of the shapes. The tile stores its chunk once at the end,
+ * so no row costs a load and store of the output. Columns past the full
+ * chunks take 1-vector chunks, then a scalar masked tail. The last
+ * tile's lookup count is instantiated too, so short calls do no padded
+ * work.
+ *
+ * Pooled bags run every bag element through the same tiles, selecting
+ * into a register chunk that starts at zero, and then add each
+ * element's chunk into its slot in bag order.
+ *
+ * A Tier provides:
+ *   using Lanes;   // int32 vector, aligned(4) and may_alias
+ *   using Floats;  // float vector of the same width, likewise
+ *   static constexpr int kSlots, kVecs;  // the register tile
+ * aligned(4) because callers hand in subspans and page buffers aligned
+ * to an element only; may_alias because the lanes alias float tables
+ * and outputs.
+ */
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
+#include "oblivious/ct_ops.h"
+
+namespace secemb::oblivious::detail {
+
+/** One ScanRows call, its shapes checked (scan.h has the contract). */
+struct ScanArgs
+{
+    const float* block;
+    int64_t rows;  ///< rows in the block, below kNoRow
+    int64_t first_row;
+    int64_t dim;
+    const int64_t* ids;
+    const int64_t* offsets;  ///< nullptr for single-hot lookups
+    int64_t b0, b1;
+    float* out;
+};
+
+using ScanFn = void (*)(const ScanArgs& args);
+
+void ScanRowsBaseline(const ScanArgs& args);
+#if defined(SECEMB_SCAN_AVX2)
+void ScanRowsAvx2(const ScanArgs& args);
+#endif
+#if defined(SECEMB_SCAN_AVX512)
+void ScanRowsAvx512(const ScanArgs& args);
+#endif
+
+/** The key of an id outside the block: no row counter reaches it. */
+constexpr uint32_t kNoRow = 0xFFFFFFFFu;
+
+template <class Tier>
+struct TiledScan
+{
+    using Lanes = typename Tier::Lanes;
+    using Floats = typename Tier::Floats;
+    static constexpr int64_t kLanes = sizeof(Lanes) / sizeof(int32_t);
+
+    /** The block row `id` names, or kNoRow, in constant time. The
+     * compare runs on all 64 bits, so an id 2^32 rows past the block
+     * stays outside it. */
+    static uint32_t
+    Key(int64_t id, const ScanArgs& a)
+    {
+        const uint64_t rel =
+            static_cast<uint64_t>(id) - static_cast<uint64_t>(a.first_row);
+        return static_cast<uint32_t>(
+            Select(LtMask(rel, static_cast<uint64_t>(a.rows)), rel, kNoRow));
+    }
+
+    /**
+     * Columns [c, c + kV * kLanes) of the kN lookups: dst[s] is lookup
+     * s's output row. Single-hot overwrites it with the matching row (a
+     * bit-exact blend); pooled adds the matching row, or zero, plus
+     * `canon`.
+     */
+    template <int kN, int kV, bool kPooled>
+    static void
+    Chunk(const ScanArgs& a, const uint32_t* keys, float* const* dst,
+          int64_t c, float canon)
+    {
+        Lanes key[kN];
+        Lanes acc[kN][kV];
+#pragma GCC unroll 16
+        for (int s = 0; s < kN; ++s) {
+            key[s] = Lanes{} + static_cast<int32_t>(keys[s]);
+#pragma GCC unroll 16
+            for (int v = 0; v < kV; ++v) {
+                acc[s][v] = kPooled ? Lanes{}
+                                    : *reinterpret_cast<const Lanes*>(
+                                          dst[s] + c + v * kLanes);
+            }
+        }
+        Lanes row = {};
+        const float* src = a.block + c;
+        for (int64_t r = 0; r < a.rows; ++r, src += a.dim) {
+            Lanes x[kV];
+#pragma GCC unroll 16
+            for (int v = 0; v < kV; ++v) {
+                x[v] = *reinterpret_cast<const Lanes*>(src + v * kLanes);
+            }
+#pragma GCC unroll 16
+            for (int s = 0; s < kN; ++s) {
+                const auto m = row == key[s];
+#pragma GCC unroll 16
+                for (int v = 0; v < kV; ++v) {
+                    acc[s][v] = m ? x[v] : acc[s][v];
+                }
+            }
+            row += 1;
+        }
+        // In lookup order: elements of one bag add into one output row.
+#pragma GCC unroll 16
+        for (int s = 0; s < kN; ++s) {
+#pragma GCC unroll 16
+            for (int v = 0; v < kV; ++v) {
+                float* d = dst[s] + c + v * kLanes;
+                if constexpr (kPooled) {
+                    Floats& f = *reinterpret_cast<Floats*>(d);
+                    f = (f + std::bit_cast<Floats>(acc[s][v])) + canon;
+                } else {
+                    *reinterpret_cast<Lanes*>(d) = acc[s][v];
+                }
+            }
+        }
+    }
+
+    /** Columns [c, dim), one at a time, as Chunk does. */
+    template <int kN, bool kPooled>
+    static void
+    Tail(const ScanArgs& a, const uint32_t* keys, float* const* dst,
+         int64_t c, float canon)
+    {
+        for (; c < a.dim; ++c) {
+            uint32_t acc[kN];
+#pragma GCC unroll 16
+            for (int s = 0; s < kN; ++s) {
+                acc[s] = kPooled ? 0u : std::bit_cast<uint32_t>(dst[s][c]);
+            }
+            const float* src = a.block + c;
+            for (int64_t r = 0; r < a.rows; ++r, src += a.dim) {
+                const uint32_t x = std::bit_cast<uint32_t>(*src);
+#pragma GCC unroll 16
+                for (int s = 0; s < kN; ++s) {
+                    acc[s] = static_cast<uint32_t>(
+                        Select(EqMask(static_cast<uint64_t>(r), keys[s]), x,
+                               acc[s]));
+                }
+            }
+#pragma GCC unroll 16
+            for (int s = 0; s < kN; ++s) {
+                const float got = std::bit_cast<float>(acc[s]);
+                dst[s][c] = kPooled ? (dst[s][c] + got) + canon : got;
+            }
+        }
+    }
+
+    template <int kN, bool kPooled>
+    static void
+    Lookups(const ScanArgs& a, const uint32_t* keys, float* const* dst,
+            float canon)
+    {
+        int64_t c = 0;
+        for (; c + Tier::kVecs * kLanes <= a.dim; c += Tier::kVecs * kLanes) {
+            Chunk<kN, Tier::kVecs, kPooled>(a, keys, dst, c, canon);
+        }
+        for (; c + kLanes <= a.dim; c += kLanes) {
+            Chunk<kN, 1, kPooled>(a, keys, dst, c, canon);
+        }
+        Tail<kN, kPooled>(a, keys, dst, c, canon);
+    }
+
+    /** Lookups<n> for the public count n in [1, kN]. */
+    template <int kN = Tier::kSlots>
+    static void
+    Dispatch(int n, bool pooled, const ScanArgs& a, const uint32_t* keys,
+             float* const* dst, float canon)
+    {
+        if constexpr (kN > 1) {
+            if (n < kN) return Dispatch<kN - 1>(n, pooled, a, keys, dst, canon);
+        }
+        if (pooled) {
+            Lookups<kN, true>(a, keys, dst, canon);
+        } else {
+            Lookups<kN, false>(a, keys, dst, canon);
+        }
+    }
+
+    static void
+    Run(const ScanArgs& a)
+    {
+        const bool pooled = a.offsets != nullptr;
+        // A pooled element must add exactly as the per-row definition
+        // of the scan, out += (match ? row : +0) over every block row.
+        // Over two or more rows that turns a -0 total into +0, which one
+        // more `+ 0.0f` reproduces; over one row it is a single add, and
+        // `+ -0.0f` is the identity.
+        const float canon = a.rows > 1 ? 0.0f : -0.0f;
+        const int64_t e0 = pooled ? a.offsets[a.b0] : a.b0;
+        const int64_t e1 = pooled ? a.offsets[a.b1] : a.b1;
+        int64_t b = a.b0;  // the slot of bag element e (pooled)
+        for (int64_t e = e0; e < e1; e += Tier::kSlots) {
+            const int n = static_cast<int>(
+                std::min<int64_t>(Tier::kSlots, e1 - e));
+            uint32_t keys[Tier::kSlots];
+            float* dst[Tier::kSlots];
+            for (int s = 0; s < n; ++s) {
+                keys[s] = Key(a.ids[e + s], a);
+                if (pooled) {
+                    while (a.offsets[b + 1] <= e + s) ++b;
+                }
+                dst[s] = a.out + (pooled ? b : e + s) * a.dim;
+            }
+            Dispatch(n, pooled, a, keys, dst, canon);
+        }
+    }
+};
+
+}  // namespace secemb::oblivious::detail

@@ -704,7 +704,6 @@ struct Int8BlockedDriver
  * (dispatch steps down via EffectiveIsaFor). */
 struct TierOps
 {
-    int mr = 0;
     int nr = 0;
     void (*pack_b)(const float* b, int64_t k, int64_t n, bool trans,
                    float* out) = nullptr;

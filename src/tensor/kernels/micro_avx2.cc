@@ -128,7 +128,6 @@ const TierOps&
 Avx2TierOps()
 {
     static const TierOps ops = {
-        MicroAvx2::kMr,
         MicroAvx2::kNr,
         &PackBPanels<MicroAvx2::kNr>,
         &BlockedDriver<MicroAvx2>::Run,

@@ -106,7 +106,6 @@ const TierOps&
 Avx512TierOps()
 {
     static const TierOps ops = {
-        MicroAvx512::kMr,
         MicroAvx512::kNr,
         &PackBPanels<MicroAvx512::kNr>,
         &BlockedDriver<MicroAvx512>::Run,

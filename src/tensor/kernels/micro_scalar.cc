@@ -98,7 +98,6 @@ const TierOps&
 ScalarTierOps()
 {
     static const TierOps ops = {
-        MicroScalar::kMr,
         MicroScalar::kNr,
         &PackBPanels<MicroScalar::kNr>,
         &BlockedDriver<MicroScalar>::Run,

@@ -1,20 +1,24 @@
 /**
  * @file
- * Codegen guard for the GEMM microkernels: every tile must keep its
- * accumulators in registers.
+ * Codegen guard for the register tiles: the GEMM microkernels must keep
+ * their accumulators in registers, and the oblivious scan tiles their
+ * output lanes.
  *
- * The test disassembles the micro_*.cc objects of secemb_tensor with
- * the toolchain's objdump and walks every innermost loop (a backward
- * branch with no other backward branch inside it). A loop that issues
- * a packed multiply-accumulate (vfmadd*ps, vpdpbusd, vpmaddwd, or
- * mulps together with addps) must not both read and store the same
- * memory operand: that is an accumulator living on the stack, loaded
- * and stored around every multiply-accumulate. Operands are compared
- * as addresses, not as text, by tracking constant pointer bumps
- * (add/sub/lea/inc/dec) through the loop body, so `(%rax)` read before
- * `sub $-0x80,%rax` matches `-0x80(%rax)` stored after it.
+ * The test disassembles the micro_*.cc objects of secemb_tensor and the
+ * scan*.cc objects of secemb_oblivious with the toolchain's objdump and
+ * walks every innermost loop (a backward branch with no other backward
+ * branch inside it). A loop that issues a packed multiply-accumulate
+ * (vfmadd*ps, vpdpbusd, vpmaddwd, or mulps together with addps), or in
+ * the scan objects a packed blend (pand with pandn and por, pand with
+ * pxor, vpternlog*, vpblendv*, or a masked move into a register), must
+ * not both read and store the same memory operand: that is a tile
+ * living in memory, loaded and stored around every step. Operands are
+ * compared as addresses, not as text, by tracking constant pointer
+ * bumps (add/sub/lea/inc/dec) through the loop body, so `(%rax)` read
+ * before `sub $-0x80,%rax` matches `-0x80(%rax)` stored after it. A
+ * loop may reload a read-only constant from memory.
  *
- * The first tests run the checker on fixed listings so its rule is
+ * The first tests run the checker on fixed listings so its rules are
  * pinned independently of what the compiler emits today.
  */
 
@@ -286,6 +290,34 @@ WritesNothing(const std::string& m)
            StartsWith(m, "nop");
 }
 
+/** Whether a loop body blends packed lanes under a mask. GCC writes
+ * the portable select as (s & m) | (d & ~m) or as d ^ ((s ^ d) & m). */
+bool
+HasPackedBlend(const std::vector<const Insn*>& body)
+{
+    bool pand = false, pandn = false, por = false, pxor = false;
+    for (const Insn* insn : body) {
+        const std::string& m = insn->mnemonic;
+        if (StartsWith(m, "vpternlog") || StartsWith(m, "vpblendv") ||
+            StartsWith(m, "vpblendm") || StartsWith(m, "vblendv") ||
+            StartsWith(m, "blendv")) {
+            return true;
+        }
+        // A masked move into a register, e.g. vmovdqa32 %zmm4,%zmm20{%k1}.
+        if (StartsWith(m, "vmov") && !insn->operands.empty() &&
+            insn->operands.back().find("{%k") != std::string::npos &&
+            !IsMemory(insn->operands.back())) {
+            return true;
+        }
+        pand |= m == "pand" || m == "vpand" || m == "andps" || m == "vandps";
+        pandn |= m == "pandn" || m == "vpandn" || m == "andnps" ||
+                 m == "vandnps";
+        por |= m == "por" || m == "vpor" || m == "orps" || m == "vorps";
+        pxor |= m == "pxor" || m == "vpxor" || m == "xorps" || m == "vxorps";
+    }
+    return pand && ((pandn && por) || pxor);
+}
+
 /** Whether a loop body issues a packed multiply-accumulate. */
 bool
 HasPackedMac(const std::vector<const Insn*>& body)
@@ -304,15 +336,18 @@ HasPackedMac(const std::vector<const Insn*>& body)
     return mulps && addps;
 }
 
-/** Every innermost multiply-accumulate loop of `listing` that reads
- * and stores the same memory operand. `mac_loops` counts the innermost
- * multiply-accumulate loops seen, so a caller can tell "clean" from
- * "checked nothing". */
+using LoopFilter = bool (*)(const std::vector<const Insn*>& body);
+
+/** Every innermost loop of `listing` that `checked` selects and that
+ * reads and stores the same memory operand. `checked_loops` counts the
+ * selected innermost loops, so a caller can tell "clean" from "checked
+ * nothing". */
 std::vector<Finding>
-FindAccumulatorRoundTrips(const std::string& listing, int* mac_loops)
+FindRoundTrips(const std::string& listing, LoopFilter checked,
+               int* checked_loops)
 {
     std::vector<Finding> findings;
-    *mac_loops = 0;
+    *checked_loops = 0;
     for (const Function& fn : ParseListing(listing)) {
         // Backward branches within the function: [target, branch].
         std::vector<std::pair<size_t, size_t>> loops;
@@ -347,8 +382,8 @@ FindAccumulatorRoundTrips(const std::string& listing, int* mac_loops)
             if (!innermost) continue;
             std::vector<const Insn*> body;
             for (size_t i = b; i <= e; ++i) body.push_back(&fn.insns[i]);
-            if (!HasPackedMac(body)) continue;
-            ++*mac_loops;
+            if (!checked(body)) continue;
+            ++*checked_loops;
 
             RegState regs;
             std::set<std::string> reads, writes;
@@ -446,7 +481,7 @@ constexpr const char* kRegisterTile =
 TEST(CodegenCheckerTest, FlagsAccumulatorLoadedAndStoredAtOneAddress)
 {
     int mac_loops = 0;
-    EXPECT_EQ(FindAccumulatorRoundTrips(kStackAccumulatorF32, &mac_loops)
+    EXPECT_EQ(FindRoundTrips(kStackAccumulatorF32, &HasPackedMac, &mac_loops)
                   .size(),
               1u);
     EXPECT_EQ(mac_loops, 1);
@@ -456,7 +491,7 @@ TEST(CodegenCheckerTest, FollowsPointerBumpsBetweenLoadAndStore)
 {
     // (%rax) before `sub $-0x80,%rax` is -0x80(%rax) after it.
     int mac_loops = 0;
-    EXPECT_EQ(FindAccumulatorRoundTrips(kStackAccumulatorVnni, &mac_loops)
+    EXPECT_EQ(FindRoundTrips(kStackAccumulatorVnni, &HasPackedMac, &mac_loops)
                   .size(),
               1u);
     EXPECT_EQ(mac_loops, 1);
@@ -466,9 +501,78 @@ TEST(CodegenCheckerTest, PassesRegisterTileAndMergeLoop)
 {
     int mac_loops = 0;
     const std::vector<Finding> findings =
-        FindAccumulatorRoundTrips(kRegisterTile, &mac_loops);
+        FindRoundTrips(kRegisterTile, &HasPackedMac, &mac_loops);
     EXPECT_TRUE(findings.empty()) << Describe(findings);
     EXPECT_EQ(mac_loops, 1);
+}
+
+// The scan's blend loop as GCC 12 emitted it before the tiles: every
+// table row loads, blends and stores the slot's output row.
+constexpr const char* kBlendStoredEveryRow =
+    "scan.cc.o:     file format elf64-x86-64\n"
+    "0000000000000000 <scan>:\n"
+    "     2e0:\tmovdqu (%rax,%rdi,4),%xmm1\n"
+    "     2e5:\tmovdqu (%rcx,%rdi,4),%xmm0\n"
+    "     2ea:\tlea    0x4(%rdi),%r14\n"
+    "     2ee:\tpxor   %xmm1,%xmm0\n"
+    "     2f2:\tpand   %xmm2,%xmm0\n"
+    "     2f6:\tpxor   %xmm1,%xmm0\n"
+    "     2fa:\tmovups %xmm0,(%rax,%rdi,4)\n"
+    "     2fe:\tmovdqu (%rax,%r14,4),%xmm1\n"
+    "     304:\tmovdqu (%rcx,%r14,4),%xmm0\n"
+    "     30a:\tadd    $0x8,%rdi\n"
+    "     30e:\tpxor   %xmm1,%xmm0\n"
+    "     312:\tpand   %xmm2,%xmm0\n"
+    "     316:\tpxor   %xmm1,%xmm0\n"
+    "     31a:\tmovups %xmm0,(%rax,%r14,4)\n"
+    "     31f:\tcmp    %r8,%rdi\n"
+    "     322:\tjne    2e0 <scan+0x2e0>\n";
+
+// Register tiles: AVX-512 masked moves, and AVX2 vpblendvb with one key
+// reloaded from the stack, which is a read only.
+constexpr const char* kRegisterBlendTiles =
+    "scan_avx512.cc.o:     file format elf64-x86-64\n"
+    "0000000000000af0 <tile>:\n"
+    "     bd8:\tvpcmpeqd %zmm22,%zmm0,%k1\n"
+    "     bdf:\tvmovdqu32 (%rax),%zmm4\n"
+    "     be5:\tvmovdqu32 0x40(%rax),%zmm3\n"
+    "     bec:\tadd    $0x1,%rcx\n"
+    "     bfe:\tadd    %rdi,%rax\n"
+    "     c01:\tvmovdqa32 %zmm4,%zmm20{%k1}\n"
+    "     c07:\tvmovdqa32 %zmm3,%zmm19{%k1}\n"
+    "     c5e:\tvpaddd %zmm21,%zmm0,%zmm0\n"
+    "     c7c:\tcmp    %r9,%rcx\n"
+    "     c7f:\tjne    bd8 <tile+0xe8>\n"
+    "scan_avx2.cc.o:     file format elf64-x86-64\n"
+    "0000000000000000 <tile>:\n"
+    "     280:\tvpcmpeqd %ymm14,%ymm0,%ymm3\n"
+    "     285:\tvmovdqu (%rdx),%ymm2\n"
+    "     28e:\tadd    $0x1,%rsi\n"
+    "     292:\tadd    %r8,%rdx\n"
+    "     295:\tvpblendvb %ymm3,%ymm2,%ymm7,%ymm7\n"
+    "     2c3:\tvpcmpeqd 0x88(%rsp),%ymm0,%ymm3\n"
+    "     2cc:\tvpaddd %ymm15,%ymm0,%ymm0\n"
+    "     2d1:\tvpblendvb %ymm3,%ymm2,%ymm9,%ymm9\n"
+    "     2dd:\tcmp    %rax,%rsi\n"
+    "     2e0:\tjne    280 <tile+0x280>\n";
+
+TEST(CodegenCheckerTest, FlagsBlendLoadedAndStoredEveryRow)
+{
+    int blend_loops = 0;
+    EXPECT_EQ(
+        FindRoundTrips(kBlendStoredEveryRow, &HasPackedBlend, &blend_loops)
+            .size(),
+        1u);
+    EXPECT_EQ(blend_loops, 1);
+}
+
+TEST(CodegenCheckerTest, PassesRegisterBlendTiles)
+{
+    int blend_loops = 0;
+    const std::vector<Finding> findings =
+        FindRoundTrips(kRegisterBlendTiles, &HasPackedBlend, &blend_loops);
+    EXPECT_TRUE(findings.empty()) << Describe(findings);
+    EXPECT_EQ(blend_loops, 2);
 }
 
 /** `cmd`'s standard output; `ok` is false unless it exited 0. */
@@ -486,18 +590,17 @@ RunCommand(const std::string& cmd, bool* ok)
     return out;
 }
 
-TEST(CodegenTest, MicrokernelAccumulatorsStayInRegisters)
+/** The listing of every object in `archive` whose name starts with
+ * `prefix`, keyed by object name. */
+std::map<std::string, std::string>
+ObjectListings(const std::string& archive, const std::string& prefix)
 {
     bool ok = false;
     const std::string listing = RunCommand(
         std::string("'") + SECEMB_OBJDUMP + "' -d -C --no-show-raw-insn '" +
-            SECEMB_TENSOR_ARCHIVE + "'",
+            archive + "'",
         &ok);
-    ASSERT_TRUE(ok) << "objdump failed on " << SECEMB_TENSOR_ARCHIVE;
-
-    // The archive's listing, split per object. Only the microkernel
-    // objects are checked: the naive reference GEMM in gemm.cc
-    // accumulates into C in memory by design.
+    EXPECT_TRUE(ok) << "objdump failed on " << archive;
     std::map<std::string, std::string> objects;
     std::string* current = nullptr;
     std::istringstream in(listing);
@@ -506,26 +609,48 @@ TEST(CodegenTest, MicrokernelAccumulatorsStayInRegisters)
         const size_t fmt = line.find(":     file format ");
         if (fmt != std::string::npos) {
             const std::string object = line.substr(0, fmt);
-            current = StartsWith(object, "micro_") ? &objects[object]
-                                                   : nullptr;
+            current = StartsWith(object, prefix) ? &objects[object] : nullptr;
         }
         if (current != nullptr) *current += line + "\n";
     }
+    return objects;
+}
+
+/** Fails every object with a checked loop that round-trips memory, or
+ * with no checked loop at all: finding none means the checker saw
+ * nothing, not that the code is clean. */
+void
+ExpectRegisterTiles(const std::map<std::string, std::string>& objects,
+                    LoopFilter checked, const char* what)
+{
+    for (const auto& [object, text] : objects) {
+        int loops = 0;
+        const std::vector<Finding> findings =
+            FindRoundTrips(text, checked, &loops);
+        EXPECT_TRUE(findings.empty())
+            << object << ": " << findings.size() << " " << what
+            << " loop(s) keep their tile in memory:" << Describe(findings);
+        EXPECT_GT(loops, 0) << object << ": no " << what << " loop";
+    }
+}
+
+TEST(CodegenTest, MicrokernelAccumulatorsStayInRegisters)
+{
+    // Only the microkernel objects are checked: the naive reference GEMM
+    // in gemm.cc accumulates into C in memory by design.
+    const auto objects = ObjectListings(SECEMB_TENSOR_ARCHIVE, "micro_");
     // The scalar tier is built everywhere.
     EXPECT_EQ(objects.count("micro_scalar.cc.o"), 1u);
-    for (const auto& [object, text] : objects) {
-        int mac_loops = 0;
-        const std::vector<Finding> findings =
-            FindAccumulatorRoundTrips(text, &mac_loops);
-        EXPECT_TRUE(findings.empty())
-            << object << ": " << findings.size()
-            << " multiply-accumulate loop(s) keep an accumulator in "
-               "memory:"
-            << Describe(findings);
-        // Every tier has a multiply-accumulate tile; finding none means
-        // the checker saw nothing, not that the code is clean.
-        EXPECT_GT(mac_loops, 0) << object;
-    }
+    ExpectRegisterTiles(objects, &HasPackedMac, "multiply-accumulate");
+}
+
+TEST(CodegenTest, ScanTilesStayInRegisters)
+{
+    // scan.cc holds the baseline tile; scan_avx2.cc and scan_avx512.cc
+    // the SIMD tiers the compiler could build.
+    const auto objects = ObjectListings(SECEMB_OBLIVIOUS_ARCHIVE, "scan");
+    EXPECT_EQ(objects.count("scan.cc.o"), 1u);
+    ExpectRegisterTiles(objects, &HasPackedBlend, "blend");
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "oblivious/ct_ops.h"
 #include "oblivious/scan.h"
+#include "tensor/kernels/kernels.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 
@@ -96,90 +97,127 @@ TEST(CtOpsTest, CtSwapU64)
 }
 
 /**
- * ScanRows against plain references, on every row-width class (vector
- * body only, scalar tail only, both): a gather compared with memcmp for
- * single-hot slots and an in-order sum for pooled bags. Table and output
- * buffers sit 4 bytes off a vector boundary; each case scans the whole
- * table and a sub-block starting past row 0 (ids outside it must leave
- * their slots alone), into a random slot sub-range (slots outside it must
- * stay untouched), with bags of 0 to 3 ids.
+ * ScanRows against plain references, on every ISA tier the build and CPU
+ * offer and on every row-width class of each tier's tile (full chunks,
+ * 1-vector chunks, the scalar tail, and their mixes): a gather compared
+ * with memcmp for single-hot slots and an in-order sum for pooled bags.
+ * Table and output buffers sit 4 bytes off a vector boundary. Each case
+ * scans the whole table and a sub-block starting past row 0 into slots
+ * [b0, b0 + n) for every n in 0..20, so every tier sees at least two full
+ * tiles and every remainder count; slots outside the range must stay
+ * untouched. Ids outside the block (negative, one past it, or 2^32 past
+ * a block row) must leave their slot alone. Bags hold 0 to 5 ids.
  */
 TEST(ScanTest, ScanRowsMatchesGatherAndInOrderSum)
 {
-    Rng rng(6);
-    auto bounded = [&rng](int64_t n) {
-        return static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(n)));
-    };
-    for (const int64_t dim : {1, 3, 4, 7, 8, 12, 17, 24, 64}) {
-        const int64_t rows = 2 + bounded(40);
-        const int64_t slots = 1 + bounded(9);
-        std::vector<float> table_buf(static_cast<size_t>(rows * dim) + 1);
-        for (float& x : table_buf) x = rng.NextGaussian();
-        const std::span<const float> table(table_buf.data() + 1,
-                                           table_buf.size() - 1);
-        const float* row_data = table.data();
-        for (const bool whole : {true, false}) {
-            const int64_t first = whole ? 0 : 1 + bounded(rows - 1);
-            const int64_t count = whole ? rows : 1 + bounded(rows - first);
-            const auto block = table.subspan(static_cast<size_t>(first * dim),
-                                             static_cast<size_t>(count * dim));
-            const int64_t b0 = bounded(slots);
-            const int64_t b1 = b0 + bounded(slots - b0 + 1);
-            auto in_block = [&](int64_t id) {
-                return id >= first && id < first + count;
-            };
-            std::vector<float> out_buf(static_cast<size_t>(slots * dim) + 1);
-            const std::span<float> out(out_buf.data() + 1,
-                                       out_buf.size() - 1);
-            auto reset = [&] {
-                for (float& x : out) x = rng.NextGaussian();
-                return std::vector<float>(out.begin(), out.end());
-            };
-            const std::string where = "dim " + std::to_string(dim) +
-                                      (whole ? " whole" : " sub-block");
-
-            std::vector<int64_t> ids(static_cast<size_t>(slots));
-            for (int64_t& id : ids) id = bounded(rows);
-            std::vector<float> want = reset();
-            for (int64_t b = b0; b < b1; ++b) {
-                const int64_t id = ids[static_cast<size_t>(b)];
-                if (!in_block(id)) continue;
-                std::memcpy(want.data() + b * dim, row_data + id * dim,
-                            static_cast<size_t>(dim) * sizeof(float));
-            }
-            ScanRows(block, first, dim, ids, {}, b0, b1, out);
-            EXPECT_EQ(std::memcmp(out.data(), want.data(),
-                                  want.size() * sizeof(float)),
-                      0)
-                << where << " single-hot";
-
-            std::vector<int64_t> bag_ids;
-            std::vector<int64_t> offsets{0};
-            for (int64_t b = 0; b < slots; ++b) {
-                for (int64_t j = bounded(4); j > 0; --j) {
-                    bag_ids.push_back(bounded(rows));
-                }
-                offsets.push_back(static_cast<int64_t>(bag_ids.size()));
-            }
-            want = reset();
-            for (int64_t b = b0; b < b1; ++b) {
-                for (int64_t k = offsets[static_cast<size_t>(b)];
-                     k < offsets[static_cast<size_t>(b) + 1]; ++k) {
-                    const int64_t id = bag_ids[static_cast<size_t>(k)];
-                    if (!in_block(id)) continue;
-                    for (int64_t c = 0; c < dim; ++c) {
-                        want[static_cast<size_t>(b * dim + c)] +=
-                            row_data[id * dim + c];
+    struct RestoreIsa
+    {
+        ~RestoreIsa() { kernels::SetIsaForTest(-1); }
+    } restore;
+    int tiers = 0;
+    for (int t = 0; t <= static_cast<int>(kernels::Isa::kAvx512); ++t) {
+        const auto isa = static_cast<kernels::Isa>(t);
+        if (!kernels::IsaSupported(isa)) continue;
+        kernels::SetIsaForTest(t);
+        ASSERT_EQ(kernels::ActiveIsa(), isa);
+        ++tiers;
+        Rng rng(6);
+        auto bounded = [&rng](int64_t n) {
+            return static_cast<int64_t>(
+                rng.NextBounded(static_cast<uint64_t>(n)));
+        };
+        for (const int64_t dim : {1, 3, 4, 7, 8, 12, 17, 24, 64, 83}) {
+            const int64_t rows = 2 + bounded(40);
+            std::vector<float> table_buf(static_cast<size_t>(rows * dim) + 1);
+            for (float& x : table_buf) x = rng.NextGaussian();
+            const std::span<const float> table(table_buf.data() + 1,
+                                               table_buf.size() - 1);
+            const float* row_data = table.data();
+            for (const bool whole : {true, false}) {
+                const int64_t first = whole ? 0 : 1 + bounded(rows - 1);
+                const int64_t count =
+                    whole ? rows : 1 + bounded(rows - first);
+                const auto block =
+                    table.subspan(static_cast<size_t>(first * dim),
+                                  static_cast<size_t>(count * dim));
+                auto in_block = [&](int64_t id) {
+                    return id >= first && id < first + count;
+                };
+                auto draw_id = [&]() -> int64_t {
+                    switch (bounded(8)) {
+                      case 0: return -1 - bounded(3);
+                      case 1: return first + count;
+                      case 2:
+                        return first + bounded(count) + (int64_t{1} << 32);
+                      default: return bounded(rows);
                     }
+                };
+                for (int64_t n = 0; n <= 20; ++n) {
+                    const int64_t b0 = bounded(3);
+                    const int64_t b1 = b0 + n;
+                    const int64_t slots = b1 + 1 + bounded(2);
+                    std::vector<float> out_buf(
+                        static_cast<size_t>(slots * dim) + 1);
+                    const std::span<float> out(out_buf.data() + 1,
+                                               out_buf.size() - 1);
+                    auto reset = [&] {
+                        for (float& x : out) x = rng.NextGaussian();
+                        return std::vector<float>(out.begin(), out.end());
+                    };
+                    const std::string where =
+                        std::string(kernels::IsaName(isa)) + " dim " +
+                        std::to_string(dim) +
+                        (whole ? " whole" : " sub-block") + " slots " +
+                        std::to_string(n);
+
+                    std::vector<int64_t> ids(static_cast<size_t>(slots));
+                    for (int64_t& id : ids) id = draw_id();
+                    std::vector<float> want = reset();
+                    for (int64_t b = b0; b < b1; ++b) {
+                        const int64_t id = ids[static_cast<size_t>(b)];
+                        if (!in_block(id)) continue;
+                        std::memcpy(want.data() + b * dim,
+                                    row_data + id * dim,
+                                    static_cast<size_t>(dim) * sizeof(float));
+                    }
+                    ScanRows(block, first, dim, ids, {}, b0, b1, out);
+                    EXPECT_EQ(std::memcmp(out.data(), want.data(),
+                                          want.size() * sizeof(float)),
+                              0)
+                        << where << " single-hot";
+
+                    std::vector<int64_t> bag_ids;
+                    std::vector<int64_t> offsets{0};
+                    for (int64_t b = 0; b < slots; ++b) {
+                        for (int64_t j = bounded(6); j > 0; --j) {
+                            bag_ids.push_back(draw_id());
+                        }
+                        offsets.push_back(
+                            static_cast<int64_t>(bag_ids.size()));
+                    }
+                    want = reset();
+                    for (int64_t b = b0; b < b1; ++b) {
+                        for (int64_t k = offsets[static_cast<size_t>(b)];
+                             k < offsets[static_cast<size_t>(b) + 1]; ++k) {
+                            const int64_t id = bag_ids[static_cast<size_t>(k)];
+                            if (!in_block(id)) continue;
+                            for (int64_t c = 0; c < dim; ++c) {
+                                want[static_cast<size_t>(b * dim + c)] +=
+                                    row_data[id * dim + c];
+                            }
+                        }
+                    }
+                    ScanRows(block, first, dim, bag_ids, offsets, b0, b1,
+                             out);
+                    EXPECT_EQ(std::memcmp(out.data(), want.data(),
+                                          want.size() * sizeof(float)),
+                              0)
+                        << where << " pooled";
                 }
             }
-            ScanRows(block, first, dim, bag_ids, offsets, b0, b1, out);
-            EXPECT_EQ(std::memcmp(out.data(), want.data(),
-                                  want.size() * sizeof(float)),
-                      0)
-                << where << " pooled";
         }
     }
+    EXPECT_GT(tiers, 0);
 }
 
 TEST(ScanTest, ObliviousArgmaxMatchesStd)
