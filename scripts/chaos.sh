@@ -4,11 +4,11 @@
 #
 # Builds the repo and runs the robustness-labelled tests (serving
 # lifecycle, the seeded fault-injection matrix, thread-pool fault
-# resilience, obliviousness of the degraded serving path, the async ORAM
+# resilience, obliviousness of the degraded serving path, the ORAM
 # proxy), then rebuilds and re-runs them under sanitizers: ASan (leaks,
 # use-after-free in the failure paths), TSan (queue/batcher/pool races),
 # and UBSan. The TSan pass additionally runs the concurrency label —
-# the ORAM proxy conductor/pool pipeline and the page cache stress tests
+# the serving queue, the thread pool and the page cache stress tests
 # are only meaningfully raced there.
 #
 # Between the two, a crash drill: the kill-based crash harness (forked

@@ -78,12 +78,9 @@ MakeGenerator(GenKind kind, int64_t table_size, int64_t dim, Rng& rng,
       case GenKind::kCircuitOram:
         return std::make_unique<OramTable>(
             table(), oram::OramKind::kCircuit, rng, opt.oram_params);
-      case GenKind::kProxyOram: {
-        oram::ProxyConfig pc;
-        pc.nthreads = opt.nthreads;
+      case GenKind::kProxyOram:
         return std::make_unique<ProxiedOramTable>(
-            table(), oram::OramKind::kPath, rng, opt.oram_params, pc);
-      }
+            table(), oram::OramKind::kPath, rng, opt.oram_params);
       case GenKind::kPagedScan: {
         const store::StoreConfig sc =
             opt.store ? *opt.store : store::StoreConfig{};

@@ -30,7 +30,7 @@ enum class GenKind
     kDheVaried,
     kHybridUniform,
     kHybridVaried,
-    kProxyOram,     ///< Path ORAM behind the async coalescing proxy
+    kProxyOram,     ///< Path ORAM behind the coalescing window proxy
     kPagedScan,     ///< out-of-core linear scan (src/store paged table)
     kRawOram,       ///< page-optimized RAW ORAM over a backing store
 };

@@ -109,17 +109,32 @@ LinearScanTable::Scan(std::span<const int64_t> indices,
 // OramTable
 // ---------------------------------------------------------------------------
 
-OramTable::OramTable(const Tensor& table, oram::OramKind kind, Rng& rng,
-                     const oram::OramParams* params)
-    : rows_(table.size(0)), dim_(table.size(1))
+namespace {
+
+/** A `kind` tree bulk-loaded with the rows of `table`. */
+std::unique_ptr<oram::TreeOram>
+LoadTree(const Tensor& table, oram::OramKind kind, Rng& rng,
+         const oram::OramParams* params)
 {
-    oram_ = oram::MakeOram(kind, rows_, dim_, rng, params);
+    auto tree =
+        oram::MakeOram(kind, table.size(0), table.size(1), rng, params);
     // Embedding floats are bit-cast into the ORAM's opaque words.
     static_assert(sizeof(float) == sizeof(uint32_t));
     std::vector<uint32_t> words(static_cast<size_t>(table.numel()));
     std::memcpy(words.data(), table.data(),
                 words.size() * sizeof(uint32_t));
-    oram_->BulkLoad(words);
+    tree->BulkLoad(words);
+    return tree;
+}
+
+}  // namespace
+
+OramTable::OramTable(const Tensor& table, oram::OramKind kind, Rng& rng,
+                     const oram::OramParams* params)
+    : rows_(table.size(0)),
+      dim_(table.size(1)),
+      oram_(LoadTree(table, kind, rng, params))
+{
 }
 
 void
@@ -144,37 +159,21 @@ ProxiedOramTable::ProxiedOramTable(const Tensor& table, oram::OramKind kind,
                                    Rng& rng,
                                    const oram::OramParams* params,
                                    const oram::ProxyConfig& config)
-    : rows_(table.size(0)), dim_(table.size(1))
+    : rows_(table.size(0)),
+      dim_(table.size(1)),
+      proxy_(std::make_unique<oram::OramProxy>(
+          LoadTree(table, kind, rng, params), config))
 {
-    auto tree = oram::MakeOram(kind, rows_, dim_, rng, params);
-    static_assert(sizeof(float) == sizeof(uint32_t));
-    std::vector<uint32_t> words(static_cast<size_t>(table.numel()));
-    std::memcpy(words.data(), table.data(),
-                words.size() * sizeof(uint32_t));
-    tree->BulkLoad(words);
-    proxy_ = std::make_unique<oram::OramProxy>(std::move(tree), config);
 }
 
 void
 ProxiedOramTable::Generate(std::span<const int64_t> indices, Tensor& out)
 {
-    const int64_t n = static_cast<int64_t>(indices.size());
-    assert(out.size(0) == n && out.size(1) == dim_);
-    // Submit the whole batch, then collect: in-window duplicates coalesce
-    // and the conductor overlaps eviction with the following accesses.
-    std::vector<std::future<std::vector<uint32_t>>> futures;
-    futures.reserve(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
-        futures.push_back(
-            proxy_->SubmitRead(indices[static_cast<size_t>(i)]));
-    }
-    proxy_->Flush();
-    for (int64_t i = 0; i < n; ++i) {
-        const std::vector<uint32_t> block =
-            futures[static_cast<size_t>(i)].get();
-        std::memcpy(out.data() + i * dim_, block.data(),
-                    block.size() * sizeof(float));
-    }
+    assert(out.size(0) == static_cast<int64_t>(indices.size()) &&
+           out.size(1) == dim_);
+    std::vector<uint32_t> words(static_cast<size_t>(out.numel()));
+    proxy_->ReadBatch(indices, words);
+    std::memcpy(out.data(), words.data(), words.size() * sizeof(float));
 }
 
 }  // namespace secemb::core

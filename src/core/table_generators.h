@@ -134,21 +134,20 @@ class OramTable : public EmbeddingGenerator
 };
 
 /**
- * Embedding table behind the asynchronous ORAM proxy (src/oram/proxy):
- * batch entries are submitted to the proxy's request queue, duplicates
- * coalesce into one physical access per window, and eviction work overlaps
- * the next access on pool threads — the concurrent answer to the
- * sequential-controller weakness OramTable documents.
+ * Embedding table behind the coalescing ORAM proxy (src/oram/proxy): a
+ * batch is served in fixed windows, in-window duplicates share one
+ * physical access, and dummy reads pad every window back to its size, so
+ * the schedule reveals only the batch size.
  */
 class ProxiedOramTable : public EmbeddingGenerator
 {
   public:
     /**
      * @param table (rows x dim) trained table, bulk-loaded into the tree
-     * @param kind Path or Circuit (Circuit serves via the serial fallback)
+     * @param kind Path or Circuit
      * @param rng leaf randomness
      * @param params optional ORAM overrides; defaults follow the paper
-     * @param config proxy tunables (window, threads, queue, flight sink)
+     * @param config proxy tunables (the window size)
      */
     ProxiedOramTable(const Tensor& table, oram::OramKind kind, Rng& rng,
                      const oram::OramParams* params = nullptr,
@@ -168,21 +167,9 @@ class ProxiedOramTable : public EmbeddingGenerator
                    : "Circuit ORAM (proxy)";
     }
     bool IsOblivious() const override { return true; }
-    void set_nthreads(int nthreads) override
-    {
-        proxy_->set_nthreads(nthreads);
-    }
-    /** The conductor thread records: quiesce it before the swap. */
     void set_recorder(sidechannel::TraceRecorder* r) override
     {
-        proxy_->Flush();
         proxy_->oram().set_recorder(r);
-    }
-
-    /** Route the proxy's lifecycle hops into a serving flight recorder. */
-    void set_flight(serving::FlightRecorder* flight)
-    {
-        proxy_->set_flight(flight);
     }
 
     oram::OramProxy& proxy() { return *proxy_; }

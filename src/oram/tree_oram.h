@@ -34,7 +34,6 @@
 namespace secemb::oram {
 
 class TreeOram;
-class OramProxy;
 
 /**
  * Position map: block id -> tree leaf.
@@ -88,10 +87,6 @@ class PositionMap
     serving::Status RestoreLeaves(const std::vector<uint32_t>& leaves);
 
   private:
-    /** The async proxy (src/oram/proxy) re-implements the flat-map scan
-     *  in parallel chunks with the identical recorded trace. */
-    friend class OramProxy;
-
     int64_t num_ids_;
     int fanout_;
     bool inline_select_ = true;
@@ -154,6 +149,12 @@ class TreeOram
      */
     void set_recorder(sidechannel::TraceRecorder* recorder);
 
+    /**
+     * A new generator seeded from one draw of the private leaf generator
+     * (the coalescing proxy takes its dummy ids from one).
+     */
+    Rng SplitRng() { return Rng(rng_.Next()); }
+
     const OramStats& stats() const { return stats_; }
     int64_t num_blocks() const { return num_blocks_; }
     int64_t block_words() const { return block_words_; }
@@ -165,11 +166,6 @@ class TreeOram
     OramKind kind() const { return kind_; }
 
   private:
-    /** The async proxy decomposes Path ORAM accesses into the same
-     *  phases with data movement on pool threads; it needs the private
-     *  state and phase helpers but must not widen the public surface. */
-    friend class OramProxy;
-
     enum class Op { kRead, kWrite, kRmw };
 
     OramKind kind_;

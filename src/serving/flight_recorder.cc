@@ -96,14 +96,8 @@ FlightHopName(FlightHop hop)
         case FlightHop::kRetry: return "retry";
         case FlightHop::kDeadlineExceeded: return "deadline_exceeded";
         case FlightHop::kRespond: return "respond";
-        case FlightHop::kProxyEnqueue: return "proxy_enqueue";
-        case FlightHop::kProxyCoalesce: return "proxy_coalesce";
-        case FlightHop::kProxyAccess: return "proxy_access";
-        case FlightHop::kProxyEvict: return "proxy_evict";
-        case FlightHop::kStoreFetch: return "store_fetch";
         case FlightHop::kStoreWriteback: return "store_writeback";
         case FlightHop::kStoreCheckpoint: return "store_checkpoint";
-        case FlightHop::kStoreRecover: return "store_recover";
     }
     return "unknown";
 }

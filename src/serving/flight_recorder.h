@@ -51,17 +51,8 @@ enum class FlightHop : uint8_t
     kRetry,              ///< generation needed transient-fault retries
     kDeadlineExceeded,   ///< dropped at serve time: deadline passed
     kRespond,            ///< response published (ok or error)
-    // ORAM proxy hops (src/oram/proxy): detail carries the window slot.
-    kProxyEnqueue,       ///< logical read accepted into the proxy queue
-    kProxyCoalesce,      ///< joined an in-window duplicate's access
-    kProxyAccess,        ///< one physical (real or dummy) ORAM access
-    kProxyEvict,         ///< deferred eviction work drained
-    // Out-of-core store hops (src/store): detail carries the page index
-    // (a public value: the paged schedules are certified input-independent).
-    kStoreFetch,         ///< page cache miss fetched from the backing store
-    kStoreWriteback,     ///< dirty page written back to the backing store
-    kStoreCheckpoint,    ///< durable checkpoint sealed (detail: KiB written)
-    kStoreRecover,       ///< recovery replay finished (detail: records)
+    kStoreWriteback,     ///< a storage sync failed (code says why)
+    kStoreCheckpoint,    ///< a storage checkpoint failed (code says why)
 };
 
 /** Stable name for JSON / debugging ("enqueue", "shed", ...). */

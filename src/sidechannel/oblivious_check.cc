@@ -2,41 +2,8 @@
 
 #include <cassert>
 #include <cmath>
-#include <sstream>
 
 namespace secemb::sidechannel {
-
-ObliviousnessReport
-CompareTraces(const std::vector<MemoryAccess>& a,
-              const std::vector<MemoryAccess>& b)
-{
-    ObliviousnessReport r;
-    r.identical = (a == b);
-    r.same_shape = (a.size() == b.size());
-    if (r.same_shape) {
-        for (size_t i = 0; i < a.size(); ++i) {
-            if (a[i].size != b[i].size || a[i].is_write != b[i].is_write) {
-                r.same_shape = false;
-                r.first_divergence = i;
-                break;
-            }
-        }
-    }
-    if (!r.identical) {
-        const size_t n = std::min(a.size(), b.size());
-        for (size_t i = 0; i < n; ++i) {
-            if (!(a[i] == b[i])) {
-                r.first_divergence = i;
-                break;
-            }
-        }
-        std::ostringstream os;
-        os << "len(a)=" << a.size() << " len(b)=" << b.size()
-           << " first_divergence=" << r.first_divergence;
-        r.detail = os.str();
-    }
-    return r;
-}
 
 double
 ChiSquaredUniform(const std::vector<int64_t>& counts)

@@ -2,35 +2,18 @@
 
 /**
  * @file
- * Obliviousness verification over recorded traces.
+ * Statistical obliviousness checks over attacker observations.
  *
- * Deterministic techniques (linear scan, DHE) must produce *identical*
- * traces for any two secret inputs. Randomised techniques (tree ORAM) must
- * produce traces whose structure (lengths, which region is touched when)
- * is secret-independent and whose path choices are uniform; the helpers
- * here implement both checks.
+ * Randomised techniques (tree ORAM) must make path choices that are
+ * uniform whatever the secret; the non-secure table must leak the index.
+ * Trace comparison itself is verify::CompareCanonical and
+ * verify::CompareCanonicalShape (src/verify/canonical.h).
  */
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "sidechannel/trace.h"
-
 namespace secemb::sidechannel {
-
-/** Result of an obliviousness comparison. */
-struct ObliviousnessReport
-{
-    bool identical = false;       ///< traces byte-for-byte equal
-    bool same_shape = false;      ///< same length and same (size, rw) seq.
-    size_t first_divergence = 0;  ///< index of first differing access
-    std::string detail;
-};
-
-/** Compare two traces for exact equality and for shape equality. */
-ObliviousnessReport CompareTraces(const std::vector<MemoryAccess>& a,
-                                  const std::vector<MemoryAccess>& b);
 
 /**
  * Chi-squared uniformity statistic for a histogram of observed counts

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "serving/clock.h"
 #include "telemetry/telemetry.h"
 
 namespace secemb::store {
@@ -116,7 +115,6 @@ PageCache::FrameFor(int64_t page, bool load_from_store,
         std::span<uint8_t> dst{FrameData(victim),
                                static_cast<size_t>(page_bytes())};
         if (auto s = store_->ReadPage(page, dst); !s.ok()) return s;
-        RecordHop(serving::FlightHop::kStoreFetch, page);
     }
     f.page = page;
     f.referenced = true;
@@ -135,21 +133,7 @@ PageCache::WriteBackFrame(int64_t frame)
     f.dirty = false;
     stats_.writebacks++;
     TELEMETRY_COUNT("store.cache.writeback", 1);
-    RecordHop(serving::FlightHop::kStoreWriteback, f.page);
     return serving::Status::Ok();
-}
-
-void
-PageCache::RecordHop(serving::FlightHop hop, int64_t page)
-{
-    auto* flight = flight_.load(std::memory_order_acquire);
-    if (flight == nullptr) return;
-    serving::FlightEvent event;
-    event.t_ns = serving::DefaultClock().NowNs();
-    event.detail = static_cast<uint32_t>(page);
-    event.feature = flight_feature_;
-    event.hop = hop;
-    flight->Record(event);
 }
 
 serving::Status

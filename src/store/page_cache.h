@@ -23,7 +23,6 @@
  * "Out-of-core storage").
  */
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -31,7 +30,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "serving/flight_recorder.h"
 #include "store/backing_store.h"
 
 namespace secemb::store {
@@ -120,18 +118,6 @@ class PageCache
 
     PageCacheStats stats() const;
 
-    /**
-     * Route store_fetch / store_writeback lifecycle hops into a serving
-     * flight recorder (any thread; nullptr disables). The event detail is
-     * the page index — a public value, since the paged access schedules
-     * are certified input-independent.
-     */
-    void set_flight(serving::FlightRecorder* flight, int16_t feature = -1)
-    {
-        flight_feature_ = feature;
-        flight_.store(flight, std::memory_order_release);
-    }
-
     BackingStore& store() { return *store_; }
 
   private:
@@ -160,7 +146,6 @@ class PageCache
 
     void Unpin(int64_t frame);
     void MarkFrameDirty(int64_t frame);
-    void RecordHop(serving::FlightHop hop, int64_t page);
 
     mutable std::mutex mu_;
     std::unique_ptr<BackingStore> store_;
@@ -169,8 +154,6 @@ class PageCache
     std::unordered_map<int64_t, int64_t> page_to_frame_;
     int64_t clock_hand_ = 0;
     PageCacheStats stats_;
-    std::atomic<serving::FlightRecorder*> flight_{nullptr};
-    int16_t flight_feature_ = -1;
 };
 
 /** Convenience: build the configured store + cache in one call. */

@@ -85,12 +85,6 @@ class PagedTable
         recorder_ = recorder;
     }
 
-    /** Route fetch/write-back hops into a serving flight recorder. */
-    void set_flight(serving::FlightRecorder* flight, int16_t feature = -1)
-    {
-        cache_->set_flight(flight, feature);
-    }
-
     PageCacheStats cache_stats() const { return cache_->stats(); }
     std::string_view backend_name() const
     {

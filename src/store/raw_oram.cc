@@ -792,13 +792,6 @@ RawOram::Checkpoint()
     TELEMETRY_COUNT("store.ckpt.checkpoints", 1);
     TELEMETRY_GAUGE_SET("store.ckpt.last_bytes",
                         static_cast<double>(bytes));
-    if (flight_ != nullptr) {
-        serving::FlightEvent ev;
-        ev.hop = serving::FlightHop::kStoreCheckpoint;
-        ev.detail = static_cast<uint32_t>(bytes / 1024);
-        ev.feature = flight_feature_;
-        flight_->Record(ev);
-    }
     // Crash window: checkpoint renamed, journal not yet reset. Recovery
     // handles it by skipping journal records with seq <= last_seq.
     MaybeCrash(CrashSite::kCheckpointAfterRename);

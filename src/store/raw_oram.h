@@ -182,14 +182,6 @@ class RawOram
         posmap_.set_recorder(recorder);
     }
 
-    /** Route fetch/write-back hops into a serving flight recorder. */
-    void set_flight(serving::FlightRecorder* flight, int16_t feature = -1)
-    {
-        cache_->set_flight(flight, feature);
-        flight_ = flight;
-        flight_feature_ = feature;
-    }
-
     /** Client-side resident bytes: metadata + stash + posmap + cache. */
     int64_t MemoryFootprintBytes() const;
     /** Bytes occupied in the backing store. */
@@ -291,8 +283,6 @@ class RawOram
     int64_t accesses_since_ckpt_ = 0;
     std::vector<uint8_t> journal_payload_;  ///< reused append scratch
     RecoveryStats recovery_stats_;
-    serving::FlightRecorder* flight_ = nullptr;
-    int16_t flight_feature_ = -1;
 
     // Reused path scratch: (levels_+1) decrypted pages + bucket indices.
     std::vector<uint8_t> path_pages_;

@@ -58,7 +58,7 @@ enum class Subject
     kTreeOram = 4,     ///< core::OramTable — Path (variant 0) / Circuit (1)
     kSqrtOram = 5,     ///< oram::SqrtOram behind a generator adapter
     kIndexLookup = 6,  ///< non-secure baseline — negative control only
-    kProxyOram = 7,    ///< core::ProxiedOramTable — async coalescing proxy
+    kProxyOram = 7,    ///< core::ProxiedOramTable — coalescing proxy
     kPagedScan = 8,    ///< core::PagedScanTable — out-of-core paged scan
     kRawOram = 9,      ///< core::RawOramTable — page-optimized RAW ORAM
 };
@@ -164,11 +164,11 @@ struct InterleavingResult
 };
 
 /**
- * Interleaving fuzz for queue-fed subjects (the ORAM proxy): every secret
- * set is submitted under `interleavings` seeded arrival-order
+ * Interleaving fuzz for order-sensitive subjects (the ORAM proxy): every
+ * secret set is submitted under `interleavings` seeded arrival-order
  * permutations, each against a freshly built generator with the identical
  * construction seed, and every canonical trace must be shape-identical to
- * the first. This is the concurrency side of the obliviousness argument:
+ * the first. This is the ordering side of the obliviousness argument:
  * the physical schedule may depend on arrival order (a public input) only
  * through the request count, never through the (secret) ids or their
  * duplicate structure.

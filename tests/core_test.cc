@@ -14,7 +14,7 @@
 #include "core/factory.h"
 #include "core/hybrid.h"
 #include "core/table_generators.h"
-#include "sidechannel/oblivious_check.h"
+#include "verify/canonical.h"
 
 namespace secemb::core {
 namespace {
@@ -177,12 +177,12 @@ TEST_P(ObliviousTraceTest, TraceIndependentOfSecret)
     std::vector<int64_t> b{62, 63};
     gen->Generate(b, out);
     ASSERT_FALSE(trace_a.empty()) << GenKindName(GetParam());
-    const auto r = sidechannel::CompareTraces(trace_a, rec.trace());
-    if (IsOramKind(GetParam())) {
-        EXPECT_TRUE(r.same_shape) << r.detail;
-    } else {
-        EXPECT_TRUE(r.identical) << r.detail;
-    }
+    const verify::CanonicalTrace ca = verify::Canonicalize(trace_a);
+    const verify::CanonicalTrace cb = verify::Canonicalize(rec.trace());
+    const verify::TraceDivergence r =
+        IsOramKind(GetParam()) ? verify::CompareCanonicalShape(ca, cb)
+                               : verify::CompareCanonical(ca, cb);
+    EXPECT_FALSE(r.diverged) << r.detail;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -405,8 +405,9 @@ TEST(PooledTest, LinearScanPooledTraceIndependentOfIds)
     auto trace_a = rec.trace();
     rec.Clear();
     gen.GeneratePooled(std::vector<int64_t>{60, 61, 62}, offsets, out);
-    EXPECT_TRUE(
-        sidechannel::CompareTraces(trace_a, rec.trace()).identical);
+    EXPECT_FALSE(verify::CompareCanonical(verify::Canonicalize(trace_a),
+                                          verify::Canonicalize(rec.trace()))
+                     .diverged);
 }
 
 TEST(PooledDeathTest, LinearScanAssertsNonDecreasingOffsets)

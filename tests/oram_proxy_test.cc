@@ -1,16 +1,15 @@
 /**
  * @file
- * Tests for the asynchronous ORAM proxy (src/oram/proxy): correctness
- * against the serial controller, coalescing + dummy-padding accounting,
- * concurrent submission, flight-recorder hops, and shutdown semantics.
+ * Tests for the coalescing ORAM proxy (src/oram/proxy): correctness
+ * against the loaded content, coalescing + dummy-padding accounting,
+ * up-front id validation, the poisoned state after a failed access, and
+ * stats() read from another thread.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstring>
-#include <future>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -18,7 +17,6 @@
 #include "core/table_generators.h"
 #include "oram/proxy.h"
 #include "oram/tree_oram.h"
-#include "serving/flight_recorder.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 
@@ -38,10 +36,11 @@ MakeBlock(int64_t words, uint32_t seed)
 /** A proxy over a freshly written tree: block i holds MakeBlock(i + 1). */
 std::unique_ptr<OramProxy>
 MakeLoadedProxy(OramKind kind, int64_t blocks, int64_t words,
-                const ProxyConfig& config, uint64_t seed = 1)
+                const ProxyConfig& config,
+                const OramParams* params = nullptr)
 {
-    Rng rng(seed);
-    auto tree = MakeOram(kind, blocks, words, rng);
+    Rng rng(1);
+    auto tree = MakeOram(kind, blocks, words, rng, params);
     std::vector<uint32_t> flat(static_cast<size_t>(blocks * words));
     for (int64_t i = 0; i < blocks; ++i) {
         const auto b = MakeBlock(words, static_cast<uint32_t>(i) + 1);
@@ -51,18 +50,55 @@ MakeLoadedProxy(OramKind kind, int64_t blocks, int64_t words,
     return std::make_unique<OramProxy>(std::move(tree), config);
 }
 
+/** ReadBatch into a fresh buffer, split back into one block per id. */
+std::vector<std::vector<uint32_t>>
+ReadAll(OramProxy& proxy, const std::vector<int64_t>& ids)
+{
+    const size_t words = static_cast<size_t>(proxy.oram().block_words());
+    std::vector<uint32_t> flat(ids.size() * words);
+    proxy.ReadBatch(ids, flat);
+    std::vector<std::vector<uint32_t>> blocks;
+    for (size_t i = 0; i < ids.size(); ++i) {
+        blocks.emplace_back(flat.begin() + i * words,
+                            flat.begin() + (i + 1) * words);
+    }
+    return blocks;
+}
+
+void
+ExpectLoadedContent(OramProxy& proxy, const std::vector<int64_t>& ids)
+{
+    const auto blocks = ReadAll(proxy, ids);
+    for (size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(blocks[i], MakeBlock(proxy.oram().block_words(),
+                                       static_cast<uint32_t>(ids[i]) + 1))
+            << "slot " << i << " id " << ids[i];
+    }
+}
+
 TEST(OramProxyTest, ReadsMatchLoadedContent)
 {
     ProxyConfig config;
     config.batch_window = 4;
     auto proxy = MakeLoadedProxy(OramKind::kPath, 64, 8, config);
     for (int64_t id : {int64_t{0}, int64_t{17}, int64_t{63}, int64_t{17}}) {
-        auto fut = proxy->SubmitRead(id);
-        proxy->Flush();
-        EXPECT_EQ(fut.get(),
-                  MakeBlock(8, static_cast<uint32_t>(id) + 1))
-            << "id " << id;
+        ExpectLoadedContent(*proxy, {id});
     }
+}
+
+TEST(OramProxyTest, RandomBatchMatchesLoadedContent)
+{
+    // Ten windows of four over a 128-block tree.
+    ProxyConfig config;
+    config.batch_window = 4;
+    auto proxy = MakeLoadedProxy(OramKind::kPath, 128, 16, config);
+    Rng mix(11);
+    std::vector<int64_t> ids;
+    for (int i = 0; i < 40; ++i) {
+        ids.push_back(static_cast<int64_t>(mix.NextBounded(128)));
+    }
+    ExpectLoadedContent(*proxy, ids);
+    EXPECT_EQ(proxy->stats().windows, 10u);
 }
 
 TEST(OramProxyTest, DuplicatesCoalesceAndPadToWindowSize)
@@ -70,15 +106,7 @@ TEST(OramProxyTest, DuplicatesCoalesceAndPadToWindowSize)
     ProxyConfig config;
     config.batch_window = 4;
     auto proxy = MakeLoadedProxy(OramKind::kPath, 64, 4, config);
-    std::vector<std::future<std::vector<uint32_t>>> futs;
-    for (int64_t id : {int64_t{5}, int64_t{5}, int64_t{7}, int64_t{5}}) {
-        futs.push_back(proxy->SubmitRead(id));
-    }
-    proxy->Flush();
-    EXPECT_EQ(futs[0].get(), MakeBlock(4, 6));
-    EXPECT_EQ(futs[1].get(), MakeBlock(4, 6));
-    EXPECT_EQ(futs[2].get(), MakeBlock(4, 8));
-    EXPECT_EQ(futs[3].get(), MakeBlock(4, 6));
+    ExpectLoadedContent(*proxy, {5, 5, 7, 5});
 
     const ProxyStats s = proxy->stats();
     EXPECT_EQ(s.requests, 4u);
@@ -90,7 +118,7 @@ TEST(OramProxyTest, DuplicatesCoalesceAndPadToWindowSize)
     EXPECT_EQ(s.dummy_accesses, 2u);
     EXPECT_EQ(s.coalesced, 2u);
     // The tree really performed one full access per physical slot.
-    EXPECT_EQ(proxy->oram().stats().accesses, 4u);
+    EXPECT_EQ(proxy->oram().stats().accesses, 4);
 }
 
 TEST(OramProxyTest, PhysicalCountAlwaysEqualsLogicalCount)
@@ -99,173 +127,92 @@ TEST(OramProxyTest, PhysicalCountAlwaysEqualsLogicalCount)
     config.batch_window = 3;
     auto proxy = MakeLoadedProxy(OramKind::kPath, 32, 4, config);
     Rng mix(7);
-    std::vector<std::future<std::vector<uint32_t>>> futs;
+    std::vector<int64_t> ids;
     const int n = 20;  // 6 full windows + a partial tail of 2
     for (int i = 0; i < n; ++i) {
         // Zipf-ish: half the traffic hits ids 0..3.
-        const int64_t id = static_cast<int64_t>(
+        ids.push_back(static_cast<int64_t>(
             mix.NextBounded(2) == 0 ? mix.NextBounded(4)
-                                    : mix.NextBounded(32));
-        futs.push_back(proxy->SubmitRead(id));
+                                    : mix.NextBounded(32)));
     }
-    proxy->Flush();
-    for (auto& f : futs) f.get();
+    ExpectLoadedContent(*proxy, ids);
     const ProxyStats s = proxy->stats();
     EXPECT_EQ(s.requests, static_cast<uint64_t>(n));
     EXPECT_EQ(s.physical_accesses, static_cast<uint64_t>(n));
     EXPECT_EQ(s.real_accesses + s.dummy_accesses, s.physical_accesses);
     EXPECT_EQ(s.windows, 7u);
-    EXPECT_EQ(proxy->oram().stats().accesses, static_cast<uint64_t>(n));
+    EXPECT_EQ(proxy->oram().stats().accesses, n);
     EXPECT_GT(s.coalesced, 0u);
     EXPECT_EQ(s.coalesced, s.dummy_accesses);
-}
-
-TEST(OramProxyTest, ParallelAccessesMatchSingleThread)
-{
-    for (int nthreads : {1, 4}) {
-        ProxyConfig config;
-        config.batch_window = 4;
-        config.nthreads = nthreads;
-        auto proxy = MakeLoadedProxy(OramKind::kPath, 128, 16, config);
-        std::vector<std::future<std::vector<uint32_t>>> futs;
-        Rng mix(11);
-        std::vector<int64_t> ids;
-        for (int i = 0; i < 40; ++i) {
-            ids.push_back(static_cast<int64_t>(mix.NextBounded(128)));
-        }
-        for (int64_t id : ids) futs.push_back(proxy->SubmitRead(id));
-        proxy->Flush();
-        for (size_t i = 0; i < ids.size(); ++i) {
-            EXPECT_EQ(futs[i].get(),
-                      MakeBlock(16, static_cast<uint32_t>(ids[i]) + 1))
-                << "nthreads " << nthreads << " i " << i;
-        }
-        if (nthreads > 1) {
-            // The decomposed path defers write-back encryption and fuses
-            // it with the next access's position-map scan.
-            EXPECT_GT(proxy->stats().evictions_overlapped, 0u);
-        } else {
-            // One thread takes the serial controller fast path: nothing
-            // is deferred, so nothing can overlap.
-            EXPECT_EQ(proxy->stats().evictions_overlapped, 0u);
-        }
-    }
 }
 
 TEST(OramProxyTest, CircuitKindServesThroughSerialFallback)
 {
     ProxyConfig config;
     config.batch_window = 2;
-    config.nthreads = 4;
     auto proxy = MakeLoadedProxy(OramKind::kCircuit, 32, 4, config);
-    auto f1 = proxy->SubmitRead(3);
-    auto f2 = proxy->SubmitRead(3);
-    proxy->Flush();
-    EXPECT_EQ(f1.get(), MakeBlock(4, 4));
-    EXPECT_EQ(f2.get(), MakeBlock(4, 4));
+    ExpectLoadedContent(*proxy, {3, 3});
     const ProxyStats s = proxy->stats();
     EXPECT_EQ(s.physical_accesses, 2u);
     EXPECT_EQ(s.coalesced, 1u);
-}
-
-TEST(OramProxyTest, ConcurrentSubmittersAllGetTheirBlocks)
-{
-    ProxyConfig config;
-    config.batch_window = 4;
-    config.nthreads = 2;
-    config.queue_capacity = 8;  // force back-pressure
-    auto proxy = MakeLoadedProxy(OramKind::kPath, 64, 8, config);
-    constexpr int kThreads = 4;
-    constexpr int kPerThread = 12;
-    std::atomic<int> failures{0};
-    std::vector<std::thread> workers;
-    for (int t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&, t] {
-            Rng mix(100 + static_cast<uint64_t>(t));
-            for (int i = 0; i < kPerThread; ++i) {
-                const int64_t id =
-                    static_cast<int64_t>(mix.NextBounded(64));
-                auto fut = proxy->SubmitRead(id);
-                if (fut.get() !=
-                    MakeBlock(8, static_cast<uint32_t>(id) + 1)) {
-                    ++failures;
-                }
-            }
-        });
-    }
-    // A flusher keeps partial tails moving while submitters block on
-    // their futures.
-    std::atomic<bool> done{false};
-    std::thread flusher([&] {
-        while (!done.load()) proxy->Flush();
-    });
-    for (auto& w : workers) w.join();
-    done.store(true);
-    flusher.join();
-    proxy->Flush();
-    EXPECT_EQ(failures.load(), 0);
-    EXPECT_EQ(proxy->stats().requests,
-              static_cast<uint64_t>(kThreads * kPerThread));
-    EXPECT_EQ(proxy->stats().physical_accesses,
-              static_cast<uint64_t>(kThreads * kPerThread));
-}
-
-TEST(OramProxyTest, FlightRecorderSeesProxyHops)
-{
-    serving::FlightRecorder flight(1024);
-    ProxyConfig config;
-    config.batch_window = 4;
-    config.nthreads = 2;  // decomposed path: eviction hops are recorded
-    config.flight = &flight;
-    auto proxy = MakeLoadedProxy(OramKind::kPath, 32, 4, config);
-    std::vector<std::future<std::vector<uint32_t>>> futs;
-    for (int64_t id : {int64_t{1}, int64_t{1}, int64_t{2}, int64_t{9}}) {
-        futs.push_back(proxy->SubmitRead(id));
-    }
-    proxy->Flush();
-    for (auto& f : futs) f.get();
-
-    uint64_t enq = 0, coal = 0, acc = 0, evict = 0;
-    for (const serving::FlightEvent& e : flight.Snapshot()) {
-        switch (e.hop) {
-            case serving::FlightHop::kProxyEnqueue: ++enq; break;
-            case serving::FlightHop::kProxyCoalesce: ++coal; break;
-            case serving::FlightHop::kProxyAccess: ++acc; break;
-            case serving::FlightHop::kProxyEvict: ++evict; break;
-            default: break;
-        }
-    }
-    EXPECT_EQ(enq, 4u);
-    EXPECT_EQ(coal, 1u);
-    EXPECT_EQ(acc, 4u);
-    EXPECT_GE(evict, 1u);
-}
-
-TEST(OramProxyTest, SubmitAfterShutdownThrows)
-{
-    ProxyConfig config;
-    auto proxy = MakeLoadedProxy(OramKind::kPath, 16, 4, config);
-    auto fut = proxy->SubmitRead(2);
-    proxy->Shutdown();
-    EXPECT_EQ(fut.get(), MakeBlock(4, 3));  // drained before stopping
-    EXPECT_THROW(proxy->SubmitRead(1), std::runtime_error);
 }
 
 TEST(OramProxyTest, OutOfRangeIdIsRejectedUpFront)
 {
     ProxyConfig config;
     auto proxy = MakeLoadedProxy(OramKind::kPath, 16, 4, config);
-    EXPECT_THROW(proxy->SubmitRead(-1), std::invalid_argument);
-    EXPECT_THROW(proxy->SubmitRead(16), std::invalid_argument);
+    EXPECT_THROW(ReadAll(*proxy, {-1}), std::invalid_argument);
+    EXPECT_THROW(ReadAll(*proxy, {16}), std::invalid_argument);
+    std::vector<uint32_t> short_out(3);
+    EXPECT_THROW(proxy->ReadBatch(std::vector<int64_t>{1}, short_out),
+                 std::invalid_argument);
     EXPECT_EQ(proxy->stats().requests, 0u);
+    EXPECT_EQ(proxy->oram().stats().accesses, 0);
 }
 
-TEST(OramProxyTest, ProxyWindowsHelperRoundsUp)
+TEST(OramProxyTest, FailedAccessPoisonsEveryLaterCall)
 {
-    EXPECT_EQ(ProxyWindows(0, 4), 0);
-    EXPECT_EQ(ProxyWindows(4, 4), 1);
-    EXPECT_EQ(ProxyWindows(5, 4), 2);
-    EXPECT_EQ(ProxyWindows(7, 0), 7);  // degenerate window clamps to 1
+    // A stash that cannot hold one path: the first access overflows it.
+    OramParams params = OramParams::Defaults(OramKind::kPath);
+    params.stash_capacity = 0;
+    ProxyConfig config;
+    auto proxy =
+        MakeLoadedProxy(OramKind::kPath, 16, 4, config, &params);
+
+    // An out-of-range id in the middle of a batch throws before any
+    // access, and leaves the proxy usable.
+    EXPECT_THROW(ReadAll(*proxy, {1, 2, 16, 3}), std::invalid_argument);
+    EXPECT_EQ(proxy->oram().stats().accesses, 0);
+    EXPECT_EQ(proxy->stats().requests, 0u);
+
+    EXPECT_THROW(ReadAll(*proxy, {1, 2}), std::runtime_error);
+    const int64_t accesses = proxy->oram().stats().accesses;
+    EXPECT_GT(accesses, 0);
+
+    EXPECT_THROW(ReadAll(*proxy, {3}), std::runtime_error);
+    EXPECT_EQ(proxy->oram().stats().accesses, accesses);
+}
+
+TEST(OramProxyTest, StatsReadableWhileAnotherThreadReads)
+{
+    // A server's batcher thread serves while a monitor polls stats().
+    ProxyConfig config;
+    config.batch_window = 4;
+    auto proxy = MakeLoadedProxy(OramKind::kPath, 32, 4, config);
+    constexpr int kBatches = 20;
+    std::thread server([&] {
+        for (int i = 0; i < kBatches; ++i) {
+            ExpectLoadedContent(*proxy, {1, 1, 2, static_cast<int64_t>(i)});
+        }
+    });
+    uint64_t last = 0;
+    for (int i = 0; i < 200; ++i) {
+        const ProxyStats s = proxy->stats();
+        EXPECT_GE(s.requests, last);
+        last = s.requests;
+    }
+    server.join();
+    EXPECT_EQ(proxy->stats().physical_accesses, 4u * kBatches);
 }
 
 // ---------------------------------------------------------------------------

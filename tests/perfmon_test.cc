@@ -25,11 +25,11 @@
 
 #include "core/table_generators.h"
 #include "perfmon/perfmon.h"
-#include "sidechannel/oblivious_check.h"
 #include "sidechannel/trace.h"
 #include "telemetry/telemetry.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
+#include "verify/canonical.h"
 
 namespace secemb::perfmon {
 namespace {
@@ -299,10 +299,11 @@ TEST(PerfmonLeakageTest, TraceIdenticalWithPerfmonOnVsOff)
     gen.Generate(ids, out);
     gen.set_recorder(nullptr);
 
-    const sidechannel::ObliviousnessReport report =
-        sidechannel::CompareTraces(rec_on.trace(), rec_off.trace());
+    const verify::TraceDivergence report =
+        verify::CompareCanonical(verify::Canonicalize(rec_on.trace()),
+                                 verify::Canonicalize(rec_off.trace()));
     EXPECT_FALSE(rec_on.trace().empty());
-    EXPECT_TRUE(report.identical) << report.detail;
+    EXPECT_FALSE(report.diverged) << report.detail;
 }
 
 /**
@@ -329,10 +330,11 @@ TEST(PerfmonLeakageTest, TraceIdenticalAcrossSecretsWithPerfmonOn)
     gen.Generate(secrets_b, out);
     gen.set_recorder(nullptr);
 
-    const sidechannel::ObliviousnessReport report =
-        sidechannel::CompareTraces(rec_a.trace(), rec_b.trace());
+    const verify::TraceDivergence report =
+        verify::CompareCanonical(verify::Canonicalize(rec_a.trace()),
+                                 verify::Canonicalize(rec_b.trace()));
     EXPECT_FALSE(rec_a.trace().empty());
-    EXPECT_TRUE(report.identical) << report.detail;
+    EXPECT_FALSE(report.diverged) << report.detail;
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 /**
  * @file
- * Obliviousness certification of the concurrent ORAM proxy
+ * Obliviousness certification of the coalescing ORAM proxy
  * (`ctest -L leakage`): canonical trace shape must be identical across
- * arbitrary queue arrival orders (seeded interleaving fuzz) and across
- * secret sets, the proxied schedule must be shape-identical to the serial
- * Path ORAM controller's, and the engine must catch the classic
- * coalescing bug (deduplicating without dummy padding) as a leak.
+ * arbitrary batch orders (seeded interleaving fuzz) and across secret
+ * sets, the proxied schedule must be shape-identical to the serial Path
+ * ORAM controller's, and the engine must catch the classic coalescing
+ * bug (deduplicating without dummy padding) as a leak.
  */
 
 #include <gtest/gtest.h>
@@ -22,14 +22,13 @@ namespace secemb::verify {
 namespace {
 
 VerifyConfig
-ProxyConfigFor(int batch, int nthreads, uint64_t seed)
+ProxyConfigFor(int batch, uint64_t seed)
 {
     VerifyConfig c;
     c.subject = Subject::kProxyOram;
     c.rows = 32;
     c.dim = 8;
     c.batch = batch;
-    c.nthreads = nthreads;
     c.secret_sets = 2;
     c.seed = seed;
     return c;
@@ -52,7 +51,7 @@ TEST(ProxyVerifyTest, ShapeIdenticalAcrossInterleavings)
     // 8 arrival-order permutations x 2 secret sets: a duplicate-heavy
     // batch (8 draws from 32 rows collides often) so coalescing really
     // reshuffles which accesses are real vs dummy between runs.
-    const VerifyConfig config = ProxyConfigFor(8, 1, 11);
+    const VerifyConfig config = ProxyConfigFor(8, 11);
     const InterleavingResult r = RunInterleavingFuzz(config, 8);
     EXPECT_TRUE(r.passed) << r.detail;
     EXPECT_EQ(r.runs, 16);
@@ -61,19 +60,9 @@ TEST(ProxyVerifyTest, ShapeIdenticalAcrossInterleavings)
     EXPECT_GT(r.trace_len, 0u);
 }
 
-TEST(ProxyVerifyTest, ShapeIdenticalAcrossInterleavingsParallel)
-{
-    // Same engine with the intra-access pipeline on pool threads: the
-    // parallel data movement must not change what gets recorded.
-    const VerifyConfig config = ProxyConfigFor(8, 4, 13);
-    const InterleavingResult r = RunInterleavingFuzz(config, 8);
-    EXPECT_TRUE(r.passed) << r.detail;
-    EXPECT_EQ(r.runs, 16);
-}
-
 TEST(ProxyVerifyTest, DifferentialShapeAcrossSecretSets)
 {
-    VerifyConfig config = ProxyConfigFor(8, 1, 17);
+    VerifyConfig config = ProxyConfigFor(8, 17);
     config.secret_sets = 4;
     const DifferentialResult r = RunDifferential(config);
     EXPECT_TRUE(r.passed) << r.detail;
@@ -83,9 +72,9 @@ TEST(ProxyVerifyTest, DifferentialShapeAcrossSecretSets)
 TEST(ProxyVerifyTest, ProxyScheduleMatchesSerialControllerShape)
 {
     // The proxied generator must present the exact per-access trace shape
-    // of the serial Path ORAM controller — batching, coalescing, and
-    // deferred eviction change who does the work, never what is recorded.
-    VerifyConfig proxy_config = ProxyConfigFor(8, 1, 19);
+    // of the serial Path ORAM controller — windowing and coalescing
+    // change which ids are read, never what shape is recorded.
+    VerifyConfig proxy_config = ProxyConfigFor(8, 19);
     VerifyConfig serial_config = proxy_config;
     serial_config.subject = Subject::kTreeOram;
     serial_config.variant = 0;  // Path
@@ -153,7 +142,7 @@ class DedupWithoutPadding : public core::EmbeddingGenerator
 
 TEST(ProxyVerifyTest, EngineCatchesCoalescingWithoutPadding)
 {
-    VerifyConfig config = ProxyConfigFor(8, 1, 23);
+    VerifyConfig config = ProxyConfigFor(8, 23);
     config.rows = 16;  // small table: duplicate counts vary across sets
     config.secret_sets = 4;
     const GeneratorFactory leaky =

@@ -17,8 +17,9 @@
  *    trace bit-identical to the native pooled path, i.e. whether the
  *    server is degraded is not observable through the memory channel;
  *  - a served proxied Path ORAM certifies through Server::set_recorder:
- *    the batcher thread hands the recorder to the proxy, whose conductor
- *    thread records, and the trace is non-empty and secret-independent;
+ *    the batcher thread hands the recorder to the proxy's tree, which
+ *    records on the batcher thread, and the trace is non-empty and
+ *    secret-independent;
  *  - a planted value-dependent fallback — a generator that switches
  *    technique (linear scan vs DHE) on the parity of a secret index — is
  *    rejected by the differential engine when served through the same
@@ -351,8 +352,8 @@ TEST(ServingVerifyTest, StatisticalPassesOnServingPathWithFaults)
 TEST(ServingVerifyTest, ServedProxyOramCertifiesThroughServer)
 {
     // The recorder travels Server::set_recorder -> batcher thread ->
-    // ProxiedOramTable::set_recorder (which quiesces the proxy) -> the
-    // conductor thread that records. ORAM traces are randomised, so the
+    // ProxiedOramTable::set_recorder -> the proxy's tree, which records
+    // on the batcher thread. ORAM traces are randomised, so the
     // differential engine compares shapes and the statistical engine
     // certifies the rest.
     const VerifyConfig config = ServingConfig(/*pooled=*/false);

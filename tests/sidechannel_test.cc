@@ -11,6 +11,7 @@
 #include "sidechannel/cache_model.h"
 #include "sidechannel/oblivious_check.h"
 #include "sidechannel/trace.h"
+#include "verify/canonical.h"
 
 namespace secemb::sidechannel {
 namespace {
@@ -92,24 +93,6 @@ TEST(TraceTest, RecorderCollectsAndClears)
     EXPECT_TRUE(rec.trace()[1].is_write);
     rec.Clear();
     EXPECT_EQ(rec.size(), 0u);
-}
-
-TEST(ObliviousCheckTest, CompareTracesIdentical)
-{
-    std::vector<MemoryAccess> a{{1, 4, false}, {2, 4, true}};
-    const auto r = CompareTraces(a, a);
-    EXPECT_TRUE(r.identical);
-    EXPECT_TRUE(r.same_shape);
-}
-
-TEST(ObliviousCheckTest, CompareTracesDivergence)
-{
-    std::vector<MemoryAccess> a{{1, 4, false}, {2, 4, true}};
-    std::vector<MemoryAccess> b{{1, 4, false}, {3, 4, true}};
-    const auto r = CompareTraces(a, b);
-    EXPECT_FALSE(r.identical);
-    EXPECT_TRUE(r.same_shape);  // same sizes and r/w pattern
-    EXPECT_EQ(r.first_divergence, 1u);
 }
 
 TEST(ObliviousCheckTest, ChiSquaredUniformSmallForUniform)
@@ -218,8 +201,9 @@ TEST_F(AttackFixture, LinearScanTraceIdenticalAcrossSecrets)
     rec.Clear();
     std::vector<int64_t> b{200};
     victim.Generate(b, out);
-    const auto r = CompareTraces(trace_a, rec.trace());
-    EXPECT_TRUE(r.identical) << r.detail;
+    const auto r = verify::CompareCanonical(verify::Canonicalize(trace_a),
+                                            verify::Canonicalize(rec.trace()));
+    EXPECT_FALSE(r.diverged) << r.detail;
 }
 
 TEST_F(AttackFixture, NonSecureTraceDiffersAcrossSecrets)
@@ -236,7 +220,9 @@ TEST_F(AttackFixture, NonSecureTraceDiffersAcrossSecrets)
     rec.Clear();
     std::vector<int64_t> b{200};
     victim.Generate(b, out);
-    EXPECT_FALSE(CompareTraces(trace_a, rec.trace()).identical);
+    EXPECT_TRUE(verify::CompareCanonical(verify::Canonicalize(trace_a),
+                                         verify::Canonicalize(rec.trace()))
+                    .diverged);
 }
 
 }  // namespace

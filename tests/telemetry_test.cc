@@ -24,11 +24,11 @@
 #include "bench_util/json.h"
 #include "core/dhe_generator.h"
 #include "core/table_generators.h"
-#include "sidechannel/oblivious_check.h"
 #include "sidechannel/trace.h"
 #include "telemetry/telemetry.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
+#include "verify/canonical.h"
 
 namespace secemb {
 namespace {
@@ -501,10 +501,11 @@ ExpectTraceUnaffectedByTelemetry(core::EmbeddingGenerator& gen, Fn&& fn)
     telemetry::SetEnabled(true);
     gen.set_recorder(nullptr);
 
-    const sidechannel::ObliviousnessReport report =
-        sidechannel::CompareTraces(rec_on.trace(), rec_off.trace());
+    const verify::TraceDivergence report =
+        verify::CompareCanonical(verify::Canonicalize(rec_on.trace()),
+                                 verify::Canonicalize(rec_off.trace()));
     EXPECT_FALSE(rec_on.trace().empty());
-    EXPECT_TRUE(report.identical) << report.detail;
+    EXPECT_FALSE(report.diverged) << report.detail;
 }
 
 TEST(ObliviousInstrumentationTest, LinearScanTraceIdenticalOnOffTelemetry)
@@ -536,8 +537,9 @@ TEST(ObliviousInstrumentationTest, LinearScanTraceIdenticalAcrossSecrets)
     gen.set_recorder(nullptr);
 
     const auto report =
-        sidechannel::CompareTraces(rec_a.trace(), rec_b.trace());
-    EXPECT_TRUE(report.identical) << report.detail;
+        verify::CompareCanonical(verify::Canonicalize(rec_a.trace()),
+                                 verify::Canonicalize(rec_b.trace()));
+    EXPECT_FALSE(report.diverged) << report.detail;
 }
 
 TEST(ObliviousInstrumentationTest,
@@ -582,11 +584,13 @@ TEST(ObliviousInstrumentationTest,
     gen.set_recorder(nullptr);
 
     const auto across_secrets =
-        sidechannel::CompareTraces(rec_a.trace(), rec_b.trace());
-    EXPECT_TRUE(across_secrets.identical) << across_secrets.detail;
+        verify::CompareCanonical(verify::Canonicalize(rec_a.trace()),
+                                 verify::Canonicalize(rec_b.trace()));
+    EXPECT_FALSE(across_secrets.diverged) << across_secrets.detail;
     const auto across_schedules =
-        sidechannel::CompareTraces(rec_serial.trace(), rec_a.trace());
-    EXPECT_TRUE(across_schedules.identical) << across_schedules.detail;
+        verify::CompareCanonical(verify::Canonicalize(rec_serial.trace()),
+                                 verify::Canonicalize(rec_a.trace()));
+    EXPECT_FALSE(across_schedules.diverged) << across_schedules.detail;
 }
 
 TEST(ObliviousInstrumentationTest,
@@ -609,8 +613,9 @@ TEST(ObliviousInstrumentationTest,
     gen.set_recorder(nullptr);
 
     const auto report =
-        sidechannel::CompareTraces(rec_a.trace(), rec_b.trace());
-    EXPECT_TRUE(report.identical) << report.detail;
+        verify::CompareCanonical(verify::Canonicalize(rec_a.trace()),
+                                 verify::Canonicalize(rec_b.trace()));
+    EXPECT_FALSE(report.diverged) << report.detail;
 }
 
 TEST(ObliviousInstrumentationTest, DheForwardTraceIdenticalOnOffTelemetry)
@@ -650,8 +655,9 @@ TEST(ObliviousInstrumentationTest, DheForwardTraceIdenticalAcrossSecrets)
     gen.set_recorder(nullptr);
 
     const auto report =
-        sidechannel::CompareTraces(rec_a.trace(), rec_b.trace());
-    EXPECT_TRUE(report.identical) << report.detail;
+        verify::CompareCanonical(verify::Canonicalize(rec_a.trace()),
+                                 verify::Canonicalize(rec_b.trace()));
+    EXPECT_FALSE(report.diverged) << report.detail;
 }
 
 }  // namespace
