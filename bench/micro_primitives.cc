@@ -26,6 +26,7 @@
 
 #include "bench_util/json.h"
 #include "dhe/hashing.h"
+#include "llm/attention.h"
 #include "oblivious/ct_ops.h"
 #include "oblivious/scan.h"
 #include "oram/crypto.h"
@@ -280,6 +281,77 @@ BM_ObliviousArgmax(benchmark::State& state)
     }
 }
 BENCHMARK(BM_ObliviousArgmax)->Arg(50257);
+
+/**
+ * The GPT FFN's fc1 at the llm workload's shapes, one thread: a 256 ->
+ * 1024 GEMM at m = 4 (one decode step) and m = 256 (a 4 x 64 prefill),
+ * with the fused epilogue writing the pre-activation as nn::Linear
+ * does. gelu:0 runs the identity epilogue, so the GELU's own cost is
+ * the difference of the two rows. Report-only: no baseline row gates it.
+ */
+void
+BM_Fc1Epilogue(benchmark::State& state)
+{
+    const int64_t m = state.range(0), k = 256, n = 1024;
+    const auto act = state.range(1) != 0 ? kernels::Activation::kGelu
+                                         : kernels::Activation::kIdentity;
+    Rng rng(24);
+    const Tensor x = Tensor::Randn({m, k}, rng);
+    const Tensor w = Tensor::Randn({k, n}, rng, 0.06f);
+    const Tensor bias = Tensor::Randn({n}, rng);
+    kernels::PackedB packed;
+    kernels::PackB(w.data(), k, n, /*transposed_src=*/false,
+                   kernels::ActiveIsa(), &packed);
+    Tensor c({m, n}), preact({m, n});
+    for (auto _ : state) {
+        AffineActForward(x, packed, bias, c, 1, act, &preact);
+        benchmark::DoNotOptimize(c.data());
+        benchmark::DoNotOptimize(preact.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_Fc1Epilogue)
+    ->Args({4, 0})
+    ->Args({4, 1})
+    ->Args({256, 0})
+    ->Args({256, 1})
+    ->ArgNames({"m", "gelu"});
+
+/**
+ * One causal self-attention layer at the llm workload's shape (dim 256,
+ * 8 heads, batch 4, one thread), its QKV and output GEMMs included.
+ * decode:0 is a 64-token prefill into an empty KV cache; decode:1 is
+ * the 32 single-token steps after it, attending to 65..96 positions, so
+ * its time over 32 is one decode step's attention. Report-only.
+ */
+void
+BM_CausalAttention(benchmark::State& state)
+{
+    constexpr int64_t kBatch = 4, kDim = 256, kHeads = 8;
+    constexpr int64_t kPrompt = 64, kSteps = 32;
+    const bool decode = state.range(0) != 0;
+    Rng rng(25);
+    llm::CausalSelfAttention attn(kDim, kHeads, rng);
+    const Tensor prompt = Tensor::Randn({kBatch * kPrompt, kDim}, rng);
+    const Tensor token = Tensor::Randn({kBatch, kDim}, rng);
+    llm::KvCache cache(kBatch, kPrompt + kSteps, kDim);
+    attn.ForwardCached(prompt, kBatch, kPrompt, cache);
+    for (auto _ : state) {
+        if (decode) {
+            cache.len = kPrompt;
+            for (int64_t s = 0; s < kSteps; ++s) {
+                const Tensor y = attn.ForwardCached(token, kBatch, 1, cache);
+                benchmark::DoNotOptimize(y.data());
+            }
+        } else {
+            cache.len = 0;
+            const Tensor y = attn.ForwardCached(prompt, kBatch, kPrompt, cache);
+            benchmark::DoNotOptimize(y.data());
+        }
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_CausalAttention)->ArgName("decode")->Arg(0)->Arg(1);
 
 void
 BM_HashEncode(benchmark::State& state)

@@ -22,7 +22,9 @@
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-BUILD_DIR="${REPO_ROOT}/build"
+# Release builds go to their own tree, so the default RelWithDebInfo
+# build/ keeps its configuration.
+BUILD_DIR="${REPO_ROOT}/build-release"
 OUTDIR="${REPO_ROOT}/bench_out"
 BASELINE="${REPO_ROOT}/baselines/BENCH_baseline.json"
 GATE="1.15"

@@ -30,7 +30,9 @@
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-BUILD_DIR="${REPO_ROOT}/build"
+# Release builds go to their own tree, so the default RelWithDebInfo
+# build/ keeps its configuration.
+BUILD_DIR="${REPO_ROOT}/build-release"
 SKIP_SANITIZERS=0
 SANITIZERS="address thread undefined"
 

@@ -22,6 +22,122 @@ SoftmaxRow(float* row, int64_t n)
     for (int64_t j = 0; j < n; ++j) row[j] *= inv;
 }
 
+// The causal core runs at the baseline vector width. Every lane keeps
+// the scalar definition's order: a score sums over head dims j, a
+// context element over positions u, each from +0, one multiply and one
+// add per step (the TU builds with -ffp-contract=off), so the output is
+// bit-identical to the one-float-per-step loops.
+using Floats = float __attribute__((vector_size(16), aligned(4), may_alias));
+constexpr int64_t kLanes = sizeof(Floats) / sizeof(float);
+
+/** s[u] = (q . key u) * scale for kV * kLanes keys; key u's component j
+ * is kt[j * ldk + u]. */
+template <int kV>
+void
+ScoreKeys(const float* q, const float* kt, int64_t ldk, int64_t hd,
+          float scale, float* s)
+{
+    Floats acc[kV] = {};
+    for (int64_t j = 0; j < hd; ++j) {
+        const float qj = q[j];
+        const float* key = kt + j * ldk;
+#pragma GCC unroll 8
+        for (int v = 0; v < kV; ++v) {
+            acc[v] += qj * *reinterpret_cast<const Floats*>(key + v * kLanes);
+        }
+    }
+#pragma GCC unroll 8
+    for (int v = 0; v < kV; ++v) {
+        *reinterpret_cast<Floats*>(s + v * kLanes) = acc[v] * scale;
+    }
+}
+
+/** c[j] = sum over u < n of p[u] * v[u * ldv + j], for kV * kLanes
+ * head dims. */
+template <int kV>
+void
+ContextDims(const float* p, int64_t n, const float* v, int64_t ldv,
+            float* c)
+{
+    Floats acc[kV] = {};
+    for (int64_t u = 0; u < n; ++u) {
+        const float pu = p[u];
+        const float* value = v + u * ldv;
+#pragma GCC unroll 8
+        for (int i = 0; i < kV; ++i) {
+            acc[i] += pu * *reinterpret_cast<const Floats*>(value + i * kLanes);
+        }
+    }
+#pragma GCC unroll 8
+    for (int i = 0; i < kV; ++i) {
+        *reinterpret_cast<Floats*>(c + i * kLanes) = acc[i];
+    }
+}
+
+/** One head of causal attention over a batch row, in the layout both
+ * forwards share: K^T rows of positions, V and Q rows of dims. */
+struct HeadArgs
+{
+    const float* q;  ///< query of the first new token, at the head's dims
+    int64_t ldq;
+    const float* kt;  ///< K^T at the head's first dim: key u, dim j at
+    int64_t ldk;      ///< kt[j * ldk + u]
+    const float* v;   ///< value of position 0, at the head's dims
+    int64_t ldv;
+    float* ctx;  ///< context of the first new token
+    int64_t ldc;
+    float* probs;  ///< softmax rows; ldp 0 reuses one row for every token
+    int64_t ldp;
+    int64_t hd;    ///< head dim
+    int64_t past;  ///< positions before the first new token
+    int64_t rows;  ///< new tokens
+    float scale;
+};
+
+/** Token t (position past + t) attends to positions [0, past + t]: 16
+ * keys at a time for its scores, 32 dims at a time for its context,
+ * then narrower blocks and a scalar tail. Loop bounds are positions
+ * and dims, never values. */
+void
+CausalHead(const HeadArgs& a)
+{
+    for (int64_t t = 0; t < a.rows; ++t) {
+        const float* q = a.q + t * a.ldq;
+        float* s = a.probs + t * a.ldp;
+        float* c = a.ctx + t * a.ldc;
+        const int64_t visible = a.past + t + 1;
+        int64_t u = 0;
+        for (; u + 4 * kLanes <= visible; u += 4 * kLanes) {
+            ScoreKeys<4>(q, a.kt + u, a.ldk, a.hd, a.scale, s + u);
+        }
+        for (; u + kLanes <= visible; u += kLanes) {
+            ScoreKeys<1>(q, a.kt + u, a.ldk, a.hd, a.scale, s + u);
+        }
+        for (; u < visible; ++u) {
+            float acc = 0.0f;
+            for (int64_t j = 0; j < a.hd; ++j) {
+                acc += q[j] * a.kt[j * a.ldk + u];
+            }
+            s[u] = acc * a.scale;
+        }
+        SoftmaxRow(s, visible);
+        int64_t j = 0;
+        for (; j + 8 * kLanes <= a.hd; j += 8 * kLanes) {
+            ContextDims<8>(s, visible, a.v + j, a.ldv, c + j);
+        }
+        for (; j + kLanes <= a.hd; j += kLanes) {
+            ContextDims<1>(s, visible, a.v + j, a.ldv, c + j);
+        }
+        for (; j < a.hd; ++j) {
+            float acc = 0.0f;
+            for (int64_t p = 0; p < visible; ++p) {
+                acc += s[p] * a.v[p * a.ldv + j];
+            }
+            c[j] = acc;
+        }
+    }
+}
+
 }  // namespace
 
 CausalSelfAttention::CausalSelfAttention(int64_t dim, int64_t num_heads,
@@ -47,45 +163,27 @@ CausalSelfAttention::Forward(const Tensor& x, int64_t batch, int64_t seq)
     q_ = Tensor({batch * seq, dim_});
     k_ = Tensor({batch * seq, dim_});
     v_ = Tensor({batch * seq, dim_});
+    Tensor kt({batch, dim_, seq});  // K^T per sample, for the scores
     for (int64_t r = 0; r < batch * seq; ++r) {
         const float* src = qkv.data() + r * 3 * dim_;
         std::copy(src, src + dim_, q_.data() + r * dim_);
         std::copy(src + dim_, src + 2 * dim_, k_.data() + r * dim_);
         std::copy(src + 2 * dim_, src + 3 * dim_, v_.data() + r * dim_);
+        float* kcol = kt.data() + (r / seq) * dim_ * seq + r % seq;
+        for (int64_t j = 0; j < dim_; ++j) kcol[j * seq] = src[dim_ + j];
     }
 
     probs_ = Tensor::Zeros({batch, heads_, seq, seq});
     Tensor context({batch * seq, dim_});
-
     for (int64_t b = 0; b < batch; ++b) {
         for (int64_t h = 0; h < heads_; ++h) {
             const int64_t off = h * hd;
-            for (int64_t t = 0; t < seq; ++t) {
-                const float* qrow = q_.data() + (b * seq + t) * dim_ + off;
-                float* prow = probs_.data() +
-                              ((b * heads_ + h) * seq + t) * seq;
-                for (int64_t u = 0; u <= t; ++u) {
-                    const float* krow =
-                        k_.data() + (b * seq + u) * dim_ + off;
-                    float acc = 0.0f;
-                    for (int64_t j = 0; j < hd; ++j) {
-                        acc += qrow[j] * krow[j];
-                    }
-                    prow[u] = acc * scale;
-                }
-                SoftmaxRow(prow, t + 1);  // rows beyond t stay zero
-                float* crow =
-                    context.data() + (b * seq + t) * dim_ + off;
-                for (int64_t j = 0; j < hd; ++j) crow[j] = 0.0f;
-                for (int64_t u = 0; u <= t; ++u) {
-                    const float p = prow[u];
-                    const float* vrow =
-                        v_.data() + (b * seq + u) * dim_ + off;
-                    for (int64_t j = 0; j < hd; ++j) {
-                        crow[j] += p * vrow[j];
-                    }
-                }
-            }
+            CausalHead({q_.data() + b * seq * dim_ + off, dim_,
+                        kt.data() + (b * dim_ + off) * seq, seq,
+                        v_.data() + b * seq * dim_ + off, dim_,
+                        context.data() + b * seq * dim_ + off, dim_,
+                        probs_.data() + (b * heads_ + h) * seq * seq, seq,
+                        hd, /*past=*/0, /*rows=*/seq, scale});
         }
     }
     return proj_.Forward(context);
@@ -175,21 +273,20 @@ CausalSelfAttention::ForwardCached(const Tensor& x, int64_t batch,
     const int64_t hd = dim_ / heads_;
     const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
     const int64_t past = cache.len;
-    const int64_t max_seq = cache.k.size(1);
+    const int64_t max_seq = cache.max_seq();
     assert(past + new_seq <= max_seq);
-    (void)max_seq;
 
     const Tensor qkv = qkv_.Forward(x);
-    // Append K/V to the cache.
+    // Append K (as columns of K^T) and V to the cache.
     for (int64_t b = 0; b < batch; ++b) {
         for (int64_t t = 0; t < new_seq; ++t) {
             const float* src = qkv.data() + (b * new_seq + t) * 3 * dim_;
-            float* kdst = cache.k.data() +
-                          (b * cache.k.size(1) + past + t) * dim_;
-            float* vdst = cache.v.data() +
-                          (b * cache.v.size(1) + past + t) * dim_;
-            std::copy(src + dim_, src + 2 * dim_, kdst);
-            std::copy(src + 2 * dim_, src + 3 * dim_, vdst);
+            float* kdst = cache.k.data() + b * dim_ * max_seq + past + t;
+            for (int64_t j = 0; j < dim_; ++j) {
+                kdst[j * max_seq] = src[dim_ + j];
+            }
+            std::copy(src + 2 * dim_, src + 3 * dim_,
+                      cache.v.data() + (b * max_seq + past + t) * dim_);
         }
     }
 
@@ -198,34 +295,11 @@ CausalSelfAttention::ForwardCached(const Tensor& x, int64_t batch,
     for (int64_t b = 0; b < batch; ++b) {
         for (int64_t h = 0; h < heads_; ++h) {
             const int64_t off = h * hd;
-            for (int64_t t = 0; t < new_seq; ++t) {
-                const float* qrow =
-                    qkv.data() + (b * new_seq + t) * 3 * dim_ + off;
-                const int64_t visible = past + t + 1;
-                for (int64_t u = 0; u < visible; ++u) {
-                    const float* krow =
-                        cache.k.data() +
-                        (b * cache.k.size(1) + u) * dim_ + off;
-                    float acc = 0.0f;
-                    for (int64_t j = 0; j < hd; ++j) {
-                        acc += qrow[j] * krow[j];
-                    }
-                    scores[static_cast<size_t>(u)] = acc * scale;
-                }
-                SoftmaxRow(scores.data(), visible);
-                float* crow =
-                    context.data() + (b * new_seq + t) * dim_ + off;
-                for (int64_t j = 0; j < hd; ++j) crow[j] = 0.0f;
-                for (int64_t u = 0; u < visible; ++u) {
-                    const float p = scores[static_cast<size_t>(u)];
-                    const float* vrow =
-                        cache.v.data() +
-                        (b * cache.v.size(1) + u) * dim_ + off;
-                    for (int64_t j = 0; j < hd; ++j) {
-                        crow[j] += p * vrow[j];
-                    }
-                }
-            }
+            CausalHead({qkv.data() + b * new_seq * 3 * dim_ + off, 3 * dim_,
+                        cache.k.data() + (b * dim_ + off) * max_seq, max_seq,
+                        cache.v.data() + b * max_seq * dim_ + off, dim_,
+                        context.data() + b * new_seq * dim_ + off, dim_,
+                        scores.data(), /*ldp=*/0, hd, past, new_seq, scale});
         }
     }
     cache.len = past + new_seq;

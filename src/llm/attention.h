@@ -18,19 +18,25 @@
 
 namespace secemb::llm {
 
-/** Per-layer key/value cache for autoregressive decoding. */
+/**
+ * Per-layer key/value cache for autoregressive decoding. Keys are stored
+ * transposed, so one query's scores read each key component along a
+ * contiguous row of positions.
+ */
 struct KvCache
 {
-    Tensor k;  ///< (batch, max_seq, dim) packed head-major within dim
-    Tensor v;
+    Tensor k;  ///< (batch, dim, max_seq): K^T, head-major within dim
+    Tensor v;  ///< (batch, max_seq, dim) packed head-major within dim
     int64_t len = 0;  ///< tokens currently cached
 
     KvCache() = default;
     KvCache(int64_t batch, int64_t max_seq, int64_t dim)
-        : k(Tensor::Zeros({batch, max_seq, dim})),
+        : k(Tensor::Zeros({batch, dim, max_seq})),
           v(Tensor::Zeros({batch, max_seq, dim}))
     {
     }
+
+    int64_t max_seq() const { return v.size(1); }
 };
 
 /** Causal multi-head self-attention block. */

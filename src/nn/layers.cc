@@ -148,7 +148,7 @@ ObliviousReLUInPlace(Tensor& x)
 }
 
 // ---------------------------------------------------------------------------
-// Sigmoid / Tanh / Gelu
+// Sigmoid / Tanh
 // ---------------------------------------------------------------------------
 
 Tensor
@@ -191,28 +191,6 @@ Tanh::Backward(const Tensor& grad_out)
     float* d = dx.data();
     const float* y = cached_y_.data();
     for (int64_t i = 0; i < dx.numel(); ++i) d[i] *= 1.0f - y[i] * y[i];
-    return dx;
-}
-
-Tensor
-Gelu::Forward(const Tensor& x)
-{
-    cached_x_ = x;
-    Tensor y = x;
-    float* p = y.data();
-    for (int64_t i = 0; i < y.numel(); ++i) p[i] = kernels::GeluF(p[i]);
-    return y;
-}
-
-Tensor
-Gelu::Backward(const Tensor& grad_out)
-{
-    Tensor dx = grad_out;
-    float* d = dx.data();
-    const float* x = cached_x_.data();
-    for (int64_t i = 0; i < dx.numel(); ++i) {
-        d[i] *= kernels::GeluGradF(x[i]);
-    }
     return dx;
 }
 

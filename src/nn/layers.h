@@ -129,18 +129,6 @@ class Tanh : public Module
     Tensor cached_y_;
 };
 
-/** Gaussian error linear unit (tanh approximation, as in GPT-2). */
-class Gelu : public Module
-{
-  public:
-    Tensor Forward(const Tensor& x) override;
-    Tensor Backward(const Tensor& grad_out) override;
-    std::string_view name() const override { return "Gelu"; }
-
-  private:
-    Tensor cached_x_;
-};
-
 /** Layer normalisation over the last dimension with learned gain/bias. */
 class LayerNorm : public Module
 {

@@ -100,15 +100,24 @@ void CtSwapRows(uint64_t mask, std::span<float> a, std::span<float> b);
 
 /**
  * CtCopyRow for raw 32-bit words: conditionally overwrite dst with src
- * when mask is all-ones, always touching every element. The out-of-core
- * ORAM layers (src/store) move encrypted payload words with this.
+ * when mask is all-ones, always touching every element. A blend of 4
+ * words per vector, then one word at a time for the last n % 4; the
+ * pointers need only word alignment. Path and Circuit ORAM (src/oram)
+ * and the out-of-core RAW ORAM (src/store) move block payloads with it.
  */
 inline void
 CtCopyWords(uint64_t mask, const uint32_t* src, uint32_t* dst, int64_t n)
 {
-    for (int64_t i = 0; i < n; ++i) {
-        dst[i] = static_cast<uint32_t>(Select(mask, src[i], dst[i]));
+    using Words =
+        uint32_t __attribute__((vector_size(16), aligned(4), may_alias));
+    const uint32_t m = static_cast<uint32_t>(ValueBarrier(mask));
+    const Words mv = Words{} + m;
+    int64_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        Words& d = *reinterpret_cast<Words*>(dst + i);
+        d = (*reinterpret_cast<const Words*>(src + i) & mv) | (d & ~mv);
     }
+    for (; i < n; ++i) dst[i] = (src[i] & m) | (dst[i] & ~m);
 }
 
 /** Conditional swap of scalars. */

@@ -1,7 +1,6 @@
 #include "oblivious/scan.h"
 
 #include <cassert>
-#include <cstring>
 #include <limits>
 
 #include "oblivious/ct_ops.h"
@@ -40,23 +39,38 @@ ScanRowsBaseline(const ScanArgs& args)
     TiledScan<BaselineTier>::Run(args);
 }
 
+int64_t
+ArgmaxBaseline(const float* values, int64_t n)
+{
+    return LaneArgmax<BaselineTier>::Run(values, n);
+}
+
 }  // namespace detail
 
 namespace {
 
-/** The scan tile for the active ISA tier (resolved per call, so
+/** The scan tile and argmax of one ISA tier. */
+struct TierKernels
+{
+    detail::ScanFn scan;
+    detail::ArgmaxFn argmax;
+};
+
+/** The kernels of the active ISA tier (resolved per call, so
  *  SECEMB_ISA and SetIsaForTest take effect at once). */
-detail::ScanFn
-ActiveScan()
+TierKernels
+Active()
 {
     switch (kernels::ActiveIsa()) {
 #if defined(SECEMB_SCAN_AVX512)
-      case kernels::Isa::kAvx512: return &detail::ScanRowsAvx512;
+      case kernels::Isa::kAvx512:
+        return {&detail::ScanRowsAvx512, &detail::ArgmaxAvx512};
 #endif
 #if defined(SECEMB_SCAN_AVX2)
-      case kernels::Isa::kAvx2: return &detail::ScanRowsAvx2;
+      case kernels::Isa::kAvx2:
+        return {&detail::ScanRowsAvx2, &detail::ArgmaxAvx2};
 #endif
-      default: return &detail::ScanRowsBaseline;
+      default: return {&detail::ScanRowsBaseline, &detail::ArgmaxBaseline};
     }
 }
 
@@ -91,33 +105,18 @@ ScanRows(std::span<const float> block, int64_t first_row, int64_t dim,
     TELEMETRY_COUNT("oblivious.vscan.rows",
                     rows * (slot_begin(b1) - slot_begin(b0)));
     if (rows == 0) return;  // nothing to read, so every slot stays as is
-    ActiveScan()({block.data(), rows, first_row, dim, ids.data(),
+    Active().scan({block.data(), rows, first_row, dim, ids.data(),
                   pooled ? offsets.data() : nullptr, b0, b1, out.data()});
 }
 
 int64_t
 ObliviousArgmax(std::span<const float> values)
 {
-    assert(!values.empty());
+    assert(!values.empty() && values.size() < (size_t{1} << 31) - 64);
     TELEMETRY_SPAN("oblivious.argmax");
     TELEMETRY_COUNT("oblivious.argmax.calls", 1);
-    // Compare float bits with a total order trick: flip the sign bit for
-    // non-negatives and all bits for negatives, then compare unsigned.
-    auto key = [](float f) {
-        uint32_t u;
-        std::memcpy(&u, &f, sizeof(u));
-        const uint32_t sign = u >> 31;
-        return static_cast<uint64_t>(u ^ (sign ? 0xffffffffu : 0x80000000u));
-    };
-    uint64_t best_key = key(values[0]);
-    uint64_t best_idx = 0;
-    for (size_t i = 1; i < values.size(); ++i) {
-        const uint64_t k = key(values[i]);
-        const uint64_t greater = LtMask(best_key, k);
-        best_key = Select(greater, k, best_key);
-        best_idx = Select(greater, static_cast<uint64_t>(i), best_idx);
-    }
-    return static_cast<int64_t>(best_idx);
+    return Active().argmax(values.data(),
+                           static_cast<int64_t>(values.size()));
 }
 
 std::vector<int64_t>

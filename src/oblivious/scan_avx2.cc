@@ -30,4 +30,10 @@ ScanRowsAvx2(const ScanArgs& args)
     TiledScan<Avx2Tier>::Run(args);
 }
 
+int64_t
+ArgmaxAvx2(const float* values, int64_t n)
+{
+    return LaneArgmax<Avx2Tier>::Run(values, n);
+}
+
 }  // namespace secemb::oblivious::detail

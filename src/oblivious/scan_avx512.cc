@@ -31,4 +31,10 @@ ScanRowsAvx512(const ScanArgs& args)
     TiledScan<Avx512Tier>::Run(args);
 }
 
+int64_t
+ArgmaxAvx512(const float* values, int64_t n)
+{
+    return LaneArgmax<Avx512Tier>::Run(values, n);
+}
+
 }  // namespace secemb::oblivious::detail

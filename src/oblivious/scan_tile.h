@@ -2,7 +2,8 @@
 
 /**
  * @file
- * Internal: the slot-tiled body of oblivious::ScanRows, one template
+ * Internal: the slot-tiled body of oblivious::ScanRows and the
+ * lane-parallel body of oblivious::ObliviousArgmax, templates
  * instantiated per ISA tier under that tier's -m flags (scan.cc for the
  * baseline, scan_avx2.cc, scan_avx512.cc) and dispatched on
  * kernels::ActiveIsa(), like dhe/hash_kernels.h.
@@ -53,13 +54,18 @@ struct ScanArgs
 };
 
 using ScanFn = void (*)(const ScanArgs& args);
+/** ObliviousArgmax over values[0, n), 1 <= n < 2^31 - 64. */
+using ArgmaxFn = int64_t (*)(const float* values, int64_t n);
 
 void ScanRowsBaseline(const ScanArgs& args);
+int64_t ArgmaxBaseline(const float* values, int64_t n);
 #if defined(SECEMB_SCAN_AVX2)
 void ScanRowsAvx2(const ScanArgs& args);
+int64_t ArgmaxAvx2(const float* values, int64_t n);
 #endif
 #if defined(SECEMB_SCAN_AVX512)
 void ScanRowsAvx512(const ScanArgs& args);
+int64_t ArgmaxAvx512(const float* values, int64_t n);
 #endif
 
 /** The key of an id outside the block: no row counter reaches it. */
@@ -229,6 +235,75 @@ struct TiledScan
             }
             Dispatch(n, pooled, a, keys, dst, canon);
         }
+    }
+};
+
+/**
+ * ObliviousArgmax at the tier's width. Floats compare under a total
+ * order of their bits: the int32 pattern with the non-sign bits of
+ * negatives flipped orders -NaN < -inf < ... < -0 < +0 < ... < +inf <
+ * +NaN. Lane l keeps the best key and index of elements l, l + kLanes,
+ * ..., under a vector compare and blend; every lane starts at element
+ * 0, and the last partial vector is padded with copies of element 0,
+ * which never beat a lane's best under the strict compare. A lane
+ * reduction in constant time then takes the larger key, and on equal
+ * keys the lower index, so ties resolve to the lowest index overall.
+ * Loads, loop trips and the reduction depend on n only.
+ */
+template <class Tier>
+struct LaneArgmax
+{
+    using Lanes = typename Tier::Lanes;
+    static constexpr int kLanes = sizeof(Lanes) / sizeof(int32_t);
+
+    static Lanes
+    OrderKey(Lanes bits)
+    {
+        return bits ^ ((bits >> 31) & 0x7FFFFFFF);
+    }
+
+    static void
+    Step(Lanes bits, Lanes index, Lanes& best, Lanes& best_index)
+    {
+        const Lanes key = OrderKey(bits);
+        const auto greater = key > best;
+        best = greater ? key : best;
+        best_index = greater ? index : best_index;
+    }
+
+    static int64_t
+    Run(const float* values, int64_t n)
+    {
+        const int32_t first = std::bit_cast<int32_t>(values[0]);
+        Lanes best = OrderKey(Lanes{} + first);
+        Lanes best_index = {};
+        Lanes index = {};
+        for (int l = 0; l < kLanes; ++l) index[l] = l;
+        const int64_t full = n - n % kLanes;
+        for (int64_t i = 0; i < full; i += kLanes) {
+            Step(*reinterpret_cast<const Lanes*>(values + i), index, best,
+                 best_index);
+            index += kLanes;
+        }
+        Lanes tail = Lanes{} + first;
+        for (int64_t i = full; i < n; ++i) {
+            tail[i - full] = std::bit_cast<int32_t>(values[i]);
+        }
+        Step(tail, index, best, best_index);
+
+        // Unsigned keys, so that LtMask orders them.
+        uint64_t key = static_cast<uint32_t>(best[0]) ^ 0x80000000u;
+        uint64_t at = static_cast<uint32_t>(best_index[0]);
+#pragma GCC unroll 16
+        for (int l = 1; l < kLanes; ++l) {
+            const uint64_t k = static_cast<uint32_t>(best[l]) ^ 0x80000000u;
+            const uint64_t i = static_cast<uint32_t>(best_index[l]);
+            const uint64_t take =
+                LtMask(key, k) | (EqMask(key, k) & LtMask(i, at));
+            key = Select(take, k, key);
+            at = Select(take, i, at);
+        }
+        return static_cast<int64_t>(at);
     }
 };
 

@@ -265,10 +265,7 @@ TreeOram::MaskCopyWords(uint64_t mask, const uint32_t* src, uint32_t* dst,
                         int64_t n) const
 {
     if (params_.inline_select) {
-        for (int64_t i = 0; i < n; ++i) {
-            dst[i] = static_cast<uint32_t>(
-                oblivious::Select(mask, src[i], dst[i]));
-        }
+        oblivious::CtCopyWords(mask, src, dst, n);
     } else {
         for (int64_t i = 0; i < n; ++i) {
             dst[i] = static_cast<uint32_t>(

@@ -378,6 +378,38 @@ PackAPanelsInt8(const float* a, int64_t m, int64_t k, bool trans,
 // Shared blocked traversal
 // ---------------------------------------------------------------------------
 
+/** The float vector the epilogue's GELU runs on: the widest the TU's -m
+ * flags give, one lane in the scalar tier. Element-aligned and
+ * may_alias, like the scan tiles' lanes, because rows of C are. */
+#if defined(__AVX512F__)
+using EpilogueLanes =
+    float __attribute__((vector_size(64), aligned(4), may_alias));
+#elif defined(__AVX2__)
+using EpilogueLanes =
+    float __attribute__((vector_size(32), aligned(4), may_alias));
+#else
+using EpilogueLanes =
+    float __attribute__((vector_size(4), aligned(4), may_alias));
+#endif
+
+/** out = GeluLanes(in) over the n floats of one output row, a vector at
+ * a time, then one lane at a time past the last full vector (edge tiles
+ * only). Inlined into MergeTile, which hoists the constants out of its
+ * row loop. */
+template <class Lanes>
+[[gnu::always_inline]] inline void
+GeluRow(const float* in, float* out, int n)
+{
+    using Lane = float __attribute__((vector_size(sizeof(float))));
+    constexpr int kLanes = sizeof(Lanes) / sizeof(float);
+    int j = 0;
+    for (; j + kLanes <= n; j += kLanes) {
+        *reinterpret_cast<Lanes*>(out + j) =
+            GeluLanes(*reinterpret_cast<const Lanes*>(in + j));
+    }
+    for (; j < n; ++j) out[j] = GeluLanes(Lane{in[j]})[0];
+}
+
 /**
  * Merge one computed tile into C. `first` overwrites (first k block),
  * otherwise accumulates; `last` applies the epilogue. The loops carry
@@ -403,6 +435,9 @@ MergeTile(const float* acc, float* c, int64_t ldc, int64_t i0, int64_t j0,
         float* prow = ep.preact == nullptr
                           ? nullptr
                           : ep.preact + (i0 + r) * ldc + j0;
+        // GELU runs on the summed row at once, from a staging row to C.
+        float staged[NR];
+        float* out = ep.act == Activation::kGelu ? staged : crow;
         for (int j = 0; j < nr; ++j) {
             float v = t[j];
             if (!first) v += crow[j];
@@ -410,15 +445,16 @@ MergeTile(const float* acc, float* c, int64_t ldc, int64_t i0, int64_t j0,
             if (prow != nullptr) prow[j] = v;
             switch (ep.act) {
                 case Activation::kIdentity:
+                case Activation::kGelu:  // over the whole row, below
                     break;
                 case Activation::kRelu:
                     v = std::max(v, 0.0f);
                     break;
-                case Activation::kGelu:
-                    v = GeluF(v);
-                    break;
             }
-            crow[j] = v;
+            out[j] = v;
+        }
+        if (ep.act == Activation::kGelu) {
+            GeluRow<EpilogueLanes>(staged, crow, nr);
         }
     }
 }

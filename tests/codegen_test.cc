@@ -2,7 +2,10 @@
  * @file
  * Codegen guard for the register tiles: the GEMM microkernels must keep
  * their accumulators in registers, and the oblivious scan tiles their
- * output lanes.
+ * output lanes. Two value-independence rules ride along: the GEMM
+ * objects must not call libm's tanh or exp (the fused GELU is a
+ * branch-free polynomial), and the argmax loops of the scan objects
+ * must not branch except to repeat.
  *
  * The test disassembles the micro_*.cc objects of secemb_tensor and the
  * scan*.cc objects of secemb_oblivious with the toolchain's objdump and
@@ -17,6 +20,9 @@
  * bumps (add/sub/lea/inc/dec) through the loop body, so `(%rax)` read
  * before `sub $-0x80,%rax` matches `-0x80(%rax)` stored after it. A
  * loop may reload a read-only constant from memory.
+ *
+ * A call's target comes from its relocation (objdump -r), since an
+ * unlinked object's call operands all point at the next instruction.
  *
  * The first tests run the checker on fixed listings so its rules are
  * pinned independently of what the compiler emits today.
@@ -41,6 +47,7 @@ struct Insn
     std::string mnemonic;
     std::vector<std::string> operands;  // AT&T order: destination last
     std::string text;
+    std::string symbol;  // relocation target, without its addend
 };
 
 struct Function
@@ -50,7 +57,7 @@ struct Function
     std::vector<Insn> insns;
 };
 
-/** A loop that round-trips an accumulator through memory. */
+/** A loop or instruction that breaks a rule. */
 struct Finding
 {
     std::string object;
@@ -117,6 +124,24 @@ ParseListing(const std::string& listing)
             std::isxdigit(static_cast<unsigned char>(line[0]))) {
             fns.push_back(
                 {object, line.substr(lt + 2, line.size() - lt - 4), {}});
+            continue;
+        }
+        // "\t\t\te41: R_X86_64_PLT32\ttanhf-0x4" names the symbol the
+        // instruction before it refers to.
+        const size_t reloc = line.find(": R_");
+        if (reloc != std::string::npos) {
+            const size_t tab = line.find('\t', reloc);
+            if (fns.empty() || fns.back().insns.empty() ||
+                tab == std::string::npos) {
+                continue;
+            }
+            std::string symbol = Trim(line.substr(tab + 1));
+            const size_t addend = symbol.find_last_of("+-");
+            if (addend != std::string::npos &&
+                symbol.compare(addend + 1, 2, "0x") == 0) {
+                symbol = symbol.substr(0, addend);
+            }
+            fns.back().insns.back().symbol = symbol;
             continue;
         }
         // "     e40:\tvpmovzxwd (%rcx),%zmm1" is one instruction.
@@ -338,6 +363,48 @@ HasPackedMac(const std::vector<const Insn*>& body)
 
 using LoopFilter = bool (*)(const std::vector<const Insn*>& body);
 
+/** The innermost loops of `fn`, each as its body [branch target, the
+ * backward branch]: a backward branch with no other inside it. */
+std::vector<std::vector<const Insn*>>
+InnermostLoops(const Function& fn)
+{
+    std::vector<std::pair<size_t, size_t>> loops;
+    for (size_t i = 0; i < fn.insns.size(); ++i) {
+        const Insn& insn = fn.insns[i];
+        if (insn.mnemonic.empty() || insn.mnemonic[0] != 'j' ||
+            insn.operands.size() != 1) {
+            continue;
+        }
+        const std::string& op = insn.operands[0];
+        if (op.empty() ||
+            op.find_first_not_of("0123456789abcdef") != std::string::npos) {
+            continue;  // indirect, or not an address
+        }
+        const uint64_t target = std::stoull(op, nullptr, 16);
+        if (target > insn.addr) continue;
+        for (size_t t = 0; t <= i; ++t) {
+            if (fn.insns[t].addr == target) {
+                loops.emplace_back(t, i);
+                break;
+            }
+        }
+    }
+    std::vector<std::vector<const Insn*>> bodies;
+    for (const auto& [b, e] : loops) {
+        bool innermost = true;
+        for (const auto& [b2, e2] : loops) {
+            if ((b2 != b || e2 != e) && b <= b2 && e2 <= e) {
+                innermost = false;
+            }
+        }
+        if (!innermost) continue;
+        std::vector<const Insn*> body;
+        for (size_t i = b; i <= e; ++i) body.push_back(&fn.insns[i]);
+        bodies.push_back(std::move(body));
+    }
+    return bodies;
+}
+
 /** Every innermost loop of `listing` that `checked` selects and that
  * reads and stores the same memory operand. `checked_loops` counts the
  * selected innermost loops, so a caller can tell "clean" from "checked
@@ -349,39 +416,7 @@ FindRoundTrips(const std::string& listing, LoopFilter checked,
     std::vector<Finding> findings;
     *checked_loops = 0;
     for (const Function& fn : ParseListing(listing)) {
-        // Backward branches within the function: [target, branch].
-        std::vector<std::pair<size_t, size_t>> loops;
-        for (size_t i = 0; i < fn.insns.size(); ++i) {
-            const Insn& insn = fn.insns[i];
-            if (insn.mnemonic.empty() || insn.mnemonic[0] != 'j' ||
-                insn.operands.size() != 1) {
-                continue;
-            }
-            const std::string& op = insn.operands[0];
-            if (op.empty() ||
-                op.find_first_not_of("0123456789abcdef") !=
-                    std::string::npos) {
-                continue;  // indirect, or not an address
-            }
-            const uint64_t target = std::stoull(op, nullptr, 16);
-            if (target > insn.addr) continue;
-            for (size_t t = 0; t <= i; ++t) {
-                if (fn.insns[t].addr == target) {
-                    loops.emplace_back(t, i);
-                    break;
-                }
-            }
-        }
-        for (const auto& [b, e] : loops) {
-            bool innermost = true;
-            for (const auto& [b2, e2] : loops) {
-                if ((b2 != b || e2 != e) && b <= b2 && e2 <= e) {
-                    innermost = false;
-                }
-            }
-            if (!innermost) continue;
-            std::vector<const Insn*> body;
-            for (size_t i = b; i <= e; ++i) body.push_back(&fn.insns[i]);
+        for (const std::vector<const Insn*>& body : InnermostLoops(fn)) {
             if (!checked(body)) continue;
             ++*checked_loops;
 
@@ -412,6 +447,59 @@ FindRoundTrips(const std::string& listing, LoopFilter checked,
                 round_trip |= reads.count(w) != 0;
             }
             if (!round_trip) continue;
+            Finding f{fn.object, fn.name, {}};
+            for (const Insn* insn : body) f.lines.push_back(insn->text);
+            findings.push_back(std::move(f));
+        }
+    }
+    return findings;
+}
+
+/** Every call or jump in `listing` to one of `symbols`. `calls` counts
+ * the calls and jumps with a relocation target, so a caller can tell
+ * "none of these" from "no targets seen". */
+std::vector<Finding>
+FindCallsTo(const std::string& listing, const std::set<std::string>& symbols,
+            int* calls)
+{
+    std::vector<Finding> findings;
+    *calls = 0;
+    for (const Function& fn : ParseListing(listing)) {
+        for (const Insn& insn : fn.insns) {
+            if (!StartsWith(insn.mnemonic, "call") &&
+                !StartsWith(insn.mnemonic, "jmp")) {
+                continue;
+            }
+            if (insn.symbol.empty()) continue;
+            ++*calls;
+            if (symbols.count(insn.symbol) != 0) {
+                findings.push_back(
+                    {fn.object, fn.name, {insn.text + " -> " + insn.symbol}});
+            }
+        }
+    }
+    return findings;
+}
+
+/** Every innermost loop of a function whose name contains `name` that
+ * holds a conditional branch other than its back edge. `checked_loops`
+ * counts the loops of those functions. */
+std::vector<Finding>
+FindBranchingLoops(const std::string& listing, const std::string& name,
+                   int* checked_loops)
+{
+    std::vector<Finding> findings;
+    *checked_loops = 0;
+    for (const Function& fn : ParseListing(listing)) {
+        if (fn.name.find(name) == std::string::npos) continue;
+        for (const std::vector<const Insn*>& body : InnermostLoops(fn)) {
+            ++*checked_loops;
+            bool branches = false;
+            for (size_t i = 0; i + 1 < body.size(); ++i) {
+                const std::string& m = body[i]->mnemonic;
+                branches |= !m.empty() && m[0] == 'j' && m != "jmp";
+            }
+            if (!branches) continue;
             Finding f{fn.object, fn.name, {}};
             for (const Insn* insn : body) f.lines.push_back(insn->text);
             findings.push_back(std::move(f));
@@ -575,6 +663,111 @@ TEST(CodegenCheckerTest, PassesRegisterBlendTiles)
     EXPECT_EQ(blend_loops, 2);
 }
 
+// The fused GELU as GCC 12 emitted it from std::tanh: a libm call per
+// element of C, with the relocation objdump -r prints under it.
+constexpr const char* kEpilogueCallsTanhf =
+    "micro_avx512.cc.o:     file format elf64-x86-64\n"
+    "0000000000000000 <merge>:\n"
+    " 15a:\tvmulss 0x0(%rip),%xmm0,%xmm0        # 162 <merge+0x162>\n"
+    "\t\t\t15e: R_X86_64_PC32\t.LC12-0x4\n"
+    " 162:\tcall   167 <merge+0x167>\n"
+    "\t\t\t163: R_X86_64_PLT32\ttanhf-0x4\n"
+    " 167:\tmovzbl 0x36(%rsp),%esi\n"
+    " 16c:\tjmp    171 <merge+0x171>\n"
+    "\t\t\t16d: R_X86_64_PLT32\texpf-0x4\n";
+
+// Calls to other symbols, and a local jump without a relocation.
+constexpr const char* kEpilogueCallsOthers =
+    "micro_scalar.cc.o:     file format elf64-x86-64\n"
+    "0000000000000000 <run>:\n"
+    "  29:\tcall   2e <run+0x2e>\n"
+    "\t\t\t2a: R_X86_64_PLT32\toperator delete(void*, unsigned long)-0x4\n"
+    "  78:\tcall   7d <run+0x7d>\n"
+    "\t\t\t79: R_X86_64_PLT32\ttanhf_like-0x4\n"
+    "  80:\tjmp    29 <run+0x29>\n";
+
+TEST(CodegenCheckerTest, FlagsLibmCallsByRelocation)
+{
+    int calls = 0;
+    const std::vector<Finding> findings = FindCallsTo(
+        kEpilogueCallsTanhf, {"tanhf", "tanh", "expf"}, &calls);
+    EXPECT_EQ(findings.size(), 2u) << Describe(findings);
+    EXPECT_EQ(calls, 2);
+}
+
+TEST(CodegenCheckerTest, PassesCallsToOtherSymbols)
+{
+    int calls = 0;
+    const std::vector<Finding> findings = FindCallsTo(
+        kEpilogueCallsOthers, {"tanhf", "tanh", "expf"}, &calls);
+    EXPECT_TRUE(findings.empty()) << Describe(findings);
+    EXPECT_EQ(calls, 2);
+}
+
+// An argmax whose select compiled to a branch on the compared value,
+// and a loop of another function that may branch.
+constexpr const char* kArgmaxBranches =
+    "scan.cc.o:     file format elf64-x86-64\n"
+    "0000000000000000 <secemb::oblivious::detail::ArgmaxBaseline(float "
+    "const*, long)>:\n"
+    "      40:\tmov    (%rdi,%rax,4),%edx\n"
+    "      43:\tcmp    %edx,%ecx\n"
+    "      45:\tjae    4b <argmax+0x4b>\n"
+    "      47:\tmov    %edx,%ecx\n"
+    "      49:\tmov    %eax,%r8d\n"
+    "      4b:\tadd    $0x1,%rax\n"
+    "      4f:\tcmp    %rax,%rsi\n"
+    "      52:\tjne    40 <argmax+0x40>\n"
+    "0000000000000100 <secemb::oblivious::ObliviousTopK()>:\n"
+    "     140:\ttest   %eax,%eax\n"
+    "     142:\tje     148 <topk+0x48>\n"
+    "     144:\tadd    $0x1,%rax\n"
+    "     148:\tcmp    %rax,%rsi\n"
+    "     14b:\tjne    140 <topk+0x40>\n";
+
+// The AVX-512 argmax: compare into a mask, two blends, then the tail's
+// copy loop; only the back edges branch.
+constexpr const char* kArgmaxBranchFree =
+    "scan_avx512.cc.o:     file format elf64-x86-64\n"
+    "0000000000002510 <secemb::oblivious::detail::ArgmaxAvx512(float "
+    "const*, long)>:\n"
+    "    2588:\tvmovdqa32 %zmm0,%zmm3\n"
+    "    258e:\tvpsrad $0x1f,(%rdi,%rdx,4),%zmm5\n"
+    "    2596:\tvmovdqu32 (%rdi,%rdx,4),%zmm0\n"
+    "    259d:\tadd    $0x10,%rdx\n"
+    "    25a1:\tvpternlogd $0x78,%zmm5,%zmm7,%zmm0\n"
+    "    25a8:\tvpcmpled %zmm1,%zmm0,%k1\n"
+    "    25af:\tvpblendmd %zmm1,%zmm0,%zmm1{%k1}\n"
+    "    25b5:\tvpblendmd %zmm3,%zmm2,%zmm0{%k1}\n"
+    "    25bb:\tvpaddd %zmm6,%zmm2,%zmm2\n"
+    "    25c1:\tcmp    %rdx,%rax\n"
+    "    25c4:\tjg     2588 <argmax+0x78>\n"
+    "    25ce:\tcmp    %rax,%rcx\n"
+    "    25d1:\tjle    2612 <argmax+0x102>\n"
+    "    25e0:\tmov    (%rdi,%rax,4),%edx\n"
+    "    25e3:\tmov    %edx,(%rsi,%rax,4)\n"
+    "    25e6:\tadd    $0x1,%rax\n"
+    "    25ea:\tcmp    %rax,%rcx\n"
+    "    25ed:\tjne    25e0 <argmax+0xd0>\n";
+
+TEST(CodegenCheckerTest, FlagsBranchInArgmaxLoop)
+{
+    int loops = 0;
+    const std::vector<Finding> findings =
+        FindBranchingLoops(kArgmaxBranches, "::detail::Argmax", &loops);
+    EXPECT_EQ(findings.size(), 1u) << Describe(findings);
+    EXPECT_EQ(loops, 1);
+}
+
+TEST(CodegenCheckerTest, PassesBranchFreeArgmaxLoops)
+{
+    int loops = 0;
+    const std::vector<Finding> findings =
+        FindBranchingLoops(kArgmaxBranchFree, "::detail::Argmax", &loops);
+    EXPECT_TRUE(findings.empty()) << Describe(findings);
+    EXPECT_EQ(loops, 2);
+}
+
 /** `cmd`'s standard output; `ok` is false unless it exited 0. */
 std::string
 RunCommand(const std::string& cmd, bool* ok)
@@ -591,13 +784,13 @@ RunCommand(const std::string& cmd, bool* ok)
 }
 
 /** The listing of every object in `archive` whose name starts with
- * `prefix`, keyed by object name. */
+ * `prefix`, keyed by object name, with relocations. */
 std::map<std::string, std::string>
 ObjectListings(const std::string& archive, const std::string& prefix)
 {
     bool ok = false;
     const std::string listing = RunCommand(
-        std::string("'") + SECEMB_OBJDUMP + "' -d -C --no-show-raw-insn '" +
+        std::string("'") + SECEMB_OBJDUMP + "' -dr -C --no-show-raw-insn '" +
             archive + "'",
         &ok);
     EXPECT_TRUE(ok) << "objdump failed on " << archive;
@@ -651,6 +844,38 @@ TEST(CodegenTest, ScanTilesStayInRegisters)
     const auto objects = ObjectListings(SECEMB_OBLIVIOUS_ARCHIVE, "scan");
     EXPECT_EQ(objects.count("scan.cc.o"), 1u);
     ExpectRegisterTiles(objects, &HasPackedBlend, "blend");
+}
+
+TEST(CodegenTest, GemmObjectsCallNoLibmTanhOrExp)
+{
+    // glibc's tanhf branches on |x|; the fused GELU must not call it,
+    // nor tanh or expf.
+    const auto objects = ObjectListings(SECEMB_TENSOR_ARCHIVE, "micro_");
+    EXPECT_EQ(objects.count("micro_scalar.cc.o"), 1u);
+    for (const auto& [object, text] : objects) {
+        int calls = 0;
+        const std::vector<Finding> findings =
+            FindCallsTo(text, {"tanhf", "tanh", "expf"}, &calls);
+        EXPECT_TRUE(findings.empty())
+            << object << " calls libm:" << Describe(findings);
+        EXPECT_GT(calls, 0) << object << ": no call targets seen";
+    }
+}
+
+TEST(CodegenTest, ArgmaxLoopsBranchOnlyToRepeat)
+{
+    // Each tier's argmax: the vector loop and the tail's copy loop.
+    const auto objects = ObjectListings(SECEMB_OBLIVIOUS_ARCHIVE, "scan");
+    EXPECT_EQ(objects.count("scan.cc.o"), 1u);
+    for (const auto& [object, text] : objects) {
+        int loops = 0;
+        const std::vector<Finding> findings =
+            FindBranchingLoops(text, "::detail::Argmax", &loops);
+        EXPECT_TRUE(findings.empty())
+            << object << ": " << findings.size()
+            << " argmax loop(s) branch:" << Describe(findings);
+        EXPECT_GT(loops, 0) << object << ": no argmax loop";
+    }
 }
 
 }  // namespace

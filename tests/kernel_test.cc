@@ -16,9 +16,12 @@
  * runs underneath (label `leakage`).
  */
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -354,6 +357,108 @@ TEST(KernelEpilogueTest, EmptyBiasSkipsBroadcast)
     GemmNaive(x, w, want);
     AffineActForward(x, PackF32(w), Tensor(), got, 1);
     EXPECT_LE(MaxRelError(got, want), kRelTol);
+}
+
+/** GELU in double as x / (1 + e^(-2u)), which does not cancel. */
+double
+GeluReference(double x)
+{
+    const double u = 0.7978845608028654 * (x + 0.044715 * x * x * x);
+    return x / (1.0 + std::exp(-2.0 * u));
+}
+
+/**
+ * GeluF against the double reference over [-12, 12]: 4.8M evenly spaced
+ * points plus every 4099th float pattern of magnitude below 12, both
+ * signs. Relative error is bounded where the result is a normal float
+ * far from underflow; 1 + tanh u, the formula before, loses every digit
+ * below x = -9 (relative error 1 where |GELU| >= 1e-30) and 5e-5 where
+ * |GELU| >= 1e-3.
+ */
+TEST(KernelGeluTest, MatchesDoubleReferenceOverRange)
+{
+    std::vector<float> xs;
+    for (int i = 0; i <= 4800000; ++i) {
+        xs.push_back(-12.0f + 24.0f * static_cast<float>(i) / 4800000.0f);
+    }
+    for (uint32_t bits = 0; bits < 0x41400000u; bits += 4099) {
+        float x;
+        std::memcpy(&x, &bits, sizeof(x));
+        xs.push_back(x);
+        xs.push_back(-x);
+    }
+    double max_abs = 0.0, max_rel = 0.0, max_rel_tiny = 0.0;
+    float worst = 0.0f;
+    for (const float x : xs) {
+        const double want = GeluReference(x);
+        const double err = std::fabs(kernels::GeluF(x) - want);
+        max_abs = std::max(max_abs, err);
+        if (std::fabs(want) >= 1e-30) {
+            max_rel_tiny = std::max(max_rel_tiny, err / std::fabs(want));
+        }
+        if (std::fabs(want) >= 1e-3 && err / std::fabs(want) > max_rel) {
+            max_rel = err / std::fabs(want);
+            worst = x;
+        }
+    }
+    EXPECT_LE(max_abs, 1e-6);
+    EXPECT_LE(max_rel, 2e-6) << "at x = " << worst;
+    EXPECT_LE(max_rel_tiny, 2e-5);
+}
+
+TEST(KernelGeluTest, ExtremesAndSpecials)
+{
+    const float kMax = std::numeric_limits<float>::max();
+    const float kInf = std::numeric_limits<float>::infinity();
+    // Large positive x passes through; large negative x gives -0.
+    for (const float x : {20.0f, 100.0f, 1e30f, kMax}) {
+        EXPECT_EQ(kernels::GeluF(x), x) << x;
+        EXPECT_EQ(kernels::GeluF(-x), 0.0f) << -x;
+        EXPECT_TRUE(std::signbit(kernels::GeluF(-x))) << -x;
+    }
+    EXPECT_EQ(kernels::GeluF(kInf), kInf);
+    // Zeros keep their sign, subnormals halve, NaN stays NaN.
+    EXPECT_EQ(kernels::GeluF(0.0f), 0.0f);
+    EXPECT_FALSE(std::signbit(kernels::GeluF(0.0f)));
+    EXPECT_TRUE(std::signbit(kernels::GeluF(-0.0f)));
+    const float sub = std::numeric_limits<float>::denorm_min() * 6.0f;
+    EXPECT_EQ(kernels::GeluF(sub), sub / 2.0f);
+    EXPECT_EQ(kernels::GeluF(-sub), -sub / 2.0f);
+    EXPECT_TRUE(std::isnan(kernels::GeluF(std::nanf(""))));
+    // Until e^(-2u) overflows near x = -13, tiny results keep their
+    // digits.
+    EXPECT_NEAR(kernels::GeluF(-9.0f) / GeluReference(-9.0), 1.0, 2e-5);
+}
+
+/**
+ * The AVX2 and AVX-512 epilogues run the same GELU at 8 and 16 lanes on
+ * the same C (both tiles sum each element in k order with one fused
+ * multiply-add per step), so C matches bit for bit, edge tiles and
+ * their lane-at-a-time tails included.
+ */
+TEST(KernelGeluTest, Avx2AndAvx512EpiloguesBitIdentical)
+{
+    if (!kernels::IsaSupported(Isa::kAvx2) ||
+        !kernels::IsaSupported(Isa::kAvx512)) {
+        GTEST_SKIP() << "needs the AVX2 and AVX-512 tiers";
+    }
+    Rng rng(113);
+    for (const auto& [m, k, n] : std::vector<std::array<int64_t, 3>>{
+             {4, 256, 1024}, {9, 70, 47}, {13, 390, 29}, {1, 5, 3}}) {
+        const Tensor x = Tensor::Randn({m, k}, rng, 0.2f);
+        const Tensor w = Tensor::Randn({k, n}, rng);
+        const Tensor bias = Tensor::Randn({n}, rng);
+        Tensor c[2] = {Tensor({m, n}), Tensor({m, n})};
+        for (int i = 0; i < 2; ++i) {
+            ScopedIsa scoped(i == 0 ? Isa::kAvx2 : Isa::kAvx512);
+            AffineActForward(x, PackF32(w), bias, c[i], 1,
+                             Activation::kGelu);
+        }
+        EXPECT_EQ(std::memcmp(c[0].data(), c[1].data(),
+                              static_cast<size_t>(m * n) * sizeof(float)),
+                  0)
+            << m << "x" << k << "x" << n;
+    }
 }
 
 // ---------------------------------------------------------------------------

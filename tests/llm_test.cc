@@ -8,6 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/factory.h"
 #include "oblivious/scan.h"
@@ -95,6 +100,191 @@ TEST(AttentionTest, IncrementalDecodeMatchesFullForward)
     }
     for (int64_t j = 0; j < 16; ++j) {
         EXPECT_NEAR(last.at(0, j), full.at(seq - 1, j), 1e-4f);
+    }
+}
+
+/**
+ * Attention as one float per step, with K cached row-major: the
+ * reference the shared vector core must match bit for bit. It owns
+ * copies of a layer's projections and runs its own KV cache.
+ */
+class ReferenceAttention
+{
+  public:
+    ReferenceAttention(CausalSelfAttention& attn, int64_t dim,
+                       int64_t heads, int64_t batch, int64_t max_seq)
+        : dim_(dim), heads_(heads), max_seq_(max_seq),
+          qkv_(dim, 3 * dim, rng_), proj_(dim, dim, rng_),
+          k_(static_cast<size_t>(batch * max_seq * dim)),
+          v_(k_.size())
+    {
+        const std::vector<nn::Parameter*> ps = attn.Parameters();
+        qkv_.weight().value = ps[0]->value;
+        qkv_.bias().value = ps[1]->value;
+        proj_.weight().value = ps[2]->value;
+        proj_.bias().value = ps[3]->value;
+    }
+
+    Tensor
+    Forward(const Tensor& x, int64_t batch, int64_t seq)
+    {
+        const Tensor qkv = qkv_.Forward(x);
+        Tensor context({batch * seq, dim_});
+        std::vector<float> scores(static_cast<size_t>(seq));
+        for (int64_t b = 0; b < batch; ++b) {
+            for (int64_t t = 0; t < seq; ++t) {
+                Attend(qkv.data() + (b * seq + t) * 3 * dim_, t + 1,
+                       [&](int64_t u) {
+                           return qkv.data() + (b * seq + u) * 3 * dim_ +
+                                  dim_;
+                       },
+                       [&](int64_t u) {
+                           return qkv.data() + (b * seq + u) * 3 * dim_ +
+                                  2 * dim_;
+                       },
+                       scores.data(),
+                       context.data() + (b * seq + t) * dim_);
+            }
+        }
+        return proj_.Forward(context);
+    }
+
+    Tensor
+    ForwardCached(const Tensor& x, int64_t batch, int64_t new_seq)
+    {
+        const Tensor qkv = qkv_.Forward(x);
+        for (int64_t b = 0; b < batch; ++b) {
+            for (int64_t t = 0; t < new_seq; ++t) {
+                const float* src = qkv.data() + (b * new_seq + t) * 3 * dim_;
+                const int64_t row = (b * max_seq_ + len_ + t) * dim_;
+                std::copy(src + dim_, src + 2 * dim_, k_.data() + row);
+                std::copy(src + 2 * dim_, src + 3 * dim_, v_.data() + row);
+            }
+        }
+        Tensor context({batch * new_seq, dim_});
+        std::vector<float> scores(static_cast<size_t>(len_ + new_seq));
+        for (int64_t b = 0; b < batch; ++b) {
+            for (int64_t t = 0; t < new_seq; ++t) {
+                Attend(qkv.data() + (b * new_seq + t) * 3 * dim_,
+                       len_ + t + 1,
+                       [&](int64_t u) {
+                           return k_.data() + (b * max_seq_ + u) * dim_;
+                       },
+                       [&](int64_t u) {
+                           return v_.data() + (b * max_seq_ + u) * dim_;
+                       },
+                       scores.data(),
+                       context.data() + (b * new_seq + t) * dim_);
+            }
+        }
+        len_ += new_seq;
+        return proj_.Forward(context);
+    }
+
+  private:
+    /** Every head of one token: `visible` positions, whose key and value
+     * rows `key(u)` and `value(u)` return. */
+    template <class KeyRow, class ValueRow>
+    void
+    Attend(const float* q, int64_t visible, const KeyRow& key,
+           const ValueRow& value, float* scores, float* context) const
+    {
+        const int64_t hd = dim_ / heads_;
+        const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+        for (int64_t h = 0; h < heads_; ++h) {
+            const int64_t off = h * hd;
+            for (int64_t u = 0; u < visible; ++u) {
+                float acc = 0.0f;
+                for (int64_t j = 0; j < hd; ++j) {
+                    acc += q[off + j] * key(u)[off + j];
+                }
+                scores[u] = acc * scale;
+            }
+            float mx = scores[0];
+            for (int64_t u = 1; u < visible; ++u) {
+                mx = std::max(mx, scores[u]);
+            }
+            double sum = 0.0;
+            for (int64_t u = 0; u < visible; ++u) {
+                scores[u] = std::exp(scores[u] - mx);
+                sum += scores[u];
+            }
+            const float inv = 1.0f / static_cast<float>(sum);
+            for (int64_t u = 0; u < visible; ++u) scores[u] *= inv;
+            float* crow = context + off;
+            for (int64_t j = 0; j < hd; ++j) crow[j] = 0.0f;
+            for (int64_t u = 0; u < visible; ++u) {
+                for (int64_t j = 0; j < hd; ++j) {
+                    crow[j] += scores[u] * value(u)[off + j];
+                }
+            }
+        }
+    }
+
+    int64_t dim_, heads_, max_seq_, len_ = 0;
+    Rng rng_{0};
+    nn::Linear qkv_, proj_;
+    std::vector<float> k_, v_;  ///< (batch, max_seq, dim)
+};
+
+bool
+BitEqual(const Tensor& a, const Tensor& b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+/**
+ * Forward, and ForwardCached as a prefill followed by single- and
+ * multi-token steps, equal the reference loops bit for bit at head dims
+ * 2..64. Sequences of 37 tokens take every key-block class (16 and 4
+ * keys, the scalar tail) and head dims every dim-block class (32 and 4
+ * dims, the tail); 3, 5, 13, 17 and 35 are not multiples of 4.
+ */
+TEST(AttentionTest, VectorCoreBitIdenticalToScalarLoops)
+{
+    const int64_t batch = 2, seq = 37, max_seq = 41;
+    for (const auto& [dim, heads] :
+         std::vector<std::pair<int64_t, int64_t>>{{4, 2},
+                                                  {12, 4},
+                                                  {20, 4},
+                                                  {24, 3},
+                                                  {52, 4},
+                                                  {48, 3},
+                                                  {34, 2},
+                                                  {64, 2},
+                                                  {70, 2},
+                                                  {128, 2}}) {
+        const std::string where = "dim " + std::to_string(dim) +
+                                  " head dim " +
+                                  std::to_string(dim / heads);
+        Rng rng(static_cast<uint64_t>(100 + dim));
+        CausalSelfAttention attn(dim, heads, rng);
+        attn.Parameters()[1]->value = Tensor::Randn({3 * dim}, rng);
+        attn.Parameters()[3]->value = Tensor::Randn({dim}, rng);
+        ReferenceAttention ref(attn, dim, heads, batch, max_seq);
+        const Tensor x = Tensor::Randn({batch * seq, dim}, rng);
+        EXPECT_TRUE(BitEqual(attn.Forward(x, batch, seq),
+                             ref.Forward(x, batch, seq)))
+            << where << " Forward";
+
+        // The prefill's 21 tokens, then steps of 1, 3 and 1 tokens.
+        KvCache cache(batch, max_seq, dim);
+        int64_t done = 0;
+        for (const int64_t step : {21, 1, 1, 3, 1, 1, 1, 1}) {
+            Tensor xs({batch * step, dim});
+            for (int64_t b = 0; b < batch; ++b) {
+                std::copy(x.data() + (b * seq + done) * dim,
+                          x.data() + (b * seq + done + step) * dim,
+                          xs.data() + b * step * dim);
+            }
+            EXPECT_TRUE(BitEqual(attn.ForwardCached(xs, batch, step, cache),
+                                 ref.ForwardCached(xs, batch, step)))
+                << where << " ForwardCached at " << done << " + " << step;
+            done += step;
+        }
+        EXPECT_EQ(cache.len, done);
     }
 }
 

@@ -116,7 +116,20 @@ class ActivationGradTest : public ::testing::Test
 TEST_F(ActivationGradTest, ReLU) { Check<ReLU>(10); }
 TEST_F(ActivationGradTest, Sigmoid) { Check<Sigmoid>(11); }
 TEST_F(ActivationGradTest, Tanh) { Check<Tanh>(12); }
-TEST_F(ActivationGradTest, Gelu) { Check<Gelu>(13); }
+
+// GELU runs only fused into a Linear's epilogue; its gradient,
+// GeluGradF of the cached pre-activation, is checked through the layer,
+// at a tolerance a tenth of a term of GeluGradF would exceed.
+TEST_F(ActivationGradTest, Gelu)
+{
+    Rng rng(13);
+    Linear lin(5, 4, rng, 1, Activation::kGelu);
+    lin.bias().value = Tensor::Randn({4}, rng);
+    const Tensor x = Tensor::Randn({4, 5}, rng);
+    const Tensor gx = SumSquaresBackward(lin, x);
+    ExpectGradientsClose([&](const Tensor& t) { return SumSquares(lin, t); },
+                         x, gx, 1e-2f, 4e-3f, 20);
+}
 
 TEST(ReLUTest, ForwardClampsNegative)
 {
@@ -137,11 +150,17 @@ TEST(ReLUTest, ObliviousVariantMatches)
 
 TEST(GeluTest, KnownValues)
 {
-    Gelu gelu;
-    const Tensor y = gelu.Forward(Tensor::Values({0.0f, 100.0f, -100.0f}));
-    EXPECT_NEAR(y.at(0), 0.0f, 1e-6f);
-    EXPECT_NEAR(y.at(1), 100.0f, 1e-3f);
-    EXPECT_NEAR(y.at(2), 0.0f, 1e-3f);
+    // A 1 -> 1 Linear with weight 1 and bias 0 applies the fused GELU to
+    // each row's value.
+    Rng rng(16);
+    Linear gelu(1, 1, rng, 1, Activation::kGelu);
+    gelu.weight().value = Tensor::Values({1.0f}).Reshape({1, 1});
+    const Tensor y = gelu.Forward(
+        Tensor::Values({0.0f, 100.0f, -100.0f, 1.0f}).Reshape({4, 1}));
+    EXPECT_NEAR(y.at(0, 0), 0.0f, 1e-6f);
+    EXPECT_NEAR(y.at(1, 0), 100.0f, 1e-3f);
+    EXPECT_NEAR(y.at(2, 0), 0.0f, 1e-3f);
+    EXPECT_NEAR(y.at(3, 0), 0.8411920f, 1e-6f);  // 0.5 (1 + tanh(0.83356))
 }
 
 TEST(LayerNormTest, NormalisesRows)

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -74,6 +75,30 @@ TEST(CtOpsTest, CtCopyRowBlends)
     EXPECT_EQ(dst, (std::vector<float>{9, 9, 9}));
     CtCopyRow(~0ULL, src, dst);
     EXPECT_EQ(dst, src);
+}
+
+/** CtCopyWords over word counts that are and are not multiples of its
+ * 4-word vector, at pointers one word off a vector boundary: mask 0
+ * keeps dst, an all-ones mask copies src, and no word outside dst moves. */
+TEST(CtOpsTest, CtCopyWordsBlendsEveryLength)
+{
+    for (int64_t n = 0; n <= 13; ++n) {
+        for (const uint64_t mask : {uint64_t{0}, ~uint64_t{0}}) {
+            std::vector<uint32_t> src(static_cast<size_t>(n) + 2);
+            std::vector<uint32_t> dst(src.size());
+            for (size_t i = 0; i < src.size(); ++i) {
+                src[i] = 0xA0000000u + static_cast<uint32_t>(i);
+                dst[i] = 0x0B000000u + static_cast<uint32_t>(i);
+            }
+            std::vector<uint32_t> want = dst;
+            if (mask != 0) {
+                std::copy(src.begin() + 1, src.begin() + 1 + n,
+                          want.begin() + 1);
+            }
+            CtCopyWords(mask, src.data() + 1, dst.data() + 1, n);
+            EXPECT_EQ(dst, want) << "n " << n << " mask " << mask;
+        }
+    }
 }
 
 TEST(CtOpsTest, CtSwapRows)
@@ -218,6 +243,94 @@ TEST(ScanTest, ScanRowsMatchesGatherAndInOrderSum)
         }
     }
     EXPECT_GT(tiers, 0);
+}
+
+/** The one-lane argmax the tiers replaced, kept as their reference:
+ * the maximum under the total order of the float bits, first index on
+ * ties. */
+int64_t
+ScalarArgmax(std::span<const float> values)
+{
+    auto key = [](float f) {
+        uint32_t u;
+        std::memcpy(&u, &f, sizeof(u));
+        const uint32_t sign = u >> 31;
+        return static_cast<uint64_t>(u ^ (sign ? 0xffffffffu : 0x80000000u));
+    };
+    uint64_t best_key = key(values[0]);
+    uint64_t best_idx = 0;
+    for (size_t i = 1; i < values.size(); ++i) {
+        const uint64_t k = key(values[i]);
+        const uint64_t greater = LtMask(best_key, k);
+        best_key = Select(greater, k, best_key);
+        best_idx = Select(greater, static_cast<uint64_t>(i), best_idx);
+    }
+    return static_cast<int64_t>(best_idx);
+}
+
+/**
+ * ObliviousArgmax on every ISA tier against ScalarArgmax, over raw
+ * 32-bit patterns: NaNs of both signs, +-0, +-inf, subnormals and
+ * random bits, with half the cases drawn from a pool of 1-3 values,
+ * often two of them one ulp apart, so the maximum repeats within a lane
+ * and across lanes and must beat a close neighbour, at every n in
+ * 1..70 (every tail length of every tier) and at the GPT-2 vocabulary,
+ * 50257. Values sit one float off a vector boundary.
+ */
+TEST(ScanTest, ObliviousArgmaxMatchesScalarOnEveryTier)
+{
+    struct RestoreIsa
+    {
+        ~RestoreIsa() { kernels::SetIsaForTest(-1); }
+    } restore;
+    constexpr uint32_t kSpecial[] = {
+        0x00000000u, 0x80000000u, 0x7f800000u, 0xff800000u, 0x7fc00000u,
+        0xffc00000u, 0x7f800001u, 0xffffffffu, 0x7fffffffu, 0x00000001u,
+        0x807fffffu, 0x7f7fffffu, 0xff7fffffu, 0x3f800000u, 0xbf800000u};
+    int tiers = 0, cases = 0;
+    for (int t = 0; t <= static_cast<int>(kernels::Isa::kAvx512); ++t) {
+        const auto isa = static_cast<kernels::Isa>(t);
+        if (!kernels::IsaSupported(isa)) continue;
+        kernels::SetIsaForTest(t);
+        ASSERT_EQ(kernels::ActiveIsa(), isa);
+        ++tiers;
+        Rng rng(9);
+        auto draw = [&]() -> uint32_t {
+            const uint64_t r = rng.NextBounded(4);
+            if (r == 0) {
+                return kSpecial[rng.NextBounded(std::size(kSpecial))];
+            }
+            return static_cast<uint32_t>(rng.Next());
+        };
+        std::vector<int64_t> sizes;
+        for (int64_t n = 1; n <= 70; ++n) {
+            for (int rep = 0; rep < 100; ++rep) sizes.push_back(n);
+        }
+        for (int rep = 0; rep < 6; ++rep) sizes.push_back(50257);
+        for (const int64_t n : sizes) {
+            std::vector<uint32_t> pool(1 + rng.NextBounded(3));
+            for (uint32_t& p : pool) p = draw();
+            // Neighbouring patterns: floats one ulp apart.
+            if (pool.size() > 1 && rng.NextBounded(2) == 0) {
+                pool[1] = pool[0] + 1;
+            }
+            const bool pooled = rng.NextBounded(2) == 0;
+            std::vector<float> buf(static_cast<size_t>(n) + 1);
+            for (size_t i = 1; i < buf.size(); ++i) {
+                const uint32_t bits =
+                    pooled ? pool[rng.NextBounded(pool.size())] : draw();
+                std::memcpy(&buf[i], &bits, sizeof(bits));
+            }
+            const std::span<const float> values(buf.data() + 1,
+                                                static_cast<size_t>(n));
+            ASSERT_EQ(ObliviousArgmax(values), ScalarArgmax(values))
+                << kernels::IsaName(isa) << " n " << n
+                << (pooled ? " pooled" : " random");
+            ++cases;
+        }
+    }
+    EXPECT_GT(tiers, 0);
+    EXPECT_GE(cases, 7006 * tiers);
 }
 
 TEST(ScanTest, ObliviousArgmaxMatchesStd)
