@@ -19,7 +19,8 @@ int
 main(int argc, char** argv)
 {
     const bench::Args args(argc, argv);
-    const int reps = static_cast<int>(args.GetInt("--reps", 3));
+    // At 3 reps one cell read 256 to 2644 rows across runs of one tree.
+    const int reps = static_cast<int>(args.GetInt("--reps", 10));
     const bool varied = args.GetBool("--varied");
 
     std::printf("=== Fig. 6: linear-scan vs DHE switching thresholds "

@@ -26,6 +26,7 @@
 
 #include "bench_util/json.h"
 #include "dhe/hashing.h"
+#include "dlrm/interaction.h"
 #include "llm/attention.h"
 #include "oblivious/ct_ops.h"
 #include "oblivious/scan.h"
@@ -352,6 +353,34 @@ BM_CausalAttention(benchmark::State& state)
     }
 }
 BENCHMARK(BM_CausalAttention)->ArgName("decode")->Arg(0)->Arg(1);
+
+/**
+ * The dlrm batch's dot interaction: 32 samples of 27 vectors (the dense
+ * output and 26 embeddings) of 64 floats, so 32 x 351 dots of length
+ * 64. `gflops` counts a multiply and an add per step. Report-only.
+ */
+void
+BM_DotInteraction(benchmark::State& state)
+{
+    const int64_t batch = state.range(0), vectors = state.range(1),
+                  d = state.range(2);
+    Rng rng(27);
+    const Tensor dense = Tensor::Randn({batch, d}, rng);
+    std::vector<Tensor> embs;
+    for (int64_t e = 1; e < vectors; ++e) {
+        embs.push_back(Tensor::Randn({batch, d}, rng));
+    }
+    for (auto _ : state) {
+        const Tensor z =
+            dlrm::InteractionForward(dlrm::Interaction::kDot, dense, embs);
+        benchmark::DoNotOptimize(z.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["gflops"] = benchmark::Counter(
+        1e-9 * static_cast<double>(batch * vectors * (vectors - 1) * d),
+        benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_DotInteraction)->Args({32, 27, 64})->ArgNames({"batch", "f", "d"});
 
 void
 BM_HashEncode(benchmark::State& state)
@@ -771,6 +800,39 @@ BENCHMARK(BM_GemmKernelDecoderChain)
     ->Arg(2)
     ->Arg(3)
     ->ArgNames({"variant(0=naive,1=f32,2=bf16,3=int8)"});
+
+/**
+ * Fused-ReLU f32 GEMMs at the shapes of a dlrm batch (m = 32, one
+ * thread): a large Varied DHE decoder's first two layers (1022 hashes
+ * -> 511 -> 255) and the top MLP's first layer (64 + 351 interaction
+ * outputs -> 512). At m = 32 a k block's multiply-adds per tile are
+ * the same as at m = 256, but the A-panel pack and the merge weigh more
+ * against the weights streamed once per call. Report-only: no baseline
+ * row gates it.
+ */
+void
+BM_GemmKernelDlrmBatch(benchmark::State& state)
+{
+    constexpr int64_t kBatch = 32;
+    const int64_t k = state.range(0), n = state.range(1);
+    Rng rng(26);
+    const Tensor x = Tensor::Randn({kBatch, k}, rng);
+    const Tensor w = Tensor::Randn({k, n}, rng);
+    const Tensor bias = Tensor::Randn({n}, rng);
+    const kernels::PackedB packed = PackWeight(w, kernels::Dtype::kF32);
+    Tensor c({kBatch, n});
+    for (auto _ : state) {
+        AffineActForward(x, packed, bias, c, 1, kernels::Activation::kRelu);
+        benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
+    }
+    SetGemmCounters(state, kBatch, k, n, kernels::Dtype::kF32);
+}
+BENCHMARK(BM_GemmKernelDlrmBatch)
+    ->Args({1022, 511})
+    ->Args({511, 255})
+    ->Args({415, 512})
+    ->ArgNames({"k", "n"});
 
 /**
  * Skinny-m scaling: decoder GEMMs at serving batch sizes (m <= 8) have

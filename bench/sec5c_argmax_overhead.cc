@@ -50,8 +50,10 @@ main(int argc, char** argv)
                                    cfg.dim, mrng);
     llm::SecureGpt model(cfg, std::move(gen), mrng);
     Tensor step_logits = model.Prefill({{1, 2, 3, 4, 5, 6, 7, 8}});
+    // Over 20 steps like the argmax rows: over 5, the mean moved about
+    // 2x between runs of one binary (3.8 to 6.8 ms).
     const double decode_ns = bench::TimeCallNs(
-        [&] { step_logits = model.DecodeStep({{5}}); }, 1, 5);
+        [&] { step_logits = model.DecodeStep({{5}}); }, 2, 20);
 
     bench::TablePrinter table({"operation", "latency (us)"});
     table.AddRow({"plain argmax (leaks via branches)",

@@ -2,10 +2,85 @@
 
 #include <cassert>
 #include <cstring>
+#include <vector>
 
 namespace secemb::dlrm {
 
 namespace {
+
+// The dot interaction runs at the baseline vector width with lanes
+// across the batch. Every lane keeps the scalar definition's order: a
+// dot sums over j from +0, one multiply and one add per step (the TU
+// builds with -ffp-contract=off), so the output is bit-identical to the
+// one-float-per-step loop.
+using Floats = float __attribute__((vector_size(16), aligned(4), may_alias));
+constexpr int64_t kLanes = sizeof(Floats) / sizeof(float);
+
+/** dst[j * ld + i] = src[i * d + j] for the batch x d rows of `src`, and
+ * +0 for the padding samples [batch, ld): 4 x 4 blocks at a time
+ * through registers, then one float at a time at the edges. */
+void
+TransposeRows(const float* src, int64_t batch, int64_t d, int64_t ld,
+              float* dst)
+{
+    int64_t i = 0;
+    for (; i + kLanes <= batch; i += kLanes) {
+        int64_t j = 0;
+        for (; j + kLanes <= d; j += kLanes) {
+            Floats r[kLanes];
+#pragma GCC unroll 4
+            for (int64_t l = 0; l < kLanes; ++l) {
+                r[l] = *reinterpret_cast<const Floats*>(src + (i + l) * d + j);
+            }
+            const Floats lo01 = __builtin_shufflevector(r[0], r[1], 0, 4, 1, 5);
+            const Floats hi01 = __builtin_shufflevector(r[0], r[1], 2, 6, 3, 7);
+            const Floats lo23 = __builtin_shufflevector(r[2], r[3], 0, 4, 1, 5);
+            const Floats hi23 = __builtin_shufflevector(r[2], r[3], 2, 6, 3, 7);
+            float* out = dst + j * ld + i;
+            *reinterpret_cast<Floats*>(out) =
+                __builtin_shufflevector(lo01, lo23, 0, 1, 4, 5);
+            *reinterpret_cast<Floats*>(out + ld) =
+                __builtin_shufflevector(lo01, lo23, 2, 3, 6, 7);
+            *reinterpret_cast<Floats*>(out + 2 * ld) =
+                __builtin_shufflevector(hi01, hi23, 0, 1, 4, 5);
+            *reinterpret_cast<Floats*>(out + 3 * ld) =
+                __builtin_shufflevector(hi01, hi23, 2, 3, 6, 7);
+        }
+        for (; j < d; ++j) {
+            for (int64_t l = 0; l < kLanes; ++l) {
+                dst[j * ld + i + l] = src[(i + l) * d + j];
+            }
+        }
+    }
+    for (int64_t j = 0; j < d; ++j) {
+        for (int64_t s = i; s < ld; ++s) {
+            dst[j * ld + s] = s < batch ? src[s * d + j] : 0.0f;
+        }
+    }
+}
+
+/** Dots of kV * kLanes samples: lane s of out is the sum over j < d of
+ * a[j * ld + s] * b[j * ld + s], one independent accumulator per vector
+ * of samples. */
+template <int kV>
+void
+DotSamples(const float* a, const float* b, int64_t d, int64_t ld, float* out)
+{
+    Floats acc[kV] = {};
+    for (int64_t j = 0; j < d; ++j) {
+        const float* aj = a + j * ld;
+        const float* bj = b + j * ld;
+#pragma GCC unroll 4
+        for (int v = 0; v < kV; ++v) {
+            acc[v] += *reinterpret_cast<const Floats*>(aj + v * kLanes) *
+                      *reinterpret_cast<const Floats*>(bj + v * kLanes);
+        }
+    }
+#pragma GCC unroll 4
+    for (int v = 0; v < kV; ++v) {
+        *reinterpret_cast<Floats*>(out + v * kLanes) = acc[v];
+    }
+}
 
 /** Gather pointers to the f = embs+1 interacting vectors of sample i. */
 std::vector<const float*>
@@ -48,21 +123,37 @@ InteractionForward(Interaction kind, const Tensor& dense,
     }
 
     const int64_t pairs = f * (f - 1) / 2;
-    Tensor out({batch, d + pairs});
+    const int64_t width = d + pairs;
+    Tensor out({batch, width});
     for (int64_t i = 0; i < batch; ++i) {
-        const auto vs = VectorsOf(dense, embs, i, d);
-        float* o = out.data() + i * (d + pairs);
-        std::memcpy(o, vs[0], static_cast<size_t>(d) * sizeof(float));
-        int64_t p = d;
-        for (int64_t a = 0; a < f; ++a) {
-            for (int64_t b = a + 1; b < f; ++b) {
-                float acc = 0.0f;
-                for (int64_t j = 0; j < d; ++j) {
-                    acc += vs[static_cast<size_t>(a)][j] *
-                           vs[static_cast<size_t>(b)][j];
-                }
-                o[p++] = acc;
+        std::memcpy(out.data() + i * width, dense.data() + i * d,
+                    static_cast<size_t>(d) * sizeof(float));
+    }
+    // Vector v's component j of sample s sits at t[(v * d + j) * ld + s],
+    // the batch padded to whole vectors. The scratch outlives the call,
+    // so steady-state inference reuses one allocation per thread.
+    const int64_t ld = (batch + kLanes - 1) / kLanes * kLanes;
+    thread_local std::vector<float> scratch;
+    scratch.resize(static_cast<size_t>(f * d * ld + ld));
+    float* t = scratch.data();
+    float* dots = t + f * d * ld;
+    for (int64_t v = 0; v < f; ++v) {
+        const Tensor& src = v == 0 ? dense : embs[static_cast<size_t>(v - 1)];
+        TransposeRows(src.data(), batch, d, ld, t + v * d * ld);
+    }
+    int64_t p = d;
+    for (int64_t a = 0; a < f; ++a) {
+        for (int64_t b = a + 1; b < f; ++b, ++p) {
+            const float* ta = t + a * d * ld;
+            const float* tb = t + b * d * ld;
+            int64_t s = 0;
+            for (; s + 4 * kLanes <= ld; s += 4 * kLanes) {
+                DotSamples<4>(ta + s, tb + s, d, ld, dots + s);
             }
+            for (; s < ld; s += kLanes) {
+                DotSamples<1>(ta + s, tb + s, d, ld, dots + s);
+            }
+            for (s = 0; s < batch; ++s) out.data()[s * width + p] = dots[s];
         }
     }
     return out;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 #include "oblivious/scan.h"
@@ -335,48 +334,6 @@ SecureGpt::GreedyTokensNonSecure(const Tensor& logits) const
             }
         }
         out[static_cast<size_t>(b)] = best;
-    }
-    return out;
-}
-
-std::vector<int64_t>
-SecureGpt::SampleTopK(const Tensor& logits, int64_t k, Rng& rng) const
-{
-    assert(k > 0 && k <= logits.size(1));
-    std::vector<int64_t> out(static_cast<size_t>(logits.size(0)));
-    for (int64_t b = 0; b < logits.size(0); ++b) {
-        const auto row = logits.row(b);
-        const auto candidates = oblivious::ObliviousTopK(row, k);
-        // Softmax over the k candidate logits, then inverse-CDF draw.
-        double mx = -1e30;
-        for (int64_t c = 0; c < k; ++c) {
-            mx = std::max(mx, static_cast<double>(
-                                  row[static_cast<size_t>(
-                                      candidates[static_cast<size_t>(
-                                          c)])]));
-        }
-        std::vector<double> w(static_cast<size_t>(k));
-        double sum = 0.0;
-        for (int64_t c = 0; c < k; ++c) {
-            w[static_cast<size_t>(c)] = std::exp(
-                static_cast<double>(
-                    row[static_cast<size_t>(
-                        candidates[static_cast<size_t>(c)])]) -
-                mx);
-            sum += w[static_cast<size_t>(c)];
-        }
-        const double u = rng.NextDouble() * sum;
-        double acc = 0.0;
-        int64_t pick = k - 1;
-        for (int64_t c = 0; c < k; ++c) {
-            acc += w[static_cast<size_t>(c)];
-            if (u < acc) {
-                pick = c;
-                break;
-            }
-        }
-        out[static_cast<size_t>(b)] =
-            candidates[static_cast<size_t>(pick)];
     }
     return out;
 }

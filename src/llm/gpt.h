@@ -140,16 +140,6 @@ class SecureGpt
      * overhead measurement. */
     std::vector<int64_t> GreedyTokensNonSecure(const Tensor& logits) const;
 
-    /**
-     * Top-k sampling with an oblivious candidate search: the k candidate
-     * ids are found with constant-time scans (ObliviousTopK) and one is
-     * drawn by softmax weight. Extends the paper's greedy decoding to
-     * stochastic sampling without reintroducing value-dependent branches
-     * in the candidate search. k is public.
-     */
-    std::vector<int64_t> SampleTopK(const Tensor& logits, int64_t k,
-                                    Rng& rng) const;
-
     /** Generate `steps` tokens after a prefill; returns generated ids. */
     std::vector<std::vector<int64_t>> Generate(
         const std::vector<std::vector<int64_t>>& prompts, int64_t steps);

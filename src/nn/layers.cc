@@ -70,9 +70,8 @@ Linear::Backward(const Tensor& grad_out)
     assert(grad_out.size(1) == out_features());
     const int64_t m = grad_out.size(0), n = grad_out.size(1);
 
-    // Gradient through the fused activation (branchless, like ReLU's
-    // standalone module: the blend depends on data values, not control
-    // flow).
+    // Gradient through the fused activation (branchless: the blend
+    // depends on data values, not control flow).
     Tensor g = grad_out;
     if (act_ == Activation::kRelu) {
         float* gp = g.data();
@@ -110,45 +109,7 @@ Linear::Backward(const Tensor& grad_out)
 }
 
 // ---------------------------------------------------------------------------
-// ReLU
-// ---------------------------------------------------------------------------
-
-Tensor
-ReLU::Forward(const Tensor& x)
-{
-    Tensor y = x;
-    cached_mask_ = Tensor::Zeros(x.shape());
-    float* yp = y.data();
-    float* mp = cached_mask_.data();
-    for (int64_t i = 0; i < y.numel(); ++i) {
-        const uint64_t positive =
-            oblivious::BoolToMask(yp[i] > 0.0f ? 1 : 0);
-        yp[i] = oblivious::SelectF32(positive, yp[i], 0.0f);
-        mp[i] = oblivious::SelectF32(positive, 1.0f, 0.0f);
-    }
-    return y;
-}
-
-Tensor
-ReLU::Backward(const Tensor& grad_out)
-{
-    Tensor dx = grad_out;
-    dx.MulInPlace(cached_mask_);
-    return dx;
-}
-
-void
-ObliviousReLUInPlace(Tensor& x)
-{
-    float* p = x.data();
-    for (int64_t i = 0; i < x.numel(); ++i) {
-        const uint64_t positive = oblivious::BoolToMask(p[i] > 0.0f ? 1 : 0);
-        p[i] = oblivious::SelectF32(positive, p[i], 0.0f);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sigmoid / Tanh
+// Sigmoid
 // ---------------------------------------------------------------------------
 
 Tensor
@@ -172,25 +133,6 @@ Sigmoid::Backward(const Tensor& grad_out)
     for (int64_t i = 0; i < dx.numel(); ++i) {
         d[i] *= y[i] * (1.0f - y[i]);
     }
-    return dx;
-}
-
-Tensor
-Tanh::Forward(const Tensor& x)
-{
-    Tensor y = x;
-    for (int64_t i = 0; i < y.numel(); ++i) y.at(i) = std::tanh(y.at(i));
-    cached_y_ = y;
-    return y;
-}
-
-Tensor
-Tanh::Backward(const Tensor& grad_out)
-{
-    Tensor dx = grad_out;
-    float* d = dx.data();
-    const float* y = cached_y_.data();
-    for (int64_t i = 0; i < dx.numel(); ++i) d[i] *= 1.0f - y[i] * y[i];
     return dx;
 }
 
@@ -307,28 +249,6 @@ Sequential::Parameters()
 // ---------------------------------------------------------------------------
 // Helpers
 // ---------------------------------------------------------------------------
-
-Tensor
-Softmax2D(const Tensor& logits)
-{
-    assert(logits.dim() == 2);
-    const int64_t rows = logits.size(0), d = logits.size(1);
-    Tensor y({rows, d});
-    for (int64_t i = 0; i < rows; ++i) {
-        const float* xi = logits.data() + i * d;
-        float* yi = y.data() + i * d;
-        float mx = xi[0];
-        for (int64_t j = 1; j < d; ++j) mx = std::max(mx, xi[j]);
-        double sum = 0.0;
-        for (int64_t j = 0; j < d; ++j) {
-            yi[j] = std::exp(xi[j] - mx);
-            sum += yi[j];
-        }
-        const float inv = 1.0f / static_cast<float>(sum);
-        for (int64_t j = 0; j < d; ++j) yi[j] *= inv;
-    }
-    return y;
-}
 
 std::unique_ptr<Sequential>
 MakeMlp(const std::vector<int64_t>& sizes, Rng& rng, bool final_sigmoid,

@@ -2,13 +2,12 @@
 
 /**
  * @file
- * Standard layers: Linear, activations, LayerNorm, Sequential.
+ * Standard layers: Linear (with ReLU or GELU fused into its GEMM),
+ * Sigmoid, LayerNorm, Sequential.
  *
  * Control flow in every layer depends only on tensor shapes, never on
  * values — matching the paper's observation (Section V-B) that FC layers
- * and elementwise math are naturally oblivious. ReLU additionally has an
- * explicitly branchless forward (ObliviousReLU) mirroring the paper's
- * AVX-512 proof-of-concept.
+ * and elementwise math are naturally oblivious.
  */
 
 #include <memory>
@@ -93,18 +92,6 @@ class Linear : public Module
     uint64_t packed_version_ = 0;  ///< w_.version packed_w_ was built from
 };
 
-/** Rectified linear unit with branchless (mask-blend) forward. */
-class ReLU : public Module
-{
-  public:
-    Tensor Forward(const Tensor& x) override;
-    Tensor Backward(const Tensor& grad_out) override;
-    std::string_view name() const override { return "ReLU"; }
-
-  private:
-    Tensor cached_mask_;
-};
-
 /** Logistic sigmoid. */
 class Sigmoid : public Module
 {
@@ -112,18 +99,6 @@ class Sigmoid : public Module
     Tensor Forward(const Tensor& x) override;
     Tensor Backward(const Tensor& grad_out) override;
     std::string_view name() const override { return "Sigmoid"; }
-
-  private:
-    Tensor cached_y_;
-};
-
-/** tanh activation. */
-class Tanh : public Module
-{
-  public:
-    Tensor Forward(const Tensor& x) override;
-    Tensor Backward(const Tensor& grad_out) override;
-    std::string_view name() const override { return "Tanh"; }
 
   private:
     Tensor cached_y_;
@@ -170,15 +145,6 @@ class Sequential : public Module
   private:
     std::vector<std::unique_ptr<Module>> modules_;
 };
-
-/**
- * Branchless ReLU over a buffer, the software analogue of the paper's
- * AVX-512 max(0, x): same instructions executed for every element.
- */
-void ObliviousReLUInPlace(Tensor& x);
-
-/** Row-wise softmax of a 2-D tensor (forward only; CE loss fuses backward). */
-Tensor Softmax2D(const Tensor& logits);
 
 /**
  * Build an MLP: sizes = {in, h1, ..., out}; ReLU fused into each hidden

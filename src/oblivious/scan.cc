@@ -1,15 +1,13 @@
 #include "oblivious/scan.h"
 
 #include <cassert>
-#include <limits>
 
-#include "oblivious/ct_ops.h"
 #include "oblivious/scan_tile.h"
 #include "telemetry/telemetry.h"
 #include "tensor/kernels/kernels.h"
 
 // Obliviousness-preserving instrumentation: every probe below fires once
-// per call or per public shape (rows, k), never conditionally on the
+// per call or per public shape (rows, ids), never conditionally on the
 // secret index — verified by telemetry_test.cc via ON/OFF trace equality.
 
 namespace secemb::oblivious {
@@ -117,30 +115,6 @@ ObliviousArgmax(std::span<const float> values)
     TELEMETRY_COUNT("oblivious.argmax.calls", 1);
     return Active().argmax(values.data(),
                            static_cast<int64_t>(values.size()));
-}
-
-std::vector<int64_t>
-ObliviousTopK(std::span<const float> values, int64_t k)
-{
-    assert(k >= 0 && k <= static_cast<int64_t>(values.size()));
-    TELEMETRY_SPAN("oblivious.topk");
-    TELEMETRY_COUNT("oblivious.topk.calls", 1);
-    // Work on a masked copy: after each selection the winner is
-    // obliviously overwritten with -inf (every slot is rewritten).
-    std::vector<float> work(values.begin(), values.end());
-    std::vector<int64_t> out;
-    out.reserve(static_cast<size_t>(k));
-    const float neg_inf = -std::numeric_limits<float>::infinity();
-    for (int64_t round = 0; round < k; ++round) {
-        const int64_t best = ObliviousArgmax(work);
-        out.push_back(best);
-        for (size_t i = 0; i < work.size(); ++i) {
-            const uint64_t m = EqMask(static_cast<uint64_t>(i),
-                                      static_cast<uint64_t>(best));
-            work[i] = SelectF32(m, neg_inf, work[i]);
-        }
-    }
-    return out;
 }
 
 }  // namespace secemb::oblivious

@@ -2,8 +2,8 @@
 
 /**
  * @file
- * Oblivious scans: the linear-scan table lookup kernel, oblivious argmax
- * and top-k.
+ * Oblivious scans: the linear-scan table lookup kernel and oblivious
+ * argmax.
  *
  * These are the building blocks of the paper's "Table: Linear Scan"
  * technique and of its oblivious greedy decoding for LLMs.
@@ -42,14 +42,5 @@ void ScanRows(std::span<const float> block, int64_t first_row, int64_t dim,
  * Ties resolve to the lowest index.
  */
 int64_t ObliviousArgmax(std::span<const float> values);
-
-/**
- * Indices of the k largest values, in descending value order, computed
- * with constant-time scans only (k passes of oblivious argmax with
- * oblivious masking). Supports the top-k sampling extension for secure
- * LLM decoding beyond the paper's greedy argmax.
- */
-std::vector<int64_t> ObliviousTopK(std::span<const float> values,
-                                   int64_t k);
 
 }  // namespace secemb::oblivious

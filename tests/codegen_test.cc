@@ -24,12 +24,22 @@
  * A call's target comes from its relocation (objdump -r), since an
  * unlinked object's call operands all point at the next instruction.
  *
+ * Beside the tiles, the driver's merge (MergeTile, MergeFinal) and
+ * A-panel pack (PackAPanels) in the AVX2 and AVX-512 objects, and the
+ * dot interaction (InteractionForward) in secemb_dlrm's interaction.cc
+ * object, must run at vector width: a loop that moves or computes
+ * floats narrower than the object's width passes only beside a twin,
+ * a loop of the same function at that width doing the same classes of
+ * float arithmetic. That admits an edge tile's one-lane tail and fails
+ * a loop that handles every element one float at a time.
+ *
  * The first tests run the checker on fixed listings so its rules are
  * pinned independently of what the compiler emits today.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
@@ -508,6 +518,114 @@ FindBranchingLoops(const std::string& listing, const std::string& name,
     return findings;
 }
 
+/** The lanes a float instruction runs on: 1 for a scalar single ("ss")
+ * operation, 16, 8 or 4 for a packed single ("ps") one (or a broadcast)
+ * with a zmm, ymm or xmm operand; 0 for anything else, and for a plain
+ * register-to-register move, which GCC also uses to copy scalars
+ * between registers. */
+int
+FloatLanes(const Insn& insn)
+{
+    const std::string& m = insn.mnemonic;
+    const auto ends = [&m](const char* suffix) {
+        const size_t n = std::string(suffix).size();
+        return m.size() > n && m.compare(m.size() - n, n, suffix) == 0;
+    };
+    const bool broadcast = StartsWith(m, "vbroadcastss");
+    if (ends("ss") && !broadcast) return 1;
+    if (!ends("ps") && !broadcast) return 0;
+    bool memory = false;
+    int lanes = 0;
+    for (const std::string& op : insn.operands) {
+        memory |= IsMemory(op);
+        if (op.find("%zmm") != std::string::npos) lanes = std::max(lanes, 16);
+        if (op.find("%ymm") != std::string::npos) lanes = std::max(lanes, 8);
+        if (op.find("%xmm") != std::string::npos) lanes = std::max(lanes, 4);
+    }
+    const bool masked = !insn.operands.empty() &&
+                        insn.operands.back().find("{%k") != std::string::npos;
+    if (StartsWith(m, "vmov") || StartsWith(m, "mov")) {
+        if (!memory && !masked) return 0;
+    }
+    return lanes;
+}
+
+/** The class of a float instruction's arithmetic: add (add, sub), mul,
+ * div, fma, or select (compare, blend, min, max, a masked register
+ * move); empty for moves, shuffles, bitwise logic and the rest. */
+std::string
+FloatClass(const Insn& insn)
+{
+    if (FloatLanes(insn) == 0) return "";
+    std::string m = insn.mnemonic;
+    if (m[0] == 'v') m = m.substr(1);
+    if (StartsWith(m, "add") || StartsWith(m, "sub")) return "add";
+    if (StartsWith(m, "mul")) return "mul";
+    if (StartsWith(m, "div")) return "div";
+    if (StartsWith(m, "fmadd") || StartsWith(m, "fmsub") ||
+        StartsWith(m, "fnmadd") || StartsWith(m, "fnmsub")) {
+        return "fma";
+    }
+    if (StartsWith(m, "cmp") || StartsWith(m, "blend") ||
+        StartsWith(m, "max") || StartsWith(m, "min")) {
+        return "select";
+    }
+    if (StartsWith(m, "mov") && !insn.operands.empty() &&
+        insn.operands.back().find("{%k") != std::string::npos &&
+        !IsMemory(insn.operands.back())) {
+        return "select";
+    }
+    return "";
+}
+
+/**
+ * Every innermost loop of the functions whose names contain `name` that
+ * runs floats narrower than `lanes` and has no wide twin: a loop of the
+ * same function that runs `lanes` or more at a time and does the same
+ * classes of float arithmetic. A one-lane tail beside its vector loop
+ * has a twin; a loop that handles every element one float at a time
+ * does not. `checked_loops` counts the loops of those functions that
+ * run floats at all.
+ */
+std::vector<Finding>
+FindNarrowLoops(const std::string& listing, const std::string& name,
+                int lanes, int* checked_loops)
+{
+    std::vector<Finding> findings;
+    *checked_loops = 0;
+    for (const Function& fn : ParseListing(listing)) {
+        if (fn.name.find(name) == std::string::npos) continue;
+        std::vector<std::pair<const std::vector<const Insn*>*,
+                              std::set<std::string>>>
+            narrow;
+        std::set<std::set<std::string>> wide;
+        const auto loops = InnermostLoops(fn);
+        for (const std::vector<const Insn*>& body : loops) {
+            int widest = 0;
+            std::set<std::string> classes;
+            for (const Insn* insn : body) {
+                widest = std::max(widest, FloatLanes(*insn));
+                const std::string c = FloatClass(*insn);
+                if (!c.empty()) classes.insert(c);
+            }
+            if (widest == 0) continue;
+            ++*checked_loops;
+            if (widest >= lanes) {
+                wide.insert(classes);
+            } else {
+                narrow.emplace_back(&body, classes);
+            }
+        }
+        for (const auto& [body, classes] : narrow) {
+            if (wide.count(classes) != 0) continue;
+            Finding f{fn.object, fn.name, {}};
+            for (const Insn* insn : *body) f.lines.push_back(insn->text);
+            findings.push_back(std::move(f));
+        }
+    }
+    return findings;
+}
+
 std::string
 Describe(const std::vector<Finding>& findings)
 {
@@ -718,7 +836,7 @@ constexpr const char* kArgmaxBranches =
     "      4b:\tadd    $0x1,%rax\n"
     "      4f:\tcmp    %rax,%rsi\n"
     "      52:\tjne    40 <argmax+0x40>\n"
-    "0000000000000100 <secemb::oblivious::ObliviousTopK()>:\n"
+    "0000000000000100 <secemb::oblivious::ScanRows()>:\n"
     "     140:\ttest   %eax,%eax\n"
     "     142:\tje     148 <topk+0x48>\n"
     "     144:\tadd    $0x1,%rax\n"
@@ -766,6 +884,197 @@ TEST(CodegenCheckerTest, PassesBranchFreeArgmaxLoops)
         FindBranchingLoops(kArgmaxBranchFree, "::detail::Argmax", &loops);
     EXPECT_TRUE(findings.empty()) << Describe(findings);
     EXPECT_EQ(loops, 2);
+}
+
+// MergeTile as GCC 12 emitted it before its loops ran at vector width:
+// the accumulate loop one float at a time, beside the GELU's vector
+// loop (other arithmetic, so no twin) and that loop's one-lane tail,
+// whose clamps compiled to a max and a compare-and-blend.
+constexpr const char* kScalarMerge =
+    "micro_avx512.cc.o:     file format elf64-x86-64\n"
+    "0000000000000000 <void secemb::kernels::detail::MergeTile<8, 32>()>:\n"
+    "      c0:\tvmovss (%rdx,%rax,1),%xmm0\n"
+    "      c5:\tvaddss (%rsi,%rax,1),%xmm0,%xmm0\n"
+    "      ca:\tvmovss %xmm0,(%rdx,%rax,1)\n"
+    "      cf:\tadd    $0x4,%rax\n"
+    "      d3:\tcmp    %rax,%rcx\n"
+    "      d6:\tjne    c0 <merge+0xc0>\n"
+    "     258:\tvmovups (%r11,%r15,1),%zmm1\n"
+    "     25f:\tvmulps %zmm1,%zmm1,%zmm0\n"
+    "     265:\tvfmadd132ps %zmm21,%zmm20,%zmm0\n"
+    "     271:\tvcmpltps %zmm0,%zmm6,%k1\n"
+    "     278:\tvmovaps %zmm6,%zmm0{%k1}\n"
+    "     297:\tvaddps %zmm17,%zmm22,%zmm23\n"
+    "     2c0:\tvdivps %zmm0,%zmm1,%zmm1\n"
+    "     2c6:\tvmovups %zmm1,(%rdx,%r15,1)\n"
+    "     2cd:\tadd    $0x40,%r15\n"
+    "     2d1:\tcmp    %r15,%r8\n"
+    "     2d4:\tjne    258 <merge+0x258>\n"
+    "     3b0:\tvmovss (%rsi,%rax,4),%xmm2\n"
+    "     3b5:\tvmulss %xmm2,%xmm2,%xmm0\n"
+    "     3b9:\tvfmadd132ss %xmm18,%xmm17,%xmm0\n"
+    "     3bf:\tvcmpltss %xmm0,%xmm6,%xmm1\n"
+    "     3c4:\tvblendvps %xmm1,%xmm6,%xmm0,%xmm0\n"
+    "     3ca:\tvmaxss %xmm0,%xmm16,%xmm0\n"
+    "     3d0:\tvmovaps %zmm0,%zmm19\n"
+    "     3d6:\tvsubss %xmm5,%xmm19,%xmm1\n"
+    "     441:\tvdivss %xmm0,%xmm1,%xmm0\n"
+    "     445:\tvmovss %xmm0,(%rdx,%rax,4)\n"
+    "     44a:\tadd    $0x1,%rax\n"
+    "     44e:\tcmp    %eax,%edi\n"
+    "     450:\tjg     3b0 <merge+0x3b0>\n";
+
+// A final-block merge with bias and ReLU: the vector loop, then the
+// edge tile's one-lane tail doing the same arithmetic.
+constexpr const char* kVectorMergeWithTail =
+    "micro_avx512.cc.o:     file format elf64-x86-64\n"
+    "0000000000000000 <void secemb::kernels::detail::MergeFinal<8, 32, "
+    "11>()>:\n"
+    "      70:\tvmovups (%rsi,%rax,4),%zmm5\n"
+    "      77:\tvaddps (%rdx,%rax,4),%zmm5,%zmm0\n"
+    "      7e:\tvaddps (%rcx,%rax,4),%zmm0,%zmm0\n"
+    "      85:\tvcmpnltps %zmm4,%zmm0,%k1\n"
+    "      8c:\tvmovaps %zmm0,%zmm1{%k1}{z}\n"
+    "      92:\tvmovups %zmm1,(%rdx,%rax,4)\n"
+    "      99:\tadd    $0x10,%rax\n"
+    "      9d:\tcmp    %eax,%r10d\n"
+    "      a0:\tjg     70 <merge+0x70>\n"
+    "      c0:\tvmovss (%r12,%rax,4),%xmm0\n"
+    "      c6:\tvaddss (%rdx,%rax,4),%xmm0,%xmm0\n"
+    "      cb:\tvaddss (%rcx,%rax,4),%xmm0,%xmm0\n"
+    "      d0:\tvcmpltss %xmm3,%xmm0,%xmm1\n"
+    "      d5:\tvblendvps %xmm1,%xmm2,%xmm0,%xmm0\n"
+    "      db:\tvmovss %xmm0,-0x78(%rsp)\n"
+    "      e1:\tmov    -0x78(%rsp),%esi\n"
+    "      e5:\tmov    %esi,(%rdx,%rax,4)\n"
+    "      e8:\tadd    $0x1,%rax\n"
+    "      ec:\tcmp    %eax,%r11d\n"
+    "      ef:\tjg     c0 <merge+0xc0>\n";
+
+TEST(CodegenCheckerTest, FlagsMergeLoopOneFloatWide)
+{
+    int loops = 0;
+    const std::vector<Finding> findings =
+        FindNarrowLoops(kScalarMerge, "::MergeTile<", 16, &loops);
+    ASSERT_EQ(findings.size(), 1u) << Describe(findings);
+    EXPECT_EQ(findings[0].lines.size(), 6u);  // the accumulate loop
+    EXPECT_EQ(loops, 3);
+    // At 8 lanes the GELU's tail still has its twin.
+    EXPECT_EQ(FindNarrowLoops(kScalarMerge, "::MergeTile<", 8, &loops).size(),
+              1u);
+}
+
+TEST(CodegenCheckerTest, PassesVectorLoopWithOneLaneTail)
+{
+    int loops = 0;
+    const std::vector<Finding> findings =
+        FindNarrowLoops(kVectorMergeWithTail, "::MergeFinal<", 16, &loops);
+    EXPECT_TRUE(findings.empty()) << Describe(findings);
+    EXPECT_EQ(loops, 2);
+    // Another function's name selects nothing.
+    EXPECT_TRUE(
+        FindNarrowLoops(kVectorMergeWithTail, "::MergeTile<", 16, &loops)
+            .empty());
+    EXPECT_EQ(loops, 0);
+}
+
+// PackAPanels before the in-register transposes: every row strided into
+// the panel one float at a time. After them: the 8 x 8 transpose at
+// ymm width, and the depth tail one float at a time.
+constexpr const char* kStridedPack =
+    "micro_avx2.cc.o:     file format elf64-x86-64\n"
+    "0000000000000000 <void secemb::kernels::detail::PackAPanels<6>()>:\n"
+    "     168:\tvmovss (%rax),%xmm0\n"
+    "     16c:\tadd    $0x4,%rax\n"
+    "     170:\tadd    $0x18,%rdi\n"
+    "     174:\tvmovss %xmm0,-0x18(%rdi)\n"
+    "     179:\tcmp    %r9,%rax\n"
+    "     17c:\tjne    168 <pack+0x168>\n"
+    "     2b8:\tmovl   $0x0,(%rcx)\n"
+    "     2be:\tadd    $0x18,%rcx\n"
+    "     2c2:\tcmp    %rcx,%rsi\n"
+    "     2c5:\tjne    2b8 <pack+0x2b8>\n";
+
+constexpr const char* kTransposedPack =
+    "micro_avx2.cc.o:     file format elf64-x86-64\n"
+    "0000000000000000 <void secemb::kernels::detail::PackAPanels<6>()>:\n"
+    "     380:\tvmovups (%r9,%rcx,4),%ymm1\n"
+    "     386:\tvunpcklps (%r12,%rcx,4),%ymm1,%ymm8\n"
+    "     393:\tvunpckhps (%r12,%rcx,4),%ymm1,%ymm0\n"
+    "     3c2:\tvshufps $0x44,%ymm7,%ymm8,%ymm10\n"
+    "     3fa:\tvinsertf128 $0x1,%xmm11,%ymm10,%ymm5\n"
+    "     400:\tvperm2f128 $0x31,%ymm11,%ymm10,%ymm11\n"
+    "     406:\tvmaskmovps %ymm5,%ymm12,-0x90(%r8)\n"
+    "     466:\tcmp    %rcx,%rsi\n"
+    "     469:\tjg     380 <pack+0x380>\n"
+    "     4a8:\tvmovss (%rax),%xmm0\n"
+    "     4ac:\tadd    $0x4,%rax\n"
+    "     4b0:\tadd    $0x18,%rdi\n"
+    "     4b4:\tvmovss %xmm0,-0x18(%rdi)\n"
+    "     4b9:\tcmp    %r9,%rax\n"
+    "     4bc:\tjne    4a8 <pack+0x4a8>\n";
+
+TEST(CodegenCheckerTest, FlagsPackOneFloatWidePassesTransposes)
+{
+    int loops = 0;
+    std::vector<Finding> findings =
+        FindNarrowLoops(kStridedPack, "::PackAPanels<", 8, &loops);
+    EXPECT_EQ(findings.size(), 1u) << Describe(findings);
+    EXPECT_EQ(loops, 1);  // the zero fill moves no float
+    findings = FindNarrowLoops(kTransposedPack, "::PackAPanels<", 8, &loops);
+    EXPECT_TRUE(findings.empty()) << Describe(findings);
+    EXPECT_EQ(loops, 2);
+}
+
+// The dot interaction one float per step, then at the baseline width
+// with its one-float scatter beside a 4-lane transpose.
+constexpr const char* kScalarDot =
+    "interaction.cc.o:     file format elf64-x86-64\n"
+    "0000000000000000 <secemb::dlrm::InteractionForward()>:\n"
+    "     600:\tmovss  (%rsi,%rax,4),%xmm0\n"
+    "     605:\tmulss  (%r8,%rax,4),%xmm0\n"
+    "     60b:\tadd    $0x1,%rax\n"
+    "     60f:\taddss  %xmm0,%xmm1\n"
+    "     613:\tcmp    %rax,%rbp\n"
+    "     616:\tjne    600 <fwd+0x600>\n";
+
+constexpr const char* kPackedDot =
+    "interaction.cc.o:     file format elf64-x86-64\n"
+    "0000000000000000 <secemb::dlrm::InteractionForward()>:\n"
+    "     408:\tmovups (%rax),%xmm0\n"
+    "     40b:\tmovups (%rax,%rdi,4),%xmm5\n"
+    "     413:\tmovaps %xmm0,%xmm2\n"
+    "     416:\tunpckhps %xmm5,%xmm0\n"
+    "     419:\tunpcklps %xmm5,%xmm2\n"
+    "     41c:\tmovups %xmm2,(%rdx)\n"
+    "     420:\tcmp    %rcx,%rax\n"
+    "     423:\tjne    408 <fwd+0x408>\n"
+    "     750:\tmovups (%rdx,%rdi,1),%xmm0\n"
+    "     754:\tmovups (%rax,%rdi,1),%xmm4\n"
+    "     758:\tadd    $0x1,%r8\n"
+    "     75c:\tadd    %r11,%rdi\n"
+    "     75f:\tmulps  %xmm4,%xmm0\n"
+    "     762:\taddps  %xmm0,%xmm1\n"
+    "     765:\tcmp    %r8,%rbx\n"
+    "     768:\tjne    750 <fwd+0x750>\n"
+    "     790:\tmovss  (%rdi),%xmm0\n"
+    "     794:\tadd    $0x4,%rdi\n"
+    "     798:\tmovss  %xmm0,(%r8)\n"
+    "     79d:\tadd    %r14,%r8\n"
+    "     7a0:\tcmp    %r13,%rdi\n"
+    "     7a3:\tjne    790 <fwd+0x790>\n";
+
+TEST(CodegenCheckerTest, FlagsScalarDotPassesPackedDot)
+{
+    int loops = 0;
+    EXPECT_EQ(
+        FindNarrowLoops(kScalarDot, "::InteractionForward(", 4, &loops).size(),
+        1u);
+    EXPECT_EQ(loops, 1);
+    const std::vector<Finding> findings =
+        FindNarrowLoops(kPackedDot, "::InteractionForward(", 4, &loops);
+    EXPECT_TRUE(findings.empty()) << Describe(findings);
+    EXPECT_EQ(loops, 3);
 }
 
 /** `cmd`'s standard output; `ok` is false unless it exited 0. */
@@ -876,6 +1185,49 @@ TEST(CodegenTest, ArgmaxLoopsBranchOnlyToRepeat)
             << " argmax loop(s) branch:" << Describe(findings);
         EXPECT_GT(loops, 0) << object << ": no argmax loop";
     }
+}
+
+TEST(CodegenTest, MergeAndPackLoopsRunAtObjectWidth)
+{
+    // The merge runs whole EpilogueLanes vectors (8 or 16 floats); the
+    // A-panel pack transposes 8 depths of 8 rows at ymm width on both
+    // tiers. One-lane tails of edge tiles and depths pass beside them.
+    const auto objects = ObjectListings(SECEMB_TENSOR_ARCHIVE, "micro_");
+    const std::map<std::string, int> kMergeLanes = {
+        {"micro_avx2.cc.o", 8}, {"micro_avx512.cc.o", 16}};
+    for (const auto& [object, lanes] : kMergeLanes) {
+        const auto it = objects.find(object);
+        if (it == objects.end()) continue;  // tier not compiled in
+        const std::vector<std::pair<const char*, int>> rules = {
+            {"::MergeTile<", lanes},
+            {"::MergeFinal<", lanes},
+            {"::PackAPanels<", 8}};
+        for (const auto& [name, want] : rules) {
+            int loops = 0;
+            const std::vector<Finding> findings =
+                FindNarrowLoops(it->second, name, want, &loops);
+            EXPECT_TRUE(findings.empty())
+                << object << ": " << findings.size() << " " << name
+                << " loop(s) narrower than " << want
+                << " lanes without a twin:" << Describe(findings);
+            EXPECT_GT(loops, 0) << object << ": no " << name << " loop";
+        }
+    }
+}
+
+TEST(CodegenTest, DotInteractionRunsPacked)
+{
+    // The dot interaction's loops run at the baseline width (4 floats);
+    // InteractionBackward may stay one float wide.
+    const auto objects = ObjectListings(SECEMB_DLRM_ARCHIVE, "interaction");
+    ASSERT_EQ(objects.count("interaction.cc.o"), 1u);
+    int loops = 0;
+    const std::vector<Finding> findings = FindNarrowLoops(
+        objects.at("interaction.cc.o"), "::InteractionForward(", 4, &loops);
+    EXPECT_TRUE(findings.empty())
+        << findings.size() << " InteractionForward loop(s) one float wide:"
+        << Describe(findings);
+    EXPECT_GT(loops, 0) << "no InteractionForward loop";
 }
 
 }  // namespace

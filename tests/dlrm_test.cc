@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "core/factory.h"
 #include "dlrm/config.h"
 #include "dlrm/dataset.h"
@@ -138,6 +142,101 @@ TEST(InteractionTest, DotValues)
     EXPECT_FLOAT_EQ(out.at(0, 2), 1 * 3 + 2 * 4);
     EXPECT_FLOAT_EQ(out.at(0, 3), 1 * 5 + 2 * 6);
     EXPECT_FLOAT_EQ(out.at(0, 4), 3 * 5 + 4 * 6);
+}
+
+/** The dot interaction as a loop over samples and pairs, one float per
+ * step: the loop InteractionForward(kDot) replaced. */
+Tensor
+DotInteractionReference(const Tensor& dense, const std::vector<Tensor>& embs)
+{
+    const int64_t batch = dense.size(0), d = dense.size(1);
+    const int64_t f = static_cast<int64_t>(embs.size()) + 1;
+    const int64_t pairs = f * (f - 1) / 2;
+    Tensor out({batch, d + pairs});
+    for (int64_t i = 0; i < batch; ++i) {
+        std::vector<const float*> vs{dense.data() + i * d};
+        for (const auto& e : embs) vs.push_back(e.data() + i * d);
+        float* o = out.data() + i * (d + pairs);
+        std::memcpy(o, vs[0], static_cast<size_t>(d) * sizeof(float));
+        int64_t p = d;
+        for (int64_t a = 0; a < f; ++a) {
+            for (int64_t b = a + 1; b < f; ++b) {
+                float acc = 0.0f;
+                for (int64_t j = 0; j < d; ++j) {
+                    acc += vs[static_cast<size_t>(a)][j] *
+                           vs[static_cast<size_t>(b)][j];
+                }
+                o[p++] = acc;
+            }
+        }
+    }
+    return out;
+}
+
+/** A batch x d tensor of normal values with zeros of both signs,
+ * subnormals and large values mixed in, one element in 32 (products
+ * with subnormals run slowly, so a denser mix slows the test tenfold). */
+Tensor
+InteractionInput(int64_t batch, int64_t d, Rng& rng)
+{
+    const float kSpecials[] = {0.0f, -0.0f,
+                               std::numeric_limits<float>::denorm_min(),
+                               -3.0f * std::numeric_limits<float>::min(),
+                               1e19f, -3e20f};
+    constexpr uint64_t kCount = sizeof(kSpecials) / sizeof(kSpecials[0]);
+    Tensor t = Tensor::Randn({batch, d}, rng);
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        const uint64_t pick = rng.NextBounded(32 * kCount);
+        if (pick < kCount) t.at(i) = kSpecials[pick];
+    }
+    return t;
+}
+
+/**
+ * InteractionForward(kDot) against the loop it replaced, bit for bit:
+ * batch 1..65 (whole and partial vectors of samples), d in {1, 3, 16,
+ * 64} and 0..26 embeddings, with specials in every input. One process
+ * runs every shape, so the scratch kept across calls is reused at
+ * growing and shrinking sizes.
+ */
+TEST(InteractionTest, DotMatchesScalarLoopBitForBit)
+{
+    Rng rng(7);
+    for (const int64_t d : {1, 3, 16, 64}) {
+        std::vector<Tensor> pool;  // 65 samples of each of 27 vectors
+        for (int v = 0; v < 27; ++v) {
+            pool.push_back(InteractionInput(65, d, rng));
+        }
+        for (int64_t n_embs = 0; n_embs <= 26; ++n_embs) {
+            for (int64_t batch = 1; batch <= 65; ++batch) {
+                // The largest shapes run at every fourth batch and at
+                // the batch sizes of a partial vector past 4 x 16.
+                if (d * n_embs > 256 && batch % 4 != 1 && batch < 62) {
+                    continue;
+                }
+                const auto first_rows = [&](const Tensor& t) {
+                    Tensor out({batch, d});
+                    std::memcpy(out.data(), t.data(),
+                                static_cast<size_t>(batch * d) * sizeof(float));
+                    return out;
+                };
+                const Tensor dense = first_rows(pool[0]);
+                std::vector<Tensor> embs;
+                for (int64_t e = 1; e <= n_embs; ++e) {
+                    embs.push_back(first_rows(pool[static_cast<size_t>(e)]));
+                }
+                const Tensor got =
+                    InteractionForward(Interaction::kDot, dense, embs);
+                const Tensor want = DotInteractionReference(dense, embs);
+                ASSERT_EQ(got.shape(), want.shape());
+                ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                      static_cast<size_t>(want.numel()) *
+                                          sizeof(float)),
+                          0)
+                    << "batch " << batch << " d " << d << " embs " << n_embs;
+            }
+        }
+    }
 }
 
 class InteractionGradTest : public ::testing::TestWithParam<Interaction>

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,6 +39,8 @@
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 #include "verify/harness.h"
+
+#include "kernel_tier.h"
 
 namespace secemb {
 namespace {
@@ -458,6 +461,183 @@ TEST(KernelGeluTest, Avx2AndAvx512EpiloguesBitIdentical)
                               static_cast<size_t>(m * n) * sizeof(float)),
                   0)
             << m << "x" << k << "x" << n;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Merge and A-panel pack, per tier
+// ---------------------------------------------------------------------------
+
+/** The tiers whose hooks are linked in and that this CPU can run; each
+ * hook's tile width must be the one the library packs B for. */
+std::vector<std::pair<Isa, kernel_tier::TierHooks>>
+TierHooksToTest()
+{
+    std::vector<std::pair<Isa, kernel_tier::TierHooks>> tiers = {
+        {Isa::kScalar, kernel_tier::ScalarHooks()}};
+#if defined(SECEMB_TEST_TIER_AVX2)
+    if (kernels::IsaSupported(Isa::kAvx2)) {
+        tiers.emplace_back(Isa::kAvx2, kernel_tier::Avx2Hooks());
+    }
+#endif
+#if defined(SECEMB_TEST_TIER_AVX512)
+    if (kernels::IsaSupported(Isa::kAvx512)) {
+        tiers.emplace_back(Isa::kAvx512, kernel_tier::Avx512Hooks());
+    }
+#endif
+    for (const auto& [isa, hooks] : tiers) {
+        const float b[1] = {0.0f};
+        kernels::PackedB packed;
+        kernels::PackB(b, 1, 1, /*transposed_src=*/false, isa, &packed);
+        EXPECT_EQ(packed.nr, hooks.nr) << kernels::IsaName(isa);
+    }
+    return tiers;
+}
+
+/** A float from a pool of specials (zeros, infinities and NaNs of both
+ * signs, subnormals, values whose sums overflow) or, half the time, an
+ * ordinary value. */
+float
+SpecialOrRandom(Rng& rng)
+{
+    const float kInf = std::numeric_limits<float>::infinity();
+    const float kDenorm = std::numeric_limits<float>::denorm_min();
+    const float kSpecials[] = {0.0f,
+                               -0.0f,
+                               kInf,
+                               -kInf,
+                               std::numeric_limits<float>::quiet_NaN(),
+                               -std::numeric_limits<float>::quiet_NaN(),
+                               kDenorm,
+                               -7.0f * kDenorm,
+                               std::numeric_limits<float>::min() / 3.0f,
+                               3e38f,
+                               -3e38f,
+                               1e-30f};
+    constexpr uint64_t kCount = sizeof(kSpecials) / sizeof(kSpecials[0]);
+    const uint64_t pick = rng.NextBounded(2 * kCount);
+    if (pick < kCount) return kSpecials[pick];
+    return static_cast<float>(rng.NextDouble() * 8.0 - 4.0);
+}
+
+/**
+ * MergeTile against the one-float-at-a-time merge it replaced, built
+ * under the same tier's flags: bit for bit (memcmp) on C and the
+ * pre-activation, for the first, middle and last k block and a single
+ * block, every activation, bias and pre-activation on and off, every
+ * tile size from 1 x 1 to MR x NR, at a column offset into C, with acc,
+ * C and bias full of specials.
+ */
+TEST(KernelMergeTest, MatchesScalarMergeBitForBitOnEveryTier)
+{
+    Rng rng(131);
+    for (const auto& [isa, hooks] : TierHooksToTest()) {
+        const int64_t i0 = 1, j0 = 3, ldc = j0 + hooks.nr + 2;
+        const int64_t c_size = (i0 + hooks.mr + 1) * ldc;
+        AlignedFloatVector acc(static_cast<size_t>(hooks.mr * hooks.nr));
+        std::vector<float> c(c_size), c_ref(c_size), pre(c_size),
+            pre_ref(c_size), bias(static_cast<size_t>(ldc));
+        int cases = 0;
+        for (const auto& [first, last] : std::vector<std::pair<bool, bool>>{
+                 {true, false}, {false, false}, {false, true}, {true, true}}) {
+            for (const Activation act : {Activation::kIdentity,
+                                         Activation::kRelu,
+                                         Activation::kGelu}) {
+                for (int options = 0; options < 4; ++options) {
+                    for (int mr = 1; mr <= hooks.mr; ++mr) {
+                        for (int nr = 1; nr <= hooks.nr; ++nr) {
+                            for (float& v : acc) v = SpecialOrRandom(rng);
+                            for (float& v : c) v = SpecialOrRandom(rng);
+                            for (float& v : pre) v = SpecialOrRandom(rng);
+                            for (float& v : bias) v = SpecialOrRandom(rng);
+                            c_ref = c;
+                            pre_ref = pre;
+                            kernels::Epilogue ep, ep_ref;
+                            ep.act = ep_ref.act = act;
+                            if (options & 1) {
+                                ep.bias = ep_ref.bias = bias.data();
+                            }
+                            if (options & 2) {
+                                ep.preact = pre.data();
+                                ep_ref.preact = pre_ref.data();
+                            }
+                            hooks.merge(acc.data(), c.data(), ldc, i0, j0, mr,
+                                        nr, first, last, ep);
+                            hooks.merge_reference(acc.data(), c_ref.data(),
+                                                  ldc, i0, j0, mr, nr, first,
+                                                  last, ep_ref);
+                            ASSERT_EQ(std::memcmp(c.data(), c_ref.data(),
+                                                  c.size() * sizeof(float)),
+                                      0)
+                                << kernels::IsaName(isa) << " C, first "
+                                << first << " last " << last << " act "
+                                << static_cast<int>(act) << " options "
+                                << options << " tile " << mr << "x" << nr;
+                            ASSERT_EQ(std::memcmp(pre.data(), pre_ref.data(),
+                                                  pre.size() * sizeof(float)),
+                                      0)
+                                << kernels::IsaName(isa) << " preact, act "
+                                << static_cast<int>(act) << " options "
+                                << options << " tile " << mr << "x" << nr;
+                            ++cases;
+                        }
+                    }
+                }
+            }
+        }
+        EXPECT_EQ(cases, 4 * 3 * 4 * hooks.mr * hooks.nr);
+    }
+}
+
+/** PackAPanels' layout, one float at a time: the loop it replaced. */
+void
+PackAPanelsReference(const float* a, int64_t m, int64_t k, bool trans,
+                     int mr_tile, float* out)
+{
+    const int64_t tiles = (m + mr_tile - 1) / mr_tile;
+    for (int64_t t = 0; t < tiles; ++t) {
+        float* panel = out + t * mr_tile * k;
+        for (int r = 0; r < mr_tile; ++r) {
+            const int64_t row = t * mr_tile + r;
+            for (int64_t p = 0; p < k; ++p) {
+                panel[p * mr_tile + r] = row >= m ? 0.0f
+                                         : trans  ? a[p * m + row]
+                                                  : a[row * k + p];
+            }
+        }
+    }
+}
+
+/**
+ * PackAPanels against the scalar layout for m = 1..3 MR + 1 and depths
+ * 1..40 (whole and partial 8-depth groups), both orientations, with A
+ * one float off its allocation's alignment and full of specials.
+ */
+TEST(KernelPackTest, PackAPanelsMatchesScalarLayoutOnEveryTier)
+{
+    Rng rng(137);
+    for (const auto& [isa, hooks] : TierHooksToTest()) {
+        for (const bool trans : {false, true}) {
+            for (int64_t m = 1; m <= 3 * hooks.mr + 1; ++m) {
+                for (int64_t k = 1; k <= 40; ++k) {
+                    std::vector<float> buf(static_cast<size_t>(m * k + 1));
+                    for (float& v : buf) v = SpecialOrRandom(rng);
+                    const float* a = buf.data() + 1;
+                    const size_t out_size = static_cast<size_t>(
+                        (m + hooks.mr - 1) / hooks.mr * hooks.mr * k);
+                    std::vector<float> got(out_size, 1.5f),
+                        want(out_size, -1.5f);
+                    hooks.pack_a(a, m, k, trans, got.data());
+                    PackAPanelsReference(a, m, k, trans, hooks.mr,
+                                         want.data());
+                    ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                          out_size * sizeof(float)),
+                              0)
+                        << kernels::IsaName(isa) << " m " << m << " k " << k
+                        << " trans " << trans;
+                }
+            }
+        }
     }
 }
 

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/factory.h"
-#include "oblivious/scan.h"
 #include "llm/attention.h"
 #include "llm/corpus.h"
 #include "llm/gpt.h"
@@ -431,36 +430,6 @@ TEST(SecureGptTest, DeterministicGenerationAcrossEquivalentBackends)
     auto b = build(core::GenKind::kLinearScan);
     const std::vector<std::vector<int64_t>> prompts{{3, 1, 4, 1, 5}};
     EXPECT_EQ(a->Generate(prompts, 5), b->Generate(prompts, 5));
-}
-
-TEST(SecureGptTest, TopKSamplingStaysInCandidates)
-{
-    const llm::GptConfig cfg = llm::GptConfig::Tiny();
-    Rng rng(20);
-    auto gen = core::MakeGenerator(core::GenKind::kIndexLookup,
-                                   cfg.vocab_size, cfg.dim, rng);
-    llm::SecureGpt model(cfg, std::move(gen), rng);
-    const Tensor logits = model.Prefill({{1, 2, 3}});
-    const auto top3 = oblivious::ObliviousTopK(logits.row(0), 3);
-    Rng sample_rng(21);
-    for (int trial = 0; trial < 30; ++trial) {
-        const auto pick = model.SampleTopK(logits, 3, sample_rng);
-        EXPECT_TRUE(std::find(top3.begin(), top3.end(), pick[0]) !=
-                    top3.end());
-    }
-}
-
-TEST(SecureGptTest, TopK1EqualsGreedy)
-{
-    const llm::GptConfig cfg = llm::GptConfig::Tiny();
-    Rng rng(22);
-    auto gen = core::MakeGenerator(core::GenKind::kIndexLookup,
-                                   cfg.vocab_size, cfg.dim, rng);
-    llm::SecureGpt model(cfg, std::move(gen), rng);
-    const Tensor logits = model.Prefill({{4, 5, 6}, {7, 8, 9}});
-    Rng sample_rng(23);
-    EXPECT_EQ(model.SampleTopK(logits, 1, sample_rng),
-              model.GreedyTokens(logits));
 }
 
 TEST(CorpusTest, TokensInRangeAndDeterministic)

@@ -1,18 +1,16 @@
 /**
  * @file
- * Tests for model serialization and the oblivious top-k extension.
+ * Tests for model serialization.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
 #include "dhe/dhe.h"
 #include "nn/layers.h"
 #include "nn/serialize.h"
-#include "oblivious/scan.h"
 
 namespace secemb {
 namespace {
@@ -122,38 +120,6 @@ TEST_F(SerializeTest, MismatchesThrow)
 
     EXPECT_THROW(nn::LoadTensor(TmpPath("does_not_exist.bin")),
                  std::runtime_error);
-}
-
-TEST(ObliviousTopKTest, MatchesSortOrder)
-{
-    Rng rng(6);
-    for (int trial = 0; trial < 50; ++trial) {
-        const int64_t n = 20;
-        std::vector<float> v(static_cast<size_t>(n));
-        for (auto& x : v) x = rng.NextGaussian();
-        const auto topk = oblivious::ObliviousTopK(v, 5);
-        // Reference: argsort descending.
-        std::vector<int64_t> ref(static_cast<size_t>(n));
-        for (int64_t i = 0; i < n; ++i) ref[static_cast<size_t>(i)] = i;
-        std::stable_sort(ref.begin(), ref.end(),
-                         [&](int64_t a, int64_t b) {
-                             return v[static_cast<size_t>(a)] >
-                                    v[static_cast<size_t>(b)];
-                         });
-        for (int64_t i = 0; i < 5; ++i) {
-            EXPECT_EQ(topk[static_cast<size_t>(i)],
-                      ref[static_cast<size_t>(i)])
-                << "trial " << trial << " rank " << i;
-        }
-    }
-}
-
-TEST(ObliviousTopKTest, EdgeCases)
-{
-    std::vector<float> v{3.0f, 1.0f, 2.0f};
-    EXPECT_TRUE(oblivious::ObliviousTopK(v, 0).empty());
-    const auto all = oblivious::ObliviousTopK(v, 3);
-    EXPECT_EQ(all, (std::vector<int64_t>{0, 2, 1}));
 }
 
 // ---------------------------------------------------------------------------
