@@ -19,6 +19,7 @@
 #include <cstring>
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -32,6 +33,7 @@
 #include "oblivious/scan.h"
 #include "oram/crypto.h"
 #include "oram/tree_oram.h"
+#include "store/raw_oram.h"
 #include "tensor/gemm.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/parallel.h"
@@ -431,6 +433,36 @@ BENCHMARK(BM_OramAccess)
     ->Arg(0)
     ->Arg(1)
     ->ArgNames({"kind(0=Path,1=Circuit)"});
+
+/**
+ * One RAW ORAM read at BM_OramAccess's shape (16384 x 64) on a memory
+ * store with 4 KiB pages: levels + 1 page fetches per read, and an
+ * eviction every 8 reads amortised over the loop. Report-only: no
+ * baseline row gates it.
+ */
+void
+BM_RawOramAccess(benchmark::State& state)
+{
+    constexpr int64_t kBlocks = 16384, kWords = 64, kPageBytes = 4096;
+    store::StoreConfig config;
+    config.backend = store::StoreBackend::kMemory;
+    config.page_bytes = kPageBytes;
+    std::unique_ptr<store::PageCache> cache;
+    store::ThrowIfError(store::MakePageCache(
+        config, store::RawOram::PagesNeeded(kBlocks, kWords, kPageBytes),
+        &cache));
+    Rng rng(4);
+    store::RawOram oram(kBlocks, kWords, std::move(cache), rng, {});
+    store::ThrowIfError(oram.BulkLoad(
+        std::vector<uint32_t>(static_cast<size_t>(kBlocks * kWords), 0)));
+    std::vector<uint32_t> out(kWords);
+    int64_t id = 0;
+    for (auto _ : state) {
+        store::ThrowIfError(oram.Read(id++ % kBlocks, out));
+        benchmark::DoNotOptimize(out.data());
+    }
+}
+BENCHMARK(BM_RawOramAccess);
 
 // ---------------------------------------------------------------------------
 // Host rooflines: one core's multiply-add peak and streaming read rate.

@@ -314,11 +314,4 @@ CausalSelfAttention::Parameters()
     return ps;
 }
 
-void
-CausalSelfAttention::set_nthreads(int n)
-{
-    qkv_.set_nthreads(n);
-    proj_.set_nthreads(n);
-}
-
 }  // namespace secemb::llm

@@ -64,7 +64,6 @@ class CausalSelfAttention
                          KvCache& cache);
 
     std::vector<nn::Parameter*> Parameters();
-    void set_nthreads(int n);
 
   private:
     int64_t dim_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 #include "oblivious/scan.h"
 #include "telemetry/telemetry.h"
@@ -69,14 +68,6 @@ TransformerBlock::Parameters()
     for (auto* p : fc1_.Parameters()) ps.push_back(p);
     for (auto* p : fc2_.Parameters()) ps.push_back(p);
     return ps;
-}
-
-void
-TransformerBlock::set_nthreads(int n)
-{
-    attn_.set_nthreads(n);
-    fc1_.set_nthreads(n);
-    fc2_.set_nthreads(n);
 }
 
 // ---------------------------------------------------------------------------
@@ -200,15 +191,6 @@ GptModel::Parameters()
     for (auto* p : ln_f_->Parameters()) ps.push_back(p);
     for (auto* p : head_->Parameters()) ps.push_back(p);
     return ps;
-}
-
-const Tensor&
-GptModel::token_table() const
-{
-    if (!tok_table_) {
-        throw std::logic_error("token_table(): model uses DHE");
-    }
-    return tok_table_->table();
 }
 
 int64_t

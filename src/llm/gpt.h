@@ -38,7 +38,6 @@ class TransformerBlock
                          KvCache& cache);
 
     std::vector<nn::Parameter*> Parameters();
-    void set_nthreads(int n);
 
   private:
     nn::LayerNorm ln1_;
@@ -84,8 +83,6 @@ class GptModel
     const GptConfig& config() const { return config_; }
     TokenEmbMode mode() const { return mode_; }
 
-    /** Trained token table (table mode) for secure deployment. */
-    const Tensor& token_table() const;
     std::shared_ptr<dhe::DheEmbedding> token_dhe() { return dhe_; }
 
     /** Footprint of the token-embedding state only. */

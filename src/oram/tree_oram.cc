@@ -1,7 +1,6 @@
 #include "oram/tree_oram.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -12,13 +11,12 @@
 
 namespace secemb::oram {
 
-using oblivious::BoolToMask;
 using oblivious::EqMask;
 
 namespace {
 
 /** Sentinel for "no level" in the Circuit ORAM eviction metadata. */
-constexpr int64_t kNoneLevel = -1;
+constexpr int64_t kNoneLevel = slots::kNoGoal;
 
 int64_t
 CeilLog2(int64_t n)
@@ -143,14 +141,6 @@ PositionMap::FootprintBytes() const
     return static_cast<int64_t>(flat_.size()) * 4;
 }
 
-int
-PositionMap::Depth() const
-{
-    if (!child_) return 0;
-    // The child ORAM's own position map may recurse further.
-    return 1;
-}
-
 serving::Status
 PositionMap::SnapshotLeaves(std::vector<uint32_t>* out) const
 {
@@ -228,24 +218,6 @@ TreeOram::TreeOram(OramKind kind, int64_t num_blocks, int64_t block_words,
 // TreeOram: small helpers
 // ---------------------------------------------------------------------------
 
-int64_t
-TreeOram::BucketOnPath(uint32_t leaf, int64_t level) const
-{
-    assert(level >= 0 && level <= levels_);
-    const int64_t node =
-        (num_leaves_ + static_cast<int64_t>(leaf)) >> (levels_ - level);
-    return node - 1;
-}
-
-int64_t
-TreeOram::CommonLevel(uint32_t a, uint32_t b) const
-{
-    const uint32_t x = a ^ b;
-    if (x == 0) return levels_;
-    const int64_t width = 64 - std::countl_zero(static_cast<uint64_t>(x));
-    return levels_ - width;
-}
-
 uint32_t
 TreeOram::RandomLeaf()
 {
@@ -260,18 +232,19 @@ TreeOram::Sel(uint64_t mask, uint64_t a, uint64_t b) const
                                  : oblivious::SelectNoInline(mask, a, b);
 }
 
-void
-TreeOram::MaskCopyWords(uint64_t mask, const uint32_t* src, uint32_t* dst,
-                        int64_t n) const
+slots::Run
+TreeOram::StashRun()
 {
-    if (params_.inline_select) {
-        oblivious::CtCopyWords(mask, src, dst, n);
-    } else {
-        for (int64_t i = 0; i < n; ++i) {
-            dst[i] = static_cast<uint32_t>(
-                oblivious::SelectNoInline(mask, src[i], dst[i]));
-        }
-    }
+    return {stash_id_.data(), stash_leaf_.data(), stash_data_.data(),
+            params_.stash_capacity, block_words_};
+}
+
+slots::Run
+TreeOram::BucketRun(int64_t bucket)
+{
+    const int64_t z = params_.bucket_capacity;
+    return {slot_id_.data() + bucket * z, slot_leaf_.data() + bucket * z,
+            slot_data_.data() + bucket * z * block_words_, z, block_words_};
 }
 
 void
@@ -339,55 +312,6 @@ TreeOram::PayOcall()
 }
 
 // ---------------------------------------------------------------------------
-// TreeOram: stash operations
-// ---------------------------------------------------------------------------
-
-void
-TreeOram::StashInsert(uint64_t id, uint32_t leaf, const uint32_t* data,
-                      bool record)
-{
-    if (record) RecordStashScan(/*is_write=*/true);
-    uint64_t inserted = 0;
-    for (size_t j = 0; j < stash_id_.size(); ++j) {
-        const uint64_t free = EqMask(stash_id_[j], kDummyId);
-        const uint64_t take = free & ~inserted;
-        stash_id_[j] = Sel(take, id, stash_id_[j]);
-        stash_leaf_[j] = static_cast<uint32_t>(
-            Sel(take, leaf, stash_leaf_[j]));
-        MaskCopyWords(take, data,
-                      stash_data_.data() +
-                          static_cast<int64_t>(j) * block_words_,
-                      block_words_);
-        inserted |= take;
-    }
-    if (inserted == 0) {
-        throw std::runtime_error("TreeOram: stash overflow");
-    }
-}
-
-void
-TreeOram::StashReadRemove(int64_t id, std::span<uint32_t> data_out,
-                          uint32_t* leaf_out, uint64_t* found_mask)
-{
-    RecordStashScan(/*is_write=*/true);
-    uint64_t found = 0;
-    uint32_t leaf = 0;
-    for (size_t j = 0; j < stash_id_.size(); ++j) {
-        const uint64_t match =
-            EqMask(stash_id_[j], static_cast<uint64_t>(id));
-        MaskCopyWords(match,
-                      stash_data_.data() +
-                          static_cast<int64_t>(j) * block_words_,
-                      data_out.data(), block_words_);
-        leaf = static_cast<uint32_t>(Sel(match, stash_leaf_[j], leaf));
-        stash_id_[j] = Sel(match, kDummyId, stash_id_[j]);
-        found |= match;
-    }
-    *leaf_out = leaf;
-    *found_mask = found;
-}
-
-// ---------------------------------------------------------------------------
 // TreeOram: Path ORAM phases
 // ---------------------------------------------------------------------------
 
@@ -395,36 +319,12 @@ void
 TreeOram::PathReadPathToStash(uint32_t leaf)
 {
     for (int64_t level = 0; level <= levels_; ++level) {
-        const int64_t b = BucketOnPath(leaf, level);
+        const int64_t b = slots::BucketOnPath(levels_, leaf, level);
         RecordBucket(b, /*is_write=*/false);
         DecryptBucket(b);
-        for (int64_t s = 0; s < params_.bucket_capacity; ++s) {
-            const int64_t slot = b * params_.bucket_capacity + s;
-            const uint64_t valid =
-                ~EqMask(slot_id_[static_cast<size_t>(slot)], kDummyId);
-            // Oblivious insert: a dummy slot inserts nothing but the scan
-            // happens regardless.
-            uint64_t inserted = ~valid;
-            const uint64_t id = slot_id_[static_cast<size_t>(slot)];
-            const uint32_t blk_leaf =
-                slot_leaf_[static_cast<size_t>(slot)];
-            const uint32_t* data = slot_data_.data() + slot * block_words_;
-            for (size_t j = 0; j < stash_id_.size(); ++j) {
-                const uint64_t free = EqMask(stash_id_[j], kDummyId);
-                const uint64_t take = free & ~inserted;
-                stash_id_[j] = Sel(take, id, stash_id_[j]);
-                stash_leaf_[j] = static_cast<uint32_t>(
-                    Sel(take, blk_leaf, stash_leaf_[j]));
-                MaskCopyWords(take, data,
-                              stash_data_.data() +
-                                  static_cast<int64_t>(j) * block_words_,
-                              block_words_);
-                inserted |= take;
-            }
-            if (inserted == 0) {
-                throw std::runtime_error("TreeOram: stash overflow");
-            }
-            slot_id_[static_cast<size_t>(slot)] = kDummyId;
+        // Every slot costs one stash scan; a dummy inserts nothing.
+        if (!slots::Drain(BucketRun(b), StashRun(), cmov())) {
+            throw std::runtime_error("TreeOram: stash overflow");
         }
         RecordStashScan(/*is_write=*/true);
     }
@@ -433,49 +333,16 @@ TreeOram::PathReadPathToStash(uint32_t leaf)
 void
 TreeOram::PathWriteBack(uint32_t leaf)
 {
-    const uint64_t sentinel = static_cast<uint64_t>(stash_id_.size());
-    std::vector<uint64_t> placed(stash_id_.size(), 0);
-
     for (int64_t level = levels_; level >= 0; --level) {
-        const int64_t b = BucketOnPath(leaf, level);
+        const int64_t b = slots::BucketOnPath(levels_, leaf, level);
         RecordBucket(b, /*is_write=*/true);
-        for (int64_t s = 0; s < params_.bucket_capacity; ++s) {
-            const int64_t slot = b * params_.bucket_capacity + s;
-            // Select the first stash block that may live at this level.
-            uint64_t chosen = sentinel;
-            for (size_t j = 0; j < stash_id_.size(); ++j) {
-                const uint64_t real = ~EqMask(stash_id_[j], kDummyId);
-                const uint64_t deep_enough = BoolToMask(
-                    CommonLevel(stash_leaf_[j], leaf) >= level ? 1 : 0);
-                const uint64_t not_yet = EqMask(chosen, sentinel);
-                const uint64_t take =
-                    real & deep_enough & ~placed[j] & not_yet;
-                chosen = Sel(take, static_cast<uint64_t>(j), chosen);
-            }
-            const uint64_t have = ~EqMask(chosen, sentinel);
-            // Clear the slot, then blend the chosen block in.
-            slot_id_[static_cast<size_t>(slot)] = kDummyId;
-            slot_leaf_[static_cast<size_t>(slot)] = 0;
-            uint32_t* dst = slot_data_.data() + slot * block_words_;
-            for (int64_t w = 0; w < block_words_; ++w) dst[w] = 0;
-            for (size_t j = 0; j < stash_id_.size(); ++j) {
-                const uint64_t is_ch =
-                    EqMask(static_cast<uint64_t>(j), chosen) & have;
-                slot_id_[static_cast<size_t>(slot)] =
-                    Sel(is_ch, stash_id_[j],
-                        slot_id_[static_cast<size_t>(slot)]);
-                slot_leaf_[static_cast<size_t>(slot)] =
-                    static_cast<uint32_t>(
-                        Sel(is_ch, stash_leaf_[j],
-                            slot_leaf_[static_cast<size_t>(slot)]));
-                MaskCopyWords(is_ch,
-                              stash_data_.data() +
-                                  static_cast<int64_t>(j) * block_words_,
-                              dst, block_words_);
-                stash_id_[j] = Sel(is_ch, kDummyId, stash_id_[j]);
-                placed[j] |= is_ch;
-            }
-        }
+        // Clear the bucket, then move the first fitting stash block into
+        // each slot.
+        const slots::Run bucket = BucketRun(b);
+        std::fill_n(bucket.id, bucket.n, kDummyId);
+        std::fill_n(bucket.leaf, bucket.n, 0u);
+        std::fill_n(bucket.data, bucket.n * bucket.words, 0u);
+        slots::Fill(StashRun(), bucket, levels_, leaf, level, cmov());
         EncryptBucket(b);
         RecordStashScan(/*is_write=*/true);
     }
@@ -487,43 +354,17 @@ TreeOram::PathWriteBack(uint32_t leaf)
 
 void
 TreeOram::CircuitReadBlockFromPath(uint32_t leaf, int64_t id,
-                                   std::span<uint32_t> data_out,
-                                   uint64_t* found_mask)
+                                   std::span<uint32_t> data_out)
 {
-    uint64_t found = 0;
     for (int64_t level = 0; level <= levels_; ++level) {
-        const int64_t b = BucketOnPath(leaf, level);
+        const int64_t b = slots::BucketOnPath(levels_, leaf, level);
         RecordBucket(b, /*is_write=*/false);
         RecordBucket(b, /*is_write=*/true);  // removal writes back
         DecryptBucket(b);
-        for (int64_t s = 0; s < params_.bucket_capacity; ++s) {
-            const int64_t slot = b * params_.bucket_capacity + s;
-            const uint64_t match = EqMask(
-                slot_id_[static_cast<size_t>(slot)],
-                static_cast<uint64_t>(id));
-            MaskCopyWords(match, slot_data_.data() + slot * block_words_,
-                          data_out.data(), block_words_);
-            slot_id_[static_cast<size_t>(slot)] =
-                Sel(match, kDummyId, slot_id_[static_cast<size_t>(slot)]);
-            found |= match;
-        }
+        slots::Take(BucketRun(b), static_cast<uint64_t>(id), data_out.data(),
+                    cmov());
         EncryptBucket(b);
     }
-    *found_mask = found;
-}
-
-uint32_t
-TreeOram::NextEvictionLeaf()
-{
-    // Reverse-lexicographic (bit-reversed counter) order, the standard
-    // Circuit ORAM eviction schedule; public and input-independent.
-    const uint64_t g = evict_counter_++;
-    uint64_t leaf = 0;
-    for (int64_t bit = 0; bit < levels_; ++bit) {
-        leaf = (leaf << 1) | ((g >> bit) & 1);
-    }
-    return static_cast<uint32_t>(leaf %
-                                 static_cast<uint64_t>(num_leaves_));
 }
 
 void
@@ -538,7 +379,7 @@ TreeOram::CircuitEvictOnce(uint32_t path_leaf)
     RecordStashScan(/*is_write=*/false);  // PrepareTarget occupancy scan
     RecordStashScan(/*is_write=*/true);   // EvictOnceFast stash pass
     for (int64_t level = 0; level <= levels_; ++level) {
-        const int64_t b = BucketOnPath(path_leaf, level);
+        const int64_t b = slots::BucketOnPath(levels_, path_leaf, level);
         RecordBucket(b, /*is_write=*/false);  // metadata scans
         RecordBucket(b, /*is_write=*/false);
         RecordBucket(b, /*is_write=*/true);   // move pass write-back
@@ -548,43 +389,19 @@ TreeOram::CircuitEvictOnce(uint32_t path_leaf)
     std::vector<int64_t> deepest(static_cast<size_t>(n_idx), kNoneLevel);
     std::vector<int64_t> target(static_cast<size_t>(n_idx), kNoneLevel);
 
-    auto level_of_index = [](int64_t i) { return i - 1; };
-
-    // Deepest index a block with leaf lf may occupy on this path.
-    auto block_goal = [&](uint32_t lf) {
-        return CommonLevel(lf, path_leaf) + 1;
+    // The slots at path index i: the stash, or the bucket at level i - 1.
+    auto run_at = [&](int64_t i) {
+        return i == 0 ? StashRun()
+                      : BucketRun(slots::BucketOnPath(levels_, path_leaf,
+                                                      i - 1));
     };
 
     // --- PrepareDeepest ---
     int64_t src = kNoneLevel;
     int64_t goal = kNoneLevel;
-    {
-        int64_t stash_goal = kNoneLevel;
-        for (size_t j = 0; j < stash_id_.size(); ++j) {
-            const bool real = stash_id_[j] != kDummyId;
-            const int64_t g = block_goal(stash_leaf_[j]);
-            const uint64_t take =
-                BoolToMask((real && g > stash_goal) ? 1 : 0);
-            stash_goal = oblivious::SelectI64(take, g, stash_goal);
-        }
-        if (stash_goal != kNoneLevel) {
-            src = 0;
-            goal = stash_goal;
-        }
-    }
-    for (int64_t i = 1; i < n_idx; ++i) {
+    for (int64_t i = 0; i < n_idx; ++i) {
         if (goal >= i) deepest[static_cast<size_t>(i)] = src;
-        const int64_t b = BucketOnPath(path_leaf, level_of_index(i));
-        int64_t l = kNoneLevel;
-        for (int64_t s = 0; s < params_.bucket_capacity; ++s) {
-            const int64_t slot = b * params_.bucket_capacity + s;
-            const bool real =
-                slot_id_[static_cast<size_t>(slot)] != kDummyId;
-            const int64_t g =
-                block_goal(slot_leaf_[static_cast<size_t>(slot)]);
-            const uint64_t take = BoolToMask((real && g > l) ? 1 : 0);
-            l = oblivious::SelectI64(take, g, l);
-        }
+        const int64_t l = slots::DeepestGoal(run_at(i), levels_, path_leaf);
         if (l > goal) {
             goal = l;
             src = i;
@@ -600,17 +417,7 @@ TreeOram::CircuitEvictOnce(uint32_t path_leaf)
             dest = kNoneLevel;
             src = kNoneLevel;
         }
-        bool has_empty = false;
-        if (i == 0) {
-            for (uint64_t sid : stash_id_) has_empty |= (sid == kDummyId);
-        } else {
-            const int64_t b = BucketOnPath(path_leaf, level_of_index(i));
-            for (int64_t s = 0; s < params_.bucket_capacity; ++s) {
-                has_empty |=
-                    slot_id_[static_cast<size_t>(
-                        b * params_.bucket_capacity + s)] == kDummyId;
-            }
-        }
+        const bool has_empty = slots::HasEmpty(run_at(i));
         if (((dest == kNoneLevel && has_empty) ||
              target[static_cast<size_t>(i)] != kNoneLevel) &&
             deepest[static_cast<size_t>(i)] != kNoneLevel) {
@@ -623,10 +430,13 @@ TreeOram::CircuitEvictOnce(uint32_t path_leaf)
     uint64_t hold_id = kDummyId;
     uint32_t hold_leaf = 0;
     std::vector<uint32_t> hold_data(static_cast<size_t>(block_words_), 0);
+    const slots::Run hold{&hold_id, &hold_leaf, hold_data.data(), 1,
+                          block_words_};
     std::vector<uint32_t> scratch(static_cast<size_t>(block_words_), 0);
     dest = kNoneLevel;
 
     for (int64_t i = 0; i < n_idx; ++i) {
+        const slots::Run run = run_at(i);
         uint64_t write_id = kDummyId;
         uint32_t write_leaf = 0;
         bool do_write = false;
@@ -641,109 +451,18 @@ TreeOram::CircuitEvictOnce(uint32_t path_leaf)
         }
         if (target[static_cast<size_t>(i)] != kNoneLevel) {
             // Read and remove the deepest-eligible block at this index.
-            if (i == 0) {
-                const uint64_t sentinel =
-                    static_cast<uint64_t>(stash_id_.size());
-                uint64_t chosen = sentinel;
-                int64_t best = kNoneLevel;
-                for (size_t j = 0; j < stash_id_.size(); ++j) {
-                    const bool real = stash_id_[j] != kDummyId;
-                    const int64_t g = block_goal(stash_leaf_[j]);
-                    const uint64_t take =
-                        BoolToMask((real && g > best) ? 1 : 0);
-                    best = oblivious::SelectI64(take, g, best);
-                    chosen =
-                        Sel(take, static_cast<uint64_t>(j), chosen);
-                }
-                const uint64_t have = ~EqMask(chosen, sentinel);
-                for (size_t j = 0; j < stash_id_.size(); ++j) {
-                    const uint64_t is_ch =
-                        EqMask(static_cast<uint64_t>(j), chosen) & have;
-                    hold_id = Sel(is_ch, stash_id_[j], hold_id);
-                    hold_leaf = static_cast<uint32_t>(
-                        Sel(is_ch, stash_leaf_[j], hold_leaf));
-                    MaskCopyWords(
-                        is_ch,
-                        stash_data_.data() +
-                            static_cast<int64_t>(j) * block_words_,
-                        hold_data.data(), block_words_);
-                    stash_id_[j] = Sel(is_ch, kDummyId, stash_id_[j]);
-                }
-            } else {
-                const int64_t b =
-                    BucketOnPath(path_leaf, level_of_index(i));
-                const uint64_t sentinel =
-                    static_cast<uint64_t>(params_.bucket_capacity);
-                uint64_t chosen = sentinel;
-                int64_t best = kNoneLevel;
-                for (int64_t s = 0; s < params_.bucket_capacity; ++s) {
-                    const int64_t slot = b * params_.bucket_capacity + s;
-                    const bool real =
-                        slot_id_[static_cast<size_t>(slot)] != kDummyId;
-                    const int64_t g = block_goal(
-                        slot_leaf_[static_cast<size_t>(slot)]);
-                    const uint64_t take =
-                        BoolToMask((real && g > best) ? 1 : 0);
-                    best = oblivious::SelectI64(take, g, best);
-                    chosen =
-                        Sel(take, static_cast<uint64_t>(s), chosen);
-                }
-                const uint64_t have = ~EqMask(chosen, sentinel);
-                for (int64_t s = 0; s < params_.bucket_capacity; ++s) {
-                    const int64_t slot = b * params_.bucket_capacity + s;
-                    const uint64_t is_ch =
-                        EqMask(static_cast<uint64_t>(s), chosen) & have;
-                    hold_id = Sel(is_ch,
-                                  slot_id_[static_cast<size_t>(slot)],
-                                  hold_id);
-                    hold_leaf = static_cast<uint32_t>(
-                        Sel(is_ch,
-                            slot_leaf_[static_cast<size_t>(slot)],
-                            hold_leaf));
-                    MaskCopyWords(is_ch,
-                                  slot_data_.data() + slot * block_words_,
-                                  hold_data.data(), block_words_);
-                    slot_id_[static_cast<size_t>(slot)] =
-                        Sel(is_ch, kDummyId,
-                            slot_id_[static_cast<size_t>(slot)]);
-                }
-            }
+            slots::TakeDeepest(run, hold, levels_, path_leaf, cmov());
             dest = target[static_cast<size_t>(i)];
         }
-        if (do_write) {
-            if (i == 0) {
-                StashInsert(write_id, write_leaf, scratch.data(),
-                            /*record=*/false);
-            } else {
-                const int64_t b =
-                    BucketOnPath(path_leaf, level_of_index(i));
-                uint64_t inserted = 0;
-                for (int64_t s = 0; s < params_.bucket_capacity; ++s) {
-                    const int64_t slot = b * params_.bucket_capacity + s;
-                    const uint64_t free = EqMask(
-                        slot_id_[static_cast<size_t>(slot)], kDummyId);
-                    const uint64_t take = free & ~inserted;
-                    slot_id_[static_cast<size_t>(slot)] =
-                        Sel(take, write_id,
-                            slot_id_[static_cast<size_t>(slot)]);
-                    slot_leaf_[static_cast<size_t>(slot)] =
-                        static_cast<uint32_t>(Sel(
-                            take, write_leaf,
-                            slot_leaf_[static_cast<size_t>(slot)]));
-                    MaskCopyWords(take, scratch.data(),
-                                  slot_data_.data() + slot * block_words_,
-                                  block_words_);
-                    inserted |= take;
-                }
-                if (inserted == 0) {
-                    throw std::runtime_error(
-                        "TreeOram: circuit eviction bucket overflow");
-                }
-            }
+        if (do_write && !slots::Insert(run, ~uint64_t{0}, write_id,
+                                       write_leaf, scratch.data(), cmov())) {
+            throw std::runtime_error(
+                i == 0 ? "TreeOram: stash overflow"
+                       : "TreeOram: circuit eviction bucket overflow");
         }
     }
     for (int64_t level = 0; level <= levels_; ++level) {
-        EncryptBucket(BucketOnPath(path_leaf, level));
+        EncryptBucket(slots::BucketOnPath(levels_, path_leaf, level));
     }
 }
 
@@ -768,25 +487,14 @@ TreeOram::Access(int64_t id, Op op, std::span<uint32_t> read_out,
     const uint32_t old_leaf = posmap_.Update(id, new_leaf);
 
     std::vector<uint32_t> data(static_cast<size_t>(block_words_), 0);
-    uint64_t found = 0;
-
     if (kind_ == OramKind::kPath) {
         PathReadPathToStash(old_leaf);
-        uint32_t junk_leaf = 0;
-        StashReadRemove(id, data, &junk_leaf, &found);
     } else {
-        CircuitReadBlockFromPath(old_leaf, id, data, &found);
-        std::vector<uint32_t> from_stash(
-            static_cast<size_t>(block_words_), 0);
-        uint32_t junk_leaf = 0;
-        uint64_t found_stash = 0;
-        StashReadRemove(id, from_stash, &junk_leaf, &found_stash);
-        MaskCopyWords(found_stash, from_stash.data(), data.data(),
-                      block_words_);
-        found |= found_stash;
+        CircuitReadBlockFromPath(old_leaf, id, data);
     }
     // A never-written block is absent everywhere; it reads as zeros.
-    (void)found;
+    RecordStashScan(/*is_write=*/true);
+    slots::Take(StashRun(), static_cast<uint64_t>(id), data.data(), cmov());
 
     switch (op) {
       case Op::kRead:
@@ -812,13 +520,17 @@ TreeOram::Access(int64_t id, Op op, std::span<uint32_t> read_out,
       }
     }
 
-    StashInsert(static_cast<uint64_t>(id), new_leaf, data.data());
+    RecordStashScan(/*is_write=*/true);
+    if (!slots::Insert(StashRun(), ~uint64_t{0}, static_cast<uint64_t>(id),
+                       new_leaf, data.data(), cmov())) {
+        throw std::runtime_error("TreeOram: stash overflow");
+    }
 
     if (kind_ == OramKind::kPath) {
         PathWriteBack(old_leaf);
     } else {
-        CircuitEvictOnce(NextEvictionLeaf());
-        CircuitEvictOnce(NextEvictionLeaf());
+        CircuitEvictOnce(slots::EvictionLeaf(levels_, evict_counter_++));
+        CircuitEvictOnce(slots::EvictionLeaf(levels_, evict_counter_++));
     }
 }
 
@@ -851,50 +563,20 @@ TreeOram::BulkLoad(std::span<const uint32_t> data)
     if (static_cast<int64_t>(data.size()) != num_blocks_ * block_words_) {
         throw std::invalid_argument("BulkLoad: data size mismatch");
     }
-    const auto& leaves = posmap_.initial_leaves();
-    for (int64_t id = 0; id < num_blocks_; ++id) {
-        const uint32_t leaf = leaves[static_cast<size_t>(id)];
-        bool placed = false;
-        for (int64_t level = levels_; level >= 0 && !placed; --level) {
-            const int64_t b = BucketOnPath(leaf, level);
-            for (int64_t s = 0; s < params_.bucket_capacity && !placed;
-                 ++s) {
-                const int64_t slot = b * params_.bucket_capacity + s;
-                if (slot_id_[static_cast<size_t>(slot)] == kDummyId) {
-                    slot_id_[static_cast<size_t>(slot)] =
-                        static_cast<uint64_t>(id);
-                    slot_leaf_[static_cast<size_t>(slot)] = leaf;
-                    std::memcpy(
-                        slot_data_.data() + slot * block_words_,
-                        data.data() + id * block_words_,
-                        static_cast<size_t>(block_words_) *
-                            sizeof(uint32_t));
-                    placed = true;
-                }
-            }
-        }
-        if (!placed) {
-            // Rare with 4N slot capacity: spill to the stash.
-            bool stashed = false;
-            for (size_t j = 0; j < stash_id_.size() && !stashed; ++j) {
-                if (stash_id_[j] == kDummyId) {
-                    stash_id_[j] = static_cast<uint64_t>(id);
-                    stash_leaf_[j] = leaf;
-                    std::memcpy(
-                        stash_data_.data() +
-                            static_cast<int64_t>(j) * block_words_,
-                        data.data() + id * block_words_,
-                        static_cast<size_t>(block_words_) *
-                            sizeof(uint32_t));
-                    stashed = true;
-                }
-            }
-            if (!stashed) {
-                throw std::runtime_error(
-                    "BulkLoad: tree and stash full (tree undersized)");
-            }
-        }
+    // Rare with 4N slot capacity: a block whose path is full spills to
+    // the stash.
+    const slots::Run tree{slot_id_.data(), slot_leaf_.data(),
+                          slot_data_.data(),
+                          num_buckets_ * params_.bucket_capacity,
+                          block_words_};
+    if (!slots::PlaceDeepestFirst(posmap_.initial_leaves(), levels_,
+                                  params_.bucket_capacity, tree,
+                                  StashRun())) {
+        throw std::runtime_error(
+            "BulkLoad: tree and stash full (tree undersized)");
     }
+    slots::CopyPayloads(tree, data);
+    slots::CopyPayloads(StashRun(), data);
 }
 
 void

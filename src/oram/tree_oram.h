@@ -27,6 +27,7 @@
 
 #include "oram/crypto.h"
 #include "oram/params.h"
+#include "oram/slots.h"
 #include "serving/status.h"
 #include "sidechannel/trace.h"
 #include "tensor/rng.h"
@@ -74,8 +75,6 @@ class PositionMap
     /** Trace sink for the flat map's scans, or for every access of the
      *  recursive child ORAM (nullptr detaches). */
     void set_recorder(sidechannel::TraceRecorder* recorder);
-    /** Recursion depth below this map (0 for a flat map). */
-    int Depth() const;
 
     /**
      * Copy of the current leaf of every id, for checkpointing. Flat maps
@@ -107,7 +106,7 @@ class TreeOram
 {
   public:
     /** Sentinel id marking an empty block slot. */
-    static constexpr uint64_t kDummyId = ~uint64_t{0};
+    static constexpr uint64_t kDummyId = slots::kDummyId;
 
     /**
      * @param kind Path or Circuit
@@ -207,14 +206,17 @@ class TreeOram
                 std::span<const uint32_t> write_in, int64_t word_idx,
                 uint32_t word_val, uint32_t* old_word);
 
-    int64_t BucketOnPath(uint32_t leaf, int64_t level) const;
-    /** Deepest tree level shared by the paths to leaves a and b. */
-    int64_t CommonLevel(uint32_t a, uint32_t b) const;
     uint32_t RandomLeaf();
 
     uint64_t Sel(uint64_t mask, uint64_t a, uint64_t b) const;
-    void MaskCopyWords(uint64_t mask, const uint32_t* src, uint32_t* dst,
-                       int64_t n) const;
+    /** The select flavour params_.inline_select asks for. */
+    slots::Cmov cmov() const
+    {
+        return params_.inline_select ? slots::Cmov::kInline
+                                     : slots::Cmov::kOutOfLine;
+    }
+    slots::Run StashRun();
+    slots::Run BucketRun(int64_t bucket);
 
     void RecordBucket(int64_t bucket, bool is_write);
     void RecordStashScan(bool is_write);
@@ -231,17 +233,8 @@ class TreeOram
 
     // Circuit ORAM phases.
     void CircuitReadBlockFromPath(uint32_t leaf, int64_t id,
-                                  std::span<uint32_t> data_out,
-                                  uint64_t* found_mask);
+                                  std::span<uint32_t> data_out);
     void CircuitEvictOnce(uint32_t path_leaf);
-    uint32_t NextEvictionLeaf();
-
-    // Stash operations (all full-scan, constant trace shape).
-    void StashInsert(uint64_t id, uint32_t leaf, const uint32_t* data,
-                     bool record = true);
-    /** Reads and removes block `id` from the stash if present. */
-    void StashReadRemove(int64_t id, std::span<uint32_t> data_out,
-                         uint32_t* leaf_out, uint64_t* found_mask);
 };
 
 /** Convenience factory applying per-kind default parameters. */

@@ -448,19 +448,6 @@ StoreBackendName(StoreBackend backend)
     return "unknown";
 }
 
-bool
-ParseStoreBackend(const std::string& name, StoreBackend* out)
-{
-    for (StoreBackend b : {StoreBackend::kMemory, StoreBackend::kFile,
-                           StoreBackend::kMmap}) {
-        if (name == StoreBackendName(b)) {
-            *out = b;
-            return true;
-        }
-    }
-    return false;
-}
-
 serving::Status
 BackingStore::CheckPageArgs(int64_t page, size_t span_bytes) const
 {

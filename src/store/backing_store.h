@@ -47,9 +47,6 @@ enum class StoreBackend
 /** Stable CLI name: "memory", "file", "mmap". */
 const char* StoreBackendName(StoreBackend backend);
 
-/** Parse a StoreBackendName; returns false on unknown name. */
-bool ParseStoreBackend(const std::string& name, StoreBackend* out);
-
 /** Configuration for a backing store and the page cache above it. */
 struct StoreConfig
 {

@@ -7,41 +7,6 @@
 
 namespace secemb::store {
 
-PinnedPage&
-PinnedPage::operator=(PinnedPage&& other) noexcept
-{
-    if (this != &other) {
-        Release();
-        cache_ = other.cache_;
-        frame_ = other.frame_;
-        page_ = other.page_;
-        data_ = other.data_;
-        other.cache_ = nullptr;
-        other.frame_ = -1;
-        other.page_ = -1;
-        other.data_ = nullptr;
-    }
-    return *this;
-}
-
-void
-PinnedPage::MarkDirty()
-{
-    if (cache_ != nullptr) cache_->MarkFrameDirty(frame_);
-}
-
-void
-PinnedPage::Release()
-{
-    if (cache_ != nullptr) {
-        cache_->Unpin(frame_);
-        cache_ = nullptr;
-        frame_ = -1;
-        page_ = -1;
-        data_ = nullptr;
-    }
-}
-
 PageCache::PageCache(std::unique_ptr<BackingStore> store,
                      int64_t capacity_pages)
     : store_(std::move(store))
@@ -76,29 +41,15 @@ PageCache::FrameFor(int64_t page, bool load_from_store,
     stats_.misses++;
     TELEMETRY_COUNT("store.cache.miss", 1);
 
-    // Clock sweep: skip pinned frames, give referenced frames a second
-    // chance, recycle the first quiet frame. Two full sweeps guarantee
-    // either a victim or proof that every frame is pinned.
+    // Clock sweep: give referenced frames a second chance, recycle the
+    // first quiet frame (one lap clears every bit, so it ends within two).
     const int64_t cap = capacity_pages();
-    int64_t victim = -1;
-    for (int64_t scanned = 0; scanned < 2 * cap; ++scanned) {
-        Frame& f = frames_[static_cast<size_t>(clock_hand_)];
-        const int64_t at = clock_hand_;
-        clock_hand_ = (clock_hand_ + 1) % cap;
-        if (f.pins > 0) continue;
-        if (f.referenced) {
-            f.referenced = false;
-            continue;
-        }
-        victim = at;
-        break;
+    int64_t victim = clock_hand_;
+    while (frames_[static_cast<size_t>(victim)].referenced) {
+        frames_[static_cast<size_t>(victim)].referenced = false;
+        victim = (victim + 1) % cap;
     }
-    if (victim < 0) {
-        return serving::Status::Error(
-            serving::StatusCode::kResourceExhausted,
-            "page cache: all " + std::to_string(cap) +
-                " frames are pinned");
-    }
+    clock_hand_ = (victim + 1) % cap;
 
     Frame& f = frames_[static_cast<size_t>(victim)];
     if (f.page >= 0) {
@@ -175,26 +126,6 @@ PageCache::WritePage(int64_t page, std::span<const uint8_t> in)
 }
 
 serving::Status
-PageCache::Pin(int64_t page, PinnedPage* out)
-{
-    if (page < 0 || page >= num_pages()) {
-        return serving::Status::Error(
-            serving::StatusCode::kInvalidArgument,
-            "cache pin: bad page " + std::to_string(page));
-    }
-    out->Release();
-    std::lock_guard<std::mutex> lock(mu_);
-    int64_t frame = -1;
-    if (auto s = FrameFor(page, true, &frame); !s.ok()) return s;
-    frames_[static_cast<size_t>(frame)].pins++;
-    out->cache_ = this;
-    out->frame_ = frame;
-    out->page_ = page;
-    out->data_ = FrameData(frame);
-    return serving::Status::Ok();
-}
-
-serving::Status
 PageCache::FlushDirty()
 {
     std::lock_guard<std::mutex> lock(mu_);
@@ -216,38 +147,11 @@ PageCache::Sync()
     return store_->Sync();
 }
 
-void
-PageCache::InvalidateClean()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& f : frames_) {
-        if (f.page >= 0 && !f.dirty && f.pins == 0) {
-            page_to_frame_.erase(f.page);
-            f.page = -1;
-            f.referenced = false;
-        }
-    }
-}
-
 PageCacheStats
 PageCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;
-}
-
-void
-PageCache::Unpin(int64_t frame)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    frames_[static_cast<size_t>(frame)].pins--;
-}
-
-void
-PageCache::MarkFrameDirty(int64_t frame)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    frames_[static_cast<size_t>(frame)].dirty = true;
 }
 
 serving::Status

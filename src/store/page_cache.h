@@ -5,15 +5,13 @@
  * Bounded in-memory page cache over a BackingStore.
  *
  * Classic buffer-pool design: a fixed number of page frames, a hash map
- * from page index to frame, clock (second-chance) eviction, pin counts
- * that exclude frames from eviction while a caller holds a PinnedPage
- * handle, and dirty write-back — a page modified in cache is written to
- * the store only when its frame is evicted or on FlushDirty()/Sync().
+ * from page index to frame, clock (second-chance) eviction, and dirty
+ * write-back — a page modified in cache is written to the store only when
+ * its frame is evicted or on FlushDirty()/Sync().
  *
  * Thread-safe: all operations take one internal mutex, so concurrent
  * readers and a write-back thread interleave safely (the TSan-certified
- * stress case). Pinned frame payloads may be read/written lock-free by
- * the pin holder; the frame cannot move or be evicted while pinned.
+ * stress case).
  *
  * Obliviousness note: the cache itself records no trace — the layers
  * above record *logical* page accesses before calling in. Because clock
@@ -44,42 +42,6 @@ struct PageCacheStats
     int64_t flushes = 0;     ///< FlushDirty()/Sync() calls
 };
 
-class PageCache;
-
-/**
- * RAII pin on one cached page: the frame stays resident and immovable
- * until the handle is destroyed. data() is the live frame payload;
- * callers that modify it must MarkDirty() so eviction writes it back.
- */
-class PinnedPage
-{
-  public:
-    PinnedPage() = default;
-    PinnedPage(PinnedPage&& other) noexcept { *this = std::move(other); }
-    PinnedPage& operator=(PinnedPage&& other) noexcept;
-    PinnedPage(const PinnedPage&) = delete;
-    PinnedPage& operator=(const PinnedPage&) = delete;
-    ~PinnedPage() { Release(); }
-
-    uint8_t* data() { return data_; }
-    const uint8_t* data() const { return data_; }
-    int64_t page() const { return page_; }
-    bool valid() const { return cache_ != nullptr; }
-
-    /** Mark the pinned frame dirty (write-back on eviction/flush). */
-    void MarkDirty();
-
-    /** Unpin early (also done by the destructor). */
-    void Release();
-
-  private:
-    friend class PageCache;
-    PageCache* cache_ = nullptr;
-    int64_t frame_ = -1;
-    int64_t page_ = -1;
-    uint8_t* data_ = nullptr;
-};
-
 class PageCache
 {
   public:
@@ -103,30 +65,20 @@ class PageCache
     /** Replace page `page` from in; written back lazily. */
     serving::Status WritePage(int64_t page, std::span<const uint8_t> in);
 
-    /** Pin page `page` resident and return a handle to its frame. */
-    serving::Status Pin(int64_t page, PinnedPage* out);
-
     /** Write every dirty frame back to the store (frames stay resident). */
     serving::Status FlushDirty();
 
     /** FlushDirty() + durable store sync (checksum table, msync/fsync). */
     serving::Status Sync();
 
-    /** Drop every clean resident frame (dirty/pinned frames stay). For
-     *  tests that need a cold cache without rebuilding the store. */
-    void InvalidateClean();
-
     PageCacheStats stats() const;
 
     BackingStore& store() { return *store_; }
 
   private:
-    friend class PinnedPage;
-
     struct Frame
     {
         int64_t page = -1;  ///< resident page, -1 = free
-        int pins = 0;
         bool dirty = false;
         bool referenced = false;  ///< clock second-chance bit
     };
@@ -143,9 +95,6 @@ class PageCache
 
     /** Write frame's dirty payload back. Called with mu_ held. */
     serving::Status WriteBackFrame(int64_t frame);
-
-    void Unpin(int64_t frame);
-    void MarkFrameDirty(int64_t frame);
 
     mutable std::mutex mu_;
     std::unique_ptr<BackingStore> store_;

@@ -13,9 +13,9 @@ namespace secemb::store {
 
 namespace {
 
-using oblivious::CtCopyWords;
+namespace slots = oram::slots;
+
 using oblivious::EqMask;
-using oblivious::Select;
 
 int64_t
 SlotsPerPage(int64_t block_words, int64_t page_bytes)
@@ -50,6 +50,16 @@ Log2(int64_t pow2)
     int64_t l = 0;
     while ((int64_t{1} << l) < pow2) ++l;
     return l;
+}
+
+/** A stash insert that found no empty slot cannot be recovered from. */
+void
+CheckStashRoom(bool fits, int64_t stash_capacity)
+{
+    if (!fits) {
+        throw std::runtime_error("raw oram: stash overflow (capacity " +
+                                 std::to_string(stash_capacity) + ")");
+    }
 }
 
 }  // namespace
@@ -161,33 +171,26 @@ RawOram::RawOram(int64_t num_blocks, int64_t block_words,
     }
 }
 
-int64_t
-RawOram::BucketOnPath(uint32_t leaf, int64_t level) const
+slots::Run
+RawOram::StashRun()
 {
-    return ((num_leaves_ + static_cast<int64_t>(leaf)) >>
-            (levels_ - level)) -
-           1;
+    return {stash_id_.data(), stash_leaf_.data(), stash_data_.data(),
+            stash_capacity_, block_words_};
 }
 
-uint32_t
-RawOram::NextEvictionLeaf()
+slots::Run
+RawOram::BucketRun(int64_t b, uint32_t* words)
 {
-    uint64_t g = evict_counter_++;
-    uint32_t leaf = 0;
-    for (int64_t i = 0; i < levels_; ++i) {
-        leaf = (leaf << 1) | static_cast<uint32_t>(g & 1);
-        g >>= 1;
-    }
-    return leaf;
+    return {slot_id_.data() + b * bucket_slots_,
+            slot_leaf_.data() + b * bucket_slots_, words, bucket_slots_,
+            block_words_};
 }
 
-uint64_t
-RawOram::CanPlaceMask(uint32_t block_leaf, uint32_t path_leaf,
-                      int64_t level) const
+uint32_t*
+RawOram::PathWords(int64_t level)
 {
-    const int64_t shift = levels_ - level;
-    return EqMask(static_cast<uint64_t>(block_leaf) >> shift,
-                  static_cast<uint64_t>(path_leaf) >> shift);
+    return reinterpret_cast<uint32_t*>(path_pages_.data() +
+                                       level * cache_->page_bytes());
 }
 
 void
@@ -238,42 +241,16 @@ RawOram::BulkLoad(std::span<const uint32_t> data)
             serving::StatusCode::kInvalidArgument,
             "raw oram: bulk load size mismatch");
     }
-    const std::vector<uint32_t>& leaves0 = posmap_.initial_leaves();
-
     // Greedy deepest-first placement, metadata only (RAM).
-    std::vector<uint16_t> occupancy(static_cast<size_t>(num_buckets_), 0);
-    int64_t spilled = 0;
-    for (int64_t id = 0; id < num_blocks_; ++id) {
-        const uint32_t leaf = leaves0[static_cast<size_t>(id)];
-        bool placed = false;
-        for (int64_t level = levels_; level >= 0 && !placed; --level) {
-            const int64_t b = BucketOnPath(leaf, level);
-            auto& occ = occupancy[static_cast<size_t>(b)];
-            if (occ < bucket_slots_) {
-                const size_t slot =
-                    static_cast<size_t>(b * bucket_slots_ + occ);
-                slot_id_[slot] = static_cast<uint64_t>(id);
-                slot_leaf_[slot] = leaf;
-                occ++;
-                placed = true;
-            }
-        }
-        if (!placed) {
-            if (spilled >= stash_capacity_) {
-                return serving::Status::Error(
-                    serving::StatusCode::kResourceExhausted,
-                    "raw oram: bulk load overflowed the stash");
-            }
-            stash_id_[static_cast<size_t>(spilled)] =
-                static_cast<uint64_t>(id);
-            stash_leaf_[static_cast<size_t>(spilled)] = leaf;
-            std::memcpy(
-                stash_data_.data() + spilled * block_words_,
-                data.data() + id * block_words_,
-                static_cast<size_t>(block_words_) * sizeof(uint32_t));
-            spilled++;
-        }
+    const slots::Run tree{slot_id_.data(), slot_leaf_.data(), nullptr,
+                          num_buckets_ * bucket_slots_, block_words_};
+    if (!slots::PlaceDeepestFirst(posmap_.initial_leaves(), levels_,
+                                  bucket_slots_, tree, StashRun())) {
+        return serving::Status::Error(
+            serving::StatusCode::kResourceExhausted,
+            "raw oram: bulk load overflowed the stash");
     }
+    slots::CopyPayloads(StashRun(), data);
 
     // Stream the payload pages out in bucket order.
     const int64_t page_bytes = cache_->page_bytes();
@@ -282,17 +259,7 @@ RawOram::BulkLoad(std::span<const uint32_t> data)
     for (int64_t b = 0; b < num_buckets_; ++b) {
         std::memset(page.data(), 0, page.size());
         auto* words = reinterpret_cast<uint32_t*>(page.data());
-        for (int64_t z = 0; z < bucket_slots_; ++z) {
-            const uint64_t id = slot_id_[
-                static_cast<size_t>(b * bucket_slots_ + z)];
-            if (id != kDummyId) {
-                std::memcpy(words + z * block_words_,
-                            data.data() +
-                                static_cast<int64_t>(id) * block_words_,
-                            static_cast<size_t>(block_words_) *
-                                sizeof(uint32_t));
-            }
-        }
+        slots::CopyPayloads(BucketRun(b, words), data);
         if (encrypt_) {
             bucket_version_[static_cast<size_t>(b)] = 1;
             cipher_.Apply(b, 1,
@@ -314,7 +281,7 @@ RawOram::FetchPath(uint32_t leaf)
     const int64_t page_bytes = cache_->page_bytes();
     const int64_t page_words = bucket_slots_ * block_words_;
     for (int64_t level = 0; level <= levels_; ++level) {
-        const int64_t b = BucketOnPath(leaf, level);
+        const int64_t b = slots::BucketOnPath(levels_, leaf, level);
         path_buckets_[static_cast<size_t>(level)] = b;
         RecordPage(b, false);
         std::span<uint8_t> dst{
@@ -332,30 +299,6 @@ RawOram::FetchPath(uint32_t leaf)
         }
     }
     return serving::Status::Ok();
-}
-
-void
-RawOram::StashInsertMasked(uint64_t insert_mask, uint64_t id,
-                           uint32_t leaf, const uint32_t* data)
-{
-    uint64_t done = 0;
-    for (int64_t s = 0; s < stash_capacity_; ++s) {
-        const uint64_t free_mask =
-            EqMask(stash_id_[static_cast<size_t>(s)], kDummyId);
-        const uint64_t take = insert_mask & free_mask & ~done;
-        stash_id_[static_cast<size_t>(s)] =
-            Select(take, id, stash_id_[static_cast<size_t>(s)]);
-        stash_leaf_[static_cast<size_t>(s)] = static_cast<uint32_t>(
-            Select(take, leaf, stash_leaf_[static_cast<size_t>(s)]));
-        CtCopyWords(take, data,
-                      stash_data_.data() + s * block_words_,
-                      block_words_);
-        done |= take;
-    }
-    if (insert_mask != 0 && done == 0) {
-        throw std::runtime_error("raw oram: stash overflow (capacity " +
-                                 std::to_string(stash_capacity_) + ")");
-    }
 }
 
 serving::Status
@@ -382,34 +325,16 @@ RawOram::Access(int64_t id, Op op, std::span<uint32_t> read_out,
     // Oblivious extraction from the stash (the block may still be there
     // from an earlier access in the current eviction window).
     std::vector<uint32_t> block(static_cast<size_t>(block_words_), 0);
-    uint64_t found = 0;
     RecordStashScan(false);
-    for (int64_t s = 0; s < stash_capacity_; ++s) {
-        const uint64_t m =
-            EqMask(stash_id_[static_cast<size_t>(s)], uid);
-        CtCopyWords(m, stash_data_.data() + s * block_words_,
-                      block.data(), block_words_);
-        stash_id_[static_cast<size_t>(s)] =
-            Select(m, kDummyId, stash_id_[static_cast<size_t>(s)]);
-        found |= m;
-    }
+    uint64_t found = slots::Take(StashRun(), uid, block.data());
 
     // Read path: levels+1 whole-page fetches, no write-back (RAW).
     if (auto s = FetchPath(old_leaf); !s.ok()) return s;
     for (int64_t level = 0; level <= levels_; ++level) {
         const int64_t b = path_buckets_[static_cast<size_t>(level)];
         RecordMetaScan(b);
-        const auto* words = reinterpret_cast<const uint32_t*>(
-            path_pages_.data() + level * cache_->page_bytes());
-        for (int64_t z = 0; z < bucket_slots_; ++z) {
-            const size_t slot =
-                static_cast<size_t>(b * bucket_slots_ + z);
-            const uint64_t m = EqMask(slot_id_[slot], uid);
-            CtCopyWords(m, words + z * block_words_, block.data(),
-                          block_words_);
-            slot_id_[slot] = Select(m, kDummyId, slot_id_[slot]);
-            found |= m;
-        }
+        found |= slots::Take(BucketRun(b, PathWords(level)), uid,
+                             block.data());
     }
     assert(found != 0 && "bulk-loaded block must exist");
     (void)found;
@@ -419,7 +344,9 @@ RawOram::Access(int64_t id, Op op, std::span<uint32_t> read_out,
                     static_cast<size_t>(block_words_) * sizeof(uint32_t));
     }
     RecordStashScan(true);
-    StashInsertMasked(~uint64_t{0}, uid, new_leaf, block.data());
+    CheckStashRoom(slots::Insert(StashRun(), ~uint64_t{0}, uid, new_leaf,
+                                 block.data()),
+                   stash_capacity_);
     if (op == Op::kRead) {
         std::memcpy(read_out.data(), block.data(),
                     static_cast<size_t>(block_words_) * sizeof(uint32_t));
@@ -448,9 +375,8 @@ RawOram::Evict()
 {
     TELEMETRY_SPAN("store.raw_oram.evict");
     const uint64_t counter_before = evict_counter_;
-    const uint32_t leaf = NextEvictionLeaf();
+    const uint32_t leaf = slots::EvictionLeaf(levels_, evict_counter_++);
     if (auto s = FetchPath(leaf); !s.ok()) return s;
-    const int64_t page_bytes = cache_->page_bytes();
 
     // Journal the decrypted path pre-image BEFORE any mutation or page
     // write: replay re-executes phase 1 from the record and phase 2
@@ -468,17 +394,10 @@ RawOram::Evict()
     for (int64_t level = 0; level <= levels_; ++level) {
         const int64_t b = path_buckets_[static_cast<size_t>(level)];
         RecordMetaScan(b);
-        const auto* words = reinterpret_cast<const uint32_t*>(
-            path_pages_.data() + level * page_bytes);
-        for (int64_t z = 0; z < bucket_slots_; ++z) {
-            const size_t slot =
-                static_cast<size_t>(b * bucket_slots_ + z);
-            const uint64_t valid = ~EqMask(slot_id_[slot], kDummyId);
-            RecordStashScan(true);
-            StashInsertMasked(valid, slot_id_[slot], slot_leaf_[slot],
-                              words + z * block_words_);
-            slot_id_[slot] = kDummyId;
-        }
+        for (int64_t z = 0; z < bucket_slots_; ++z) RecordStashScan(true);
+        CheckStashRoom(
+            slots::Drain(BucketRun(b, PathWords(level)), StashRun()),
+            stash_capacity_);
     }
     stats_.stash_peak = std::max(stats_.stash_peak, StashOccupancy());
 
@@ -502,29 +421,9 @@ RawOram::RepackAndWriteBack(uint32_t leaf)
         auto* page = path_pages_.data() + level * page_bytes;
         std::memset(page, 0, static_cast<size_t>(page_bytes));
         auto* words = reinterpret_cast<uint32_t*>(page);
-        for (int64_t z = 0; z < bucket_slots_; ++z) {
-            const size_t slot =
-                static_cast<size_t>(b * bucket_slots_ + z);
-            uint64_t chosen = 0;
-            RecordStashScan(false);
-            for (int64_t s = 0; s < stash_capacity_; ++s) {
-                const size_t si = static_cast<size_t>(s);
-                const uint64_t valid =
-                    ~EqMask(stash_id_[si], kDummyId);
-                const uint64_t take =
-                    valid & CanPlaceMask(stash_leaf_[si], leaf, level) &
-                    ~chosen;
-                CtCopyWords(take,
-                              stash_data_.data() + s * block_words_,
-                              words + z * block_words_, block_words_);
-                slot_id_[slot] = Select(take, stash_id_[si],
-                                        slot_id_[slot]);
-                slot_leaf_[slot] = static_cast<uint32_t>(Select(
-                    take, stash_leaf_[si], slot_leaf_[slot]));
-                stash_id_[si] = Select(take, kDummyId, stash_id_[si]);
-                chosen |= take;
-            }
-        }
+        // One stash scan per slot filled.
+        for (int64_t z = 0; z < bucket_slots_; ++z) RecordStashScan(false);
+        slots::Fill(StashRun(), BucketRun(b, words), levels_, leaf, level);
         uint64_t& version = bucket_version_[static_cast<size_t>(b)];
         if (encrypt_) {
             ++version;
@@ -706,11 +605,9 @@ RawOram::AppendEvictRecord(uint64_t counter_before, uint32_t leaf)
     AppendU64(&journal_payload_, counter_before);
     AppendU32(&journal_payload_, leaf);
     AppendU32(&journal_payload_, 0);  // pad
-    const int64_t page_bytes = cache_->page_bytes();
     for (int64_t level = 0; level <= levels_; ++level) {
         const int64_t b = path_buckets_[static_cast<size_t>(level)];
-        const auto* words = reinterpret_cast<const uint32_t*>(
-            path_pages_.data() + level * page_bytes);
+        const uint32_t* words = PathWords(level);
         for (int64_t z = 0; z < bucket_slots_; ++z) {
             const size_t slot =
                 static_cast<size_t>(b * bucket_slots_ + z);
@@ -876,22 +773,15 @@ RawOram::ReplayAccess(const JournalRecord& rec)
     // record. No page IO — reads wrote nothing back.
     const uint32_t old_leaf =
         posmap_.Update(static_cast<int64_t>(id), new_leaf);
-    for (int64_t s = 0; s < stash_capacity_; ++s) {
-        const uint64_t m =
-            EqMask(stash_id_[static_cast<size_t>(s)], id);
-        stash_id_[static_cast<size_t>(s)] =
-            Select(m, kDummyId, stash_id_[static_cast<size_t>(s)]);
-    }
+    slots::Take(StashRun(), id, nullptr);
     for (int64_t level = 0; level <= levels_; ++level) {
-        const int64_t b = BucketOnPath(old_leaf, level);
-        for (int64_t z = 0; z < bucket_slots_; ++z) {
-            const size_t slot =
-                static_cast<size_t>(b * bucket_slots_ + z);
-            const uint64_t m = EqMask(slot_id_[slot], id);
-            slot_id_[slot] = Select(m, kDummyId, slot_id_[slot]);
-        }
+        slots::Take(
+            BucketRun(slots::BucketOnPath(levels_, old_leaf, level), nullptr),
+            id, nullptr);
     }
-    StashInsertMasked(~uint64_t{0}, id, new_leaf, block.data());
+    CheckStashRoom(
+        slots::Insert(StashRun(), ~uint64_t{0}, id, new_leaf, block.data()),
+        stash_capacity_);
     stats_.accesses++;
     return serving::Status::Ok();
 }
@@ -918,7 +808,7 @@ RawOram::ReplayEvict(const JournalRecord& rec)
                 " is out of order: counter " + std::to_string(counter) +
                 " vs expected " + std::to_string(evict_counter_));
     }
-    const uint32_t leaf = NextEvictionLeaf();
+    const uint32_t leaf = slots::EvictionLeaf(levels_, evict_counter_++);
     if (rec_leaf != leaf) {
         return serving::Status::Error(
             serving::StatusCode::kInternal,
@@ -931,7 +821,7 @@ RawOram::ReplayEvict(const JournalRecord& rec)
     // the decrypted pages; the record captured exactly that).
     for (int64_t level = 0; level <= levels_; ++level) {
         path_buckets_[static_cast<size_t>(level)] =
-            BucketOnPath(leaf, level);
+            slots::BucketOnPath(levels_, leaf, level);
     }
     const uint8_t* e = p + 16;
     std::vector<uint32_t> block(static_cast<size_t>(block_words_));
@@ -945,7 +835,9 @@ RawOram::ReplayEvict(const JournalRecord& rec)
                             sizeof(uint32_t));
             e += 12 + static_cast<size_t>(block_words_) * sizeof(uint32_t);
             const uint64_t valid = ~EqMask(e_id, kDummyId);
-            StashInsertMasked(valid, e_id, e_leaf, block.data());
+            CheckStashRoom(slots::Insert(StashRun(), valid, e_id, e_leaf,
+                                         block.data()),
+                           stash_capacity_);
             slot_id_[static_cast<size_t>(b * bucket_slots_ + z)] =
                 kDummyId;
         }

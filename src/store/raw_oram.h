@@ -199,9 +199,6 @@ class RawOram
     /** Eviction pass on the next reverse-lexicographic path. */
     serving::Status Evict();
 
-    int64_t BucketOnPath(uint32_t leaf, int64_t level) const;
-    uint32_t NextEvictionLeaf();
-
     /** Fetch + decrypt the path pages of `leaf` into path_pages_. */
     serving::Status FetchPath(uint32_t leaf);
 
@@ -233,14 +230,12 @@ class RawOram
     void RecordJournalAppend(int64_t record_bytes);
     void RecordCheckpointWrite(int64_t bytes);
 
-    /** All-ones iff block at `block_leaf` may live at `level` of the
-     *  path to `path_leaf` (branchless prefix comparison). */
-    uint64_t CanPlaceMask(uint32_t block_leaf, uint32_t path_leaf,
-                          int64_t level) const;
-
-    /** Oblivious insert into the first free stash slot (mask-gated). */
-    void StashInsertMasked(uint64_t insert_mask, uint64_t id,
-                           uint32_t leaf, const uint32_t* data);
+    oram::slots::Run StashRun();
+    /** Bucket b's slot metadata over its page's payload words (null:
+     *  metadata only). */
+    oram::slots::Run BucketRun(int64_t b, uint32_t* words);
+    /** The payload words of the fetched path page at `level`. */
+    uint32_t* PathWords(int64_t level);
 
     void RecordPage(int64_t bucket, bool is_write);
     void RecordStashScan(bool is_write);

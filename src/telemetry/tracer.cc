@@ -33,7 +33,6 @@ struct TracerState
     std::mutex mu;  ///< guards rings, retired, next_tid
     std::vector<ThreadRing*> rings;
     std::vector<SpanEvent> retired;
-    std::atomic<uint64_t> dropped{0};
     uint32_t next_tid = 0;
 };
 
@@ -76,7 +75,6 @@ class ThreadRing
         } else {
             events_[head_] = {name, start_ns, dur_ns, tid_};
             head_ = (head_ + 1) % kRingCapacity;
-            State().dropped.fetch_add(1, std::memory_order_relaxed);
         }
     }
 
@@ -192,12 +190,6 @@ CollectSpans()
     return out;
 }
 
-uint64_t
-DroppedSpans()
-{
-    return State().dropped.load(std::memory_order_relaxed);
-}
-
 void
 ClearSpans()
 {
@@ -205,7 +197,6 @@ ClearSpans()
     std::lock_guard<std::mutex> lock(st.mu);
     st.retired.clear();
     for (ThreadRing* ring : st.rings) ring->Clear();
-    st.dropped.store(0, std::memory_order_relaxed);
 }
 
 bool

@@ -50,14 +50,11 @@ void RecordSpan(const char* name, uint64_t start_ns, uint64_t dur_ns);
 /**
  * Snapshot of every span recorded so far (live thread rings plus rings of
  * already-exited threads), sorted by start time. Rings overwrite their
- * oldest entries when full; DroppedSpans() counts the overwritten ones.
+ * oldest entries when full.
  */
 std::vector<SpanEvent> CollectSpans();
 
-/** Spans overwritten because a thread ring was full. */
-uint64_t DroppedSpans();
-
-/** Discard all recorded spans (live and retired) and the drop counter. */
+/** Discard all recorded spans (live and retired). */
 void ClearSpans();
 
 /**

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
 
 namespace secemb {
@@ -299,19 +298,6 @@ Tensor::SquaredNorm() const
     double acc = 0.0;
     for (float v : data_) acc += static_cast<double>(v) * v;
     return static_cast<float>(acc);
-}
-
-std::string
-Tensor::ShapeString() const
-{
-    std::ostringstream os;
-    os << "[";
-    for (size_t i = 0; i < shape_.size(); ++i) {
-        if (i) os << ", ";
-        os << shape_[i];
-    }
-    os << "]";
-    return os.str();
 }
 
 bool

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "tensor/aligned.h"
@@ -121,9 +120,6 @@ class Tensor
 
     /** Memory used by the payload in bytes. */
     int64_t SizeBytes() const { return numel() * int64_t{sizeof(float)}; }
-
-    /** Human-readable shape, e.g. "[2, 3]". */
-    std::string ShapeString() const;
 
     /** True if shapes equal and all elements within tol. */
     bool AllClose(const Tensor& other, float tol = 1e-5f) const;

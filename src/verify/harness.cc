@@ -860,6 +860,15 @@ GoldenConfigs()
         c.variant = 0;
         c.seed = 42;
         configs.push_back(c);
+        // Circuit ORAM's eviction, and a RAW ORAM batch long enough for
+        // the default eviction period of 8 to fire inside it.
+        if (subject == Subject::kTreeOram) {
+            c.variant = 1;
+            configs.push_back(c);
+        } else if (subject == Subject::kRawOram) {
+            c.batch = 8;
+            configs.push_back(c);
+        }
     }
     return configs;
 }

@@ -256,7 +256,10 @@ SweepResult RunSweep(const std::vector<Subject>& subjects, uint64_t seed,
  */
 CanonicalTrace GoldenRun(const VerifyConfig& config);
 
-/** One small pinned configuration per certified subject. */
+/**
+ * Small pinned configurations, in AllSecureSubjects() order: one per
+ * certified subject, plus Circuit ORAM and an evicting RAW ORAM batch.
+ */
 std::vector<VerifyConfig> GoldenConfigs();
 
 }  // namespace secemb::verify

@@ -274,6 +274,36 @@ TEST(StoreTest, RawOramReadsBackEveryBlock)
     EXPECT_LT(stats.page_writes, stats.page_reads);
 }
 
+TEST(StoreTest, RawOramBulkLoadsPastSixteenBitBucketCounts)
+{
+    // One-word blocks in a 524296-byte page: Z = 131074 slots, a
+    // one-bucket tree. Its 65537 blocks pass what a 16-bit count of the
+    // blocks placed per bucket can reach: block 65536 must not land on
+    // block 0's slot.
+    const int64_t kBlocks = 65537, kWords = 1;
+    std::vector<uint32_t> data(static_cast<size_t>(kBlocks));
+    for (size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<uint32_t>(i * 2654435761u + 1);
+    }
+    RawOramConfig rc;
+    rc.posmap.enable_recursion = false;
+    Rng rng(21);
+    auto oram = MakeRawOram(
+        kBlocks, kWords,
+        ConfigFor(StoreBackend::kMemory, "", /*page_bytes=*/524296,
+                  /*cache_pages=*/1),
+        rng, rc);
+    ASSERT_EQ(oram->levels(), 0);
+    ASSERT_EQ(oram->bucket_slots(), 131074);
+    ASSERT_TRUE(oram->BulkLoad(data).ok());
+
+    std::vector<uint32_t> out(static_cast<size_t>(kWords));
+    for (const int64_t id : {int64_t{0}, int64_t{65536}}) {
+        ASSERT_TRUE(oram->Read(id, out).ok());
+        EXPECT_EQ(out[0], data[static_cast<size_t>(id)]) << "id " << id;
+    }
+}
+
 TEST(StoreTest, RawOramWriteThenReadBack)
 {
     const int64_t kBlocks = 64, kWords = 4;
