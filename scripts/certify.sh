@@ -10,9 +10,11 @@
 # harness under ASan+UBSan and re-runs a full secemb-verify sweep under
 # instrumentation. The precision cross proves the low-precision tiers
 # keep canonical traces bit-identical — quantization is a latency knob,
-# never part of the security argument. Finally chains into scripts/chaos.sh so the
+# never part of the security argument. Then chains into scripts/chaos.sh so the
 # fault-injected serving path is certified alongside the fault-free
-# generators.
+# generators, runs scripts/reachability.sh (no library function that only
+# tests reach; its own build-reach and build-reach-e2ebench trees), and
+# ends with the bench trajectory gate.
 #
 # Usage:
 #   scripts/certify.sh [--skip-asan] [--skip-chaos] [--skip-bench]
@@ -42,34 +44,34 @@ while [[ $# -gt 0 ]]; do
     esac
 done
 
-echo "== [1/5] Build =="
+echo "== [1/9] Build =="
 cmake -S "${REPO_ROOT}" -B "${BUILD_DIR}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${BUILD_DIR}" -j"$(nproc)"
 
 PRECISIONS=(f32 bf16 int8)
 
-echo "== [2/5] Leakage test suite per precision (ctest -L leakage) =="
+echo "== [2/9] Leakage test suite per precision (ctest -L leakage) =="
 for prec in "${PRECISIONS[@]}"; do
     echo "-- leakage @ SECEMB_PRECISION=${prec} --"
     SECEMB_PRECISION="${prec}" ctest --test-dir "${BUILD_DIR}" -L leakage \
         --output-on-failure
 done
 
-echo "== [3/5] Kernel gate: forced scalar tier x each precision =="
+echo "== [3/9] Kernel gate: forced scalar tier x each precision =="
 for prec in "${PRECISIONS[@]}"; do
     echo "-- kernels @ SECEMB_ISA=scalar SECEMB_PRECISION=${prec} --"
     SECEMB_ISA=scalar SECEMB_PRECISION="${prec}" \
         ctest --test-dir "${BUILD_DIR}" -L kernels --output-on-failure
 done
 
-echo "== [3/5] Kernel gate: widest supported tier x each precision =="
+echo "== [4/9] Kernel gate: widest supported tier x each precision =="
 for prec in "${PRECISIONS[@]}"; do
     echo "-- kernels @ widest tier, SECEMB_PRECISION=${prec} --"
     env -u SECEMB_ISA SECEMB_PRECISION="${prec}" \
         ctest --test-dir "${BUILD_DIR}" -L kernels --output-on-failure
 done
 
-echo "== Full certification sweep per precision (secemb-verify, seed ${SEED}) =="
+echo "== [5/9] Full certification sweep per precision (secemb-verify, seed ${SEED}) =="
 # --recovered adds the durable-tier arm: crash-recovered RAW ORAM
 # instances must certify exactly like fresh ones. Every precision tier
 # must certify identically: generator traces are recorded above the
@@ -83,9 +85,9 @@ for prec in "${PRECISIONS[@]}"; do
 done
 
 if [[ "${SKIP_ASAN}" -eq 1 ]]; then
-    echo "== [4/5] ASan verify run skipped (--skip-asan) =="
+    echo "== [6/9] ASan verify run skipped (--skip-asan) =="
 else
-    echo "== [4/5] ASan+UBSan instrumented verify sweep =="
+    echo "== [6/9] ASan+UBSan instrumented verify sweep =="
     cmake -S "${REPO_ROOT}" -B "${ASAN_BUILD_DIR}" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSECEMB_SANITIZE=address
     cmake --build "${ASAN_BUILD_DIR}" -j"$(nproc)" --target secemb-verify
@@ -93,9 +95,9 @@ else
 fi
 
 if [[ "${SKIP_CHAOS}" -eq 1 ]]; then
-    echo "== [5/6] Chaos gate skipped (--skip-chaos) =="
+    echo "== [7/9] Chaos gate skipped (--skip-chaos) =="
 else
-    echo "== [5/6] Chaos gate (scripts/chaos.sh) =="
+    echo "== [7/9] Chaos gate (scripts/chaos.sh) =="
     if [[ "${SKIP_ASAN}" -eq 1 ]]; then
         "${REPO_ROOT}/scripts/chaos.sh" --skip-sanitizers
     else
@@ -103,10 +105,13 @@ else
     fi
 fi
 
+echo "== [8/9] Reachability: no library code only tests reach (scripts/reachability.sh) =="
+"${REPO_ROOT}/scripts/reachability.sh"
+
 if [[ "${SKIP_BENCH}" -eq 1 ]]; then
-    echo "== [6/6] Bench trajectory skipped (--skip-bench) =="
+    echo "== [9/9] Bench trajectory skipped (--skip-bench) =="
 else
-    echo "== [6/6] Bench trajectory (scripts/bench_all.sh --quick) =="
+    echo "== [9/9] Bench trajectory (scripts/bench_all.sh --quick) =="
     # Quick workloads: the gate cares about regressions, not about
     # paper-grade numbers. Gates automatically iff a baseline summary is
     # checked in at baselines/BENCH_baseline.json.

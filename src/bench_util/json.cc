@@ -7,41 +7,13 @@
 #include <cstdlib>
 
 #include "telemetry/metrics.h"
+#include "telemetry/tracer.h"
 
 namespace secemb::bench {
 
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
-
-std::string
-JsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                // Promote through unsigned char: a plain (signed) char
-                // would sign-extend into %x and overflow the %04x width.
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 void
 JsonWriter::MaybeComma()
@@ -91,7 +63,7 @@ JsonWriter::Key(std::string_view k)
 {
     MaybeComma();
     out_ += '"';
-    out_ += JsonEscape(k);
+    out_ += telemetry::JsonEscape(k);
     out_ += "\":";
     // The upcoming value must not emit another comma.
     needs_comma_.back() = false;
@@ -103,7 +75,7 @@ JsonWriter::Value(std::string_view v)
 {
     MaybeComma();
     out_ += '"';
-    out_ += JsonEscape(v);
+    out_ += telemetry::JsonEscape(v);
     out_ += '"';
     return *this;
 }

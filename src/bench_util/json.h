@@ -36,9 +36,6 @@ namespace secemb::bench {
 // Writer
 // ---------------------------------------------------------------------------
 
-/** Escape a string for embedding in a JSON document (no quotes added). */
-std::string JsonEscape(std::string_view s);
-
 /**
  * Streaming JSON writer. Keys and values must be emitted in a valid
  * order (Key before a value inside objects); commas are inserted

@@ -27,12 +27,6 @@ GenKindName(GenKind kind)
     return "?";
 }
 
-bool
-GenKindIsSecure(GenKind kind)
-{
-    return kind != GenKind::kIndexLookup;
-}
-
 namespace {
 
 Tensor

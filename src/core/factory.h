@@ -38,9 +38,6 @@ enum class GenKind
 /** Paper-style display name ("Index Lookup (non-secure)", ...). */
 std::string_view GenKindName(GenKind kind);
 
-/** True for the schemes with input-independent access patterns. */
-bool GenKindIsSecure(GenKind kind);
-
 /** Options for MakeGenerator. */
 struct GeneratorOptions
 {

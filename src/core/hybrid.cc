@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <stdexcept>
 
@@ -63,52 +62,6 @@ ChooseTechnique(int64_t table_size, int64_t threshold)
     // HybridTest.ThresholdBoundaryTieBreak regression test.
     if (table_size >= threshold) return Technique::kDhe;
     return Technique::kLinearScan;
-}
-
-void
-SaveThresholds(const ThresholdTable& table, const std::string& path)
-{
-    std::ofstream out(path);
-    if (!out) {
-        throw std::runtime_error("SaveThresholds: cannot open " + path);
-    }
-    for (const auto& e : table.entries()) {
-        out << e.batch_size << ' ' << e.nthreads << ' '
-            << e.table_size_threshold << '\n';
-    }
-    if (!out.good()) {
-        throw std::runtime_error("SaveThresholds: write failed");
-    }
-}
-
-ThresholdTable
-LoadThresholds(const std::string& path)
-{
-    std::ifstream in(path);
-    if (!in) {
-        throw std::runtime_error("LoadThresholds: cannot open " + path);
-    }
-    ThresholdTable table;
-    ThresholdEntry e;
-    int64_t row = 0;
-    while (in >> e.batch_size >> e.nthreads >> e.table_size_threshold) {
-        ++row;
-        try {
-            table.Add(e);
-        } catch (const std::invalid_argument& bad) {
-            // A corrupt persisted database must fail loudly here, not as
-            // NaN-distance lookups that silently return the fallback.
-            throw std::runtime_error("LoadThresholds: invalid entry at "
-                                     "row " +
-                                     std::to_string(row) + " of " + path +
-                                     ": " + bad.what());
-        }
-    }
-    if (!in.eof()) {
-        throw std::runtime_error("LoadThresholds: parse error in " +
-                                 path);
-    }
-    return table;
 }
 
 HybridGenerator::HybridGenerator(std::shared_ptr<dhe::DheEmbedding> dhe,

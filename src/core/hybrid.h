@@ -82,17 +82,6 @@ class ThresholdTable
 Technique ChooseTechnique(int64_t table_size, int64_t threshold);
 
 /**
- * Persist a profiled threshold database (Algorithm 2's offline product:
- * "done once per system for each embedding dimension"). Plain text, one
- * "batch threads threshold" triple per line.
- */
-void SaveThresholds(const ThresholdTable& table, const std::string& path);
-
-/** Load a threshold database written by SaveThresholds. Throws
- * std::runtime_error on IO or parse failure. */
-ThresholdTable LoadThresholds(const std::string& path);
-
-/**
  * Hybrid per-feature generator.
  *
  * Owns the trained DHE; when the current execution configuration selects
@@ -124,7 +113,8 @@ class HybridGenerator : public EmbeddingGenerator
     /** Forwarded to the DHE decoder; the scan side has no GEMM. */
     void set_precision(kernels::Dtype dtype) override;
 
-    /** Re-run the online decision for a new execution configuration. */
+    /** Re-run the online decision (Algorithm 3) for a new execution
+     *  configuration; the constructor runs it once. */
     void Reconfigure(const ThresholdTable& thresholds, int batch_size,
                      int nthreads);
 

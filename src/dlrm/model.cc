@@ -142,24 +142,6 @@ TrainableDlrm::Parameters()
     return ps;
 }
 
-int64_t
-TrainableDlrm::EmbeddingParamBytes()
-{
-    int64_t bytes = 0;
-    for (auto& t : tables_) bytes += t->ParamBytes();
-    for (auto& d : dhes_) bytes += d->ParamBytes();
-    return bytes;
-}
-
-const Tensor&
-TrainableDlrm::table(int64_t f) const
-{
-    if (mode_ != EmbeddingMode::kTable) {
-        throw std::logic_error("table(): model trained with DHE");
-    }
-    return tables_[static_cast<size_t>(f)]->table();
-}
-
 std::shared_ptr<dhe::DheEmbedding>
 TrainableDlrm::dhe(int64_t f)
 {
@@ -214,33 +196,6 @@ SecureDlrm::Inference(const Tensor& dense,
     return probs.Reshape({probs.size(0)});
 }
 
-Tensor
-SecureDlrm::InferencePooled(
-    const Tensor& dense,
-    const std::vector<std::vector<int64_t>>& sparse_ids,
-    const std::vector<std::vector<int64_t>>& sparse_offsets)
-{
-    assert(sparse_ids.size() == sparse_offsets.size());
-    TELEMETRY_SPAN("dlrm.inference_pooled");
-    TELEMETRY_SCOPED_LATENCY("dlrm.inference.ns");
-    TELEMETRY_COUNT("dlrm.inference.requests", dense.size(0));
-    const Tensor dense_out = bot_->Forward(dense);
-    std::vector<Tensor> embs;
-    embs.reserve(sparse_ids.size());
-    for (int64_t f = 0; f < config_.num_sparse(); ++f) {
-        const auto& offsets = sparse_offsets[static_cast<size_t>(f)];
-        const int64_t bags = static_cast<int64_t>(offsets.size()) - 1;
-        Tensor pooled({bags, config_.emb_dim});
-        generators_[static_cast<size_t>(f)]->GeneratePooled(
-            sparse_ids[static_cast<size_t>(f)], offsets, pooled);
-        embs.push_back(std::move(pooled));
-    }
-    const Tensor z =
-        InteractionForward(config_.interaction, dense_out, embs);
-    Tensor probs = top_->Forward(z);
-    return probs.Reshape({probs.size(0)});
-}
-
 void
 SecureDlrm::EmbeddingLayersOnly(
     const std::vector<std::vector<int64_t>>& sparse)
@@ -259,14 +214,6 @@ SecureDlrm::set_nthreads(int nthreads)
 {
     nthreads_ = nthreads;
     for (auto& g : generators_) g->set_nthreads(nthreads);
-}
-
-int64_t
-SecureDlrm::EmbeddingFootprintBytes() const
-{
-    int64_t bytes = 0;
-    for (const auto& g : generators_) bytes += g->MemoryFootprintBytes();
-    return bytes;
 }
 
 }  // namespace secemb::dlrm

@@ -54,7 +54,7 @@ class TrainableDlrm
     /** Backward from dLoss/dlogits; accumulates all parameter grads. */
     void Backward(const Tensor& grad_logits);
 
-    /** One SGD step on a batch; returns the loss. */
+    /** One optimiser step on a batch; returns the loss. */
     float TrainStep(const CtrBatch& batch, nn::Optimizer& opt);
 
     /** Mean accuracy over a batch (no grad). */
@@ -62,14 +62,9 @@ class TrainableDlrm
 
     std::vector<nn::Parameter*> Parameters();
 
-    /** Bytes of embedding state only (Table VI rows). */
-    int64_t EmbeddingParamBytes();
-
     const DlrmConfig& config() const { return config_; }
     EmbeddingMode mode() const { return mode_; }
 
-    /** Trained table of feature f (tables mode), for secure deployment. */
-    const Tensor& table(int64_t f) const;
     /** Trained DHE of feature f (DHE modes), shared for hybrid use. */
     std::shared_ptr<dhe::DheEmbedding> dhe(int64_t f);
 
@@ -110,23 +105,12 @@ class SecureDlrm
     Tensor Inference(const Tensor& dense,
                      const std::vector<std::vector<int64_t>>& sparse);
 
-    /**
-     * Multi-hot inference: feature f's ids are a flat list with bag
-     * offsets (sum pooling per sample), the production DLRM input shape.
-     * offsets[f] has batch+1 entries; bag lengths are public.
-     */
-    Tensor InferencePooled(
-        const Tensor& dense,
-        const std::vector<std::vector<int64_t>>& sparse_ids,
-        const std::vector<std::vector<int64_t>>& sparse_offsets);
-
     /** Embedding-layers-only pass (Fig. 4 / Table VIII measurements). */
     void EmbeddingLayersOnly(
         const std::vector<std::vector<int64_t>>& sparse);
 
     void set_nthreads(int nthreads);
 
-    int64_t EmbeddingFootprintBytes() const;
     core::EmbeddingGenerator& generator(int64_t f)
     {
         return *generators_[static_cast<size_t>(f)];

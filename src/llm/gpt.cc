@@ -193,12 +193,6 @@ GptModel::Parameters()
     return ps;
 }
 
-int64_t
-GptModel::TokenEmbeddingBytes()
-{
-    return tok_table_ ? tok_table_->ParamBytes() : dhe_->ParamBytes();
-}
-
 // ---------------------------------------------------------------------------
 // SecureGpt (inference)
 // ---------------------------------------------------------------------------
@@ -318,22 +312,6 @@ SecureGpt::GreedyTokensNonSecure(const Tensor& logits) const
         out[static_cast<size_t>(b)] = best;
     }
     return out;
-}
-
-std::vector<std::vector<int64_t>>
-SecureGpt::Generate(const std::vector<std::vector<int64_t>>& prompts,
-                    int64_t steps)
-{
-    Tensor logits = Prefill(prompts);
-    std::vector<std::vector<int64_t>> generated(prompts.size());
-    for (int64_t s = 0; s < steps; ++s) {
-        const std::vector<int64_t> next = GreedyTokens(logits);
-        for (size_t b = 0; b < generated.size(); ++b) {
-            generated[b].push_back(next[b]);
-        }
-        if (s + 1 < steps) logits = DecodeStep(next);
-    }
-    return generated;
 }
 
 }  // namespace secemb::llm

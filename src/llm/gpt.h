@@ -85,9 +85,6 @@ class GptModel
 
     std::shared_ptr<dhe::DheEmbedding> token_dhe() { return dhe_; }
 
-    /** Footprint of the token-embedding state only. */
-    int64_t TokenEmbeddingBytes();
-
   private:
     GptConfig config_;
     TokenEmbMode mode_;
@@ -136,10 +133,6 @@ class SecureGpt
     /** Greedy next tokens via plain (non-secure) argmax, for the §V-C
      * overhead measurement. */
     std::vector<int64_t> GreedyTokensNonSecure(const Tensor& logits) const;
-
-    /** Generate `steps` tokens after a prefill; returns generated ids. */
-    std::vector<std::vector<int64_t>> Generate(
-        const std::vector<std::vector<int64_t>>& prompts, int64_t steps);
 
     void Reset(int64_t batch);
 

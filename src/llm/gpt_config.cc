@@ -3,18 +3,6 @@
 namespace secemb::llm {
 
 GptConfig
-GptConfig::Gpt2Medium()
-{
-    GptConfig c;
-    c.vocab_size = 50257;
-    c.max_seq = 1024;
-    c.dim = 1024;
-    c.num_heads = 16;
-    c.num_layers = 24;
-    return c;
-}
-
-GptConfig
 GptConfig::BenchScale(int64_t dim, int64_t vocab, int64_t layers)
 {
     GptConfig c;

@@ -5,17 +5,17 @@
  * GPT model configuration.
  *
  * The paper evaluates GPT-2 medium (355M parameters, 24 layers, dim 1024,
- * vocab 50257). Absolute transformer compute is not the object of study —
- * the *embedding layer* is — so benchmarks default to a scaled-down
- * transformer with the real vocabulary size; the full configuration is
- * available behind a flag.
+ * vocab 50257), which is what a default-constructed GptConfig holds.
+ * Absolute transformer compute is not the object of study — the
+ * *embedding layer* is — so benchmarks use a scaled-down transformer
+ * with the real vocabulary size.
  */
 
 #include <cstdint>
 
 namespace secemb::llm {
 
-/** Decoder-only transformer architecture. */
+/** Decoder-only transformer architecture; defaults are GPT-2 medium. */
 struct GptConfig
 {
     int64_t vocab_size = 50257;
@@ -26,9 +26,6 @@ struct GptConfig
     int64_t ffn_mult = 4;  ///< FFN hidden = ffn_mult * dim
 
     int64_t head_dim() const { return dim / num_heads; }
-
-    /** The paper's GPT-2 medium. */
-    static GptConfig Gpt2Medium();
 
     /**
      * Bench-scale model: real GPT-2 vocabulary, reduced depth/width so a

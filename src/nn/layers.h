@@ -36,9 +36,8 @@ using Activation = kernels::Activation;
  * effective ISA tier. Forward packs them on first use and repacks only
  * when weight().version, dtype() or EffectiveIsaFor(ActiveIsa(), dtype())
  * has changed since; telemetry counts kernels.cache.{hits,misses,repacks}.
- * So change W through an optimizer step, LoadParameters or
- * weight().BumpVersion(): a raw write after the first Forward is not
- * seen. Like the cached activations, the panels make Forward a
+ * So change W through Adam::Step or weight().BumpVersion(): a raw
+ * write after the first Forward is not seen. Like the cached activations, the panels make Forward a
  * single-caller operation.
  */
 class Linear : public Module
@@ -149,9 +148,7 @@ class Sequential : public Module
 /**
  * Build an MLP: sizes = {in, h1, ..., out}; ReLU fused into each hidden
  * Linear's epilogue, optional sigmoid at the end (DLRM top MLP
- * convention). Parameter order matches the historical Linear+ReLU
- * layout (ReLU carried no parameters), so serialized checkpoints stay
- * compatible.
+ * convention).
  */
 std::unique_ptr<Sequential> MakeMlp(const std::vector<int64_t>& sizes,
                                     Rng& rng, bool final_sigmoid = false,

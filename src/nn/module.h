@@ -23,9 +23,8 @@ namespace secemb::nn {
 /**
  * A trainable tensor with its gradient accumulator.
  *
- * `version` counts writes to `value`: Sgd::Step, Adam::Step and
- * LoadParameters bump it, and code that writes `value` any other way
- * must call BumpVersion(). Layers that derive state from the value (the
+ * `version` counts writes to `value`: Adam::Step bumps it, and code
+ * that writes `value` any other way must call BumpVersion(). Layers that derive state from the value (the
  * packed panels of nn::Linear) rebuild it when the version moves, so a
  * raw write without a bump is not seen once that state exists.
  */

@@ -4,37 +4,6 @@
 
 namespace secemb::nn {
 
-Sgd::Sgd(std::vector<Parameter*> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum)
-{
-    if (momentum_ != 0.0f) {
-        velocity_.reserve(params_.size());
-        for (Parameter* p : params_) {
-            velocity_.push_back(Tensor::Zeros(p->value.shape()));
-        }
-    }
-}
-
-void
-Sgd::Step()
-{
-    for (size_t i = 0; i < params_.size(); ++i) {
-        Parameter* p = params_[i];
-        float* w = p->value.data();
-        const float* g = p->grad.data();
-        if (momentum_ == 0.0f) {
-            for (int64_t j = 0; j < p->numel(); ++j) w[j] -= lr_ * g[j];
-        } else {
-            float* v = velocity_[i].data();
-            for (int64_t j = 0; j < p->numel(); ++j) {
-                v[j] = momentum_ * v[j] + g[j];
-                w[j] -= lr_ * v[j];
-            }
-        }
-        p->BumpVersion();
-    }
-}
-
 Adam::Adam(std::vector<Parameter*> params, float lr, float beta1,
            float beta2, float eps)
     : Optimizer(std::move(params)),

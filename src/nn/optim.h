@@ -2,11 +2,12 @@
 
 /**
  * @file
- * Optimisers: SGD with momentum and Adam.
+ * Optimisers: Adam behind the Optimizer interface.
  *
- * The paper trains DLRM variants with SGD and finetunes GPT-2 with Adam;
- * both are provided so the accuracy-parity experiments (Table V, Fig. 14)
- * use the same optimiser family as the original artifact.
+ * The paper trains DLRM variants with SGD and finetunes GPT-2 with Adam.
+ * Every trainer here (tab05, fig14, abl03) steps with Adam: the
+ * accuracy-parity experiments (Table V, Fig. 14) compare embedding
+ * representations trained the same way, not optimisers.
  */
 
 #include <cstdint>
@@ -38,22 +39,6 @@ class Optimizer
 
   protected:
     std::vector<Parameter*> params_;
-};
-
-/** Stochastic gradient descent with classical momentum. */
-class Sgd : public Optimizer
-{
-  public:
-    Sgd(std::vector<Parameter*> params, float lr, float momentum = 0.0f);
-    void Step() override;
-
-    void set_lr(float lr) { lr_ = lr; }
-    float lr() const { return lr_; }
-
-  private:
-    float lr_;
-    float momentum_;
-    std::vector<Tensor> velocity_;
 };
 
 /** Adam (Kingma & Ba) with bias correction. */

@@ -85,8 +85,6 @@ PositionMap::PositionMap(OramKind kind, int64_t num_ids, uint32_t leaf_bound,
 }
 
 PositionMap::~PositionMap() = default;
-PositionMap::PositionMap(PositionMap&&) noexcept = default;
-PositionMap& PositionMap::operator=(PositionMap&&) noexcept = default;
 
 uint32_t
 PositionMap::Update(int64_t id, uint32_t new_leaf)

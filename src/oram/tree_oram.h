@@ -58,9 +58,6 @@ class PositionMap
                 Rng& rng, const OramParams& params);
     ~PositionMap();
 
-    PositionMap(PositionMap&&) noexcept;
-    PositionMap& operator=(PositionMap&&) noexcept;
-
     /** Returns the current leaf of `id` and replaces it with new_leaf. */
     uint32_t Update(int64_t id, uint32_t new_leaf);
 

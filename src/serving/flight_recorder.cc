@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "telemetry/tracer.h"
+
 namespace secemb::serving {
 
 namespace {
@@ -51,32 +53,6 @@ Decode(const uint64_t w[kEventWords])
         static_cast<int16_t>(static_cast<uint16_t>(w[3] >> 16));
     e.code = static_cast<StatusCode>(static_cast<uint32_t>(w[3] >> 32));
     return e;
-}
-
-/** Minimal JSON string escaper (names/args are ASCII identifiers, but a
- *  hostile name must still never break the document). */
-std::string
-EscapeJson(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x",
-                                  static_cast<unsigned>(
-                                      static_cast<unsigned char>(c)));
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
 }
 
 }  // namespace
@@ -190,7 +166,8 @@ FlightRecorder::ToChromeTraceJson() const
             "\"tid\":%u,\"ts\":%.3f,\"args\":{\"request_id\":%llu,"
             "\"queue_depth\":%u,\"degrade\":%u,\"feature\":%d,"
             "\"code\":\"%s\",\"detail\":%u}}",
-            first ? "" : ",", EscapeJson(FlightHopName(e.hop)).c_str(),
+            first ? "" : ",",
+            telemetry::JsonEscape(FlightHopName(e.hop)).c_str(),
             static_cast<unsigned>(e.request_id & 0x7fffffffu),
             static_cast<double>(e.t_ns) * 1e-3,
             static_cast<unsigned long long>(e.request_id), e.queue_depth,

@@ -10,8 +10,8 @@
 #include <cstring>
 #include <vector>
 
-#include "fault/fault.h"
 #include "store/durable.h"
+#include "store/io_util.h"
 #include "telemetry/telemetry.h"
 
 namespace secemb::store {
@@ -21,12 +21,17 @@ namespace {
 constexpr char kMagic[8] = {'S', 'E', 'C', 'E', 'M', 'B', 'P', '1'};
 constexpr uint32_t kFormatVersion = 1;
 constexpr int64_t kHeaderFixedBytes = 32;  ///< magic + version + geometry
+/** Header flag bit 0: the per-page CRC table is maintained. Every store
+ *  sets it, and an open refuses a header without it: the header has no
+ *  checksum of its own, so an optional flag would let one flipped bit
+ *  switch off the verification of every page. */
+constexpr uint32_t kFlagChecksums = 1u;
 
 struct StoreHeader
 {
     char magic[8];
     uint32_t version;
-    uint32_t flags;  ///< bit 0: per-page checksums maintained
+    uint32_t flags;  ///< kFlagChecksums
     int64_t page_bytes;
     int64_t num_pages;
 };
@@ -36,47 +41,6 @@ int64_t
 AlignUp(int64_t v, int64_t align)
 {
     return (v + align - 1) / align * align;
-}
-
-serving::Status
-Errno(serving::StatusCode code, const std::string& what)
-{
-    return serving::Status::Error(
-        code, what + ": " + std::strerror(errno));
-}
-
-/** Injected open failure (FaultSite::kIoOpen). */
-serving::Status
-CheckOpenFault()
-{
-    if (fault::ShouldInject(fault::FaultSite::kIoOpen)) {
-        return serving::Status::Error(serving::StatusCode::kInternal,
-                                      "injected open failure");
-    }
-    return serving::Status::Ok();
-}
-
-/** Injected read error (FaultSite::kIoRead — models EIO). */
-serving::Status
-CheckReadFault()
-{
-    if (fault::ShouldInject(fault::FaultSite::kIoRead)) {
-        return serving::Status::Error(serving::StatusCode::kInternal,
-                                      "injected read failure (EIO)");
-    }
-    return serving::Status::Ok();
-}
-
-/** Injected write-space exhaustion (FaultSite::kIoWrite — ENOSPC). */
-serving::Status
-CheckWriteFault()
-{
-    if (fault::ShouldInject(fault::FaultSite::kIoWrite)) {
-        return serving::Status::Error(
-            serving::StatusCode::kResourceExhausted,
-            "injected write failure (ENOSPC)");
-    }
-    return serving::Status::Ok();
 }
 
 class MemoryStore final : public BackingStore
@@ -125,7 +89,6 @@ class FileStoreBase : public BackingStore
     FileStoreBase(const StoreConfig& config, int64_t num_pages)
         : BackingStore(config.page_bytes, num_pages),
           path_(config.path),
-          checksums_(config.checksum_pages),
           data_offset_(StoreFileDataOffset(config.page_bytes, num_pages))
     {
     }
@@ -153,7 +116,15 @@ class FileStoreBase : public BackingStore
             // even though Sync() on the file succeeded.
             return FsyncParentDir(path_);
         }
-        return LoadHeader();
+        if (auto s = LoadHeader(); !s.ok()) {
+            // Leave a file this store refused as it was: FileStore's
+            // destructor writes the header back, which would stamp this
+            // store's geometry and flags over the file's own.
+            ::close(fd_);
+            fd_ = -1;
+            return s;
+        }
+        return serving::Status::Ok();
     }
 
   protected:
@@ -186,12 +157,17 @@ class FileStoreBase : public BackingStore
                 serving::StatusCode::kInvalidArgument,
                 path_ + " is not a secemb page store");
         }
+        if ((h.flags & kFlagChecksums) == 0) {
+            return serving::Status::Error(
+                serving::StatusCode::kInvalidArgument,
+                "store header of " + path_ +
+                    " does not set the page-checksum flag");
+        }
         if (h.page_bytes != page_bytes_ || h.num_pages != num_pages_) {
             return serving::Status::Error(
                 serving::StatusCode::kInvalidArgument,
                 "store geometry mismatch in " + path_);
         }
-        checksums_ = (h.flags & 1u) != 0 && checksums_;
         crc_.assign(static_cast<size_t>(num_pages_), 0);
         const size_t crc_bytes = crc_.size() * sizeof(uint32_t);
         if (crc_bytes > 0 &&
@@ -214,7 +190,7 @@ class FileStoreBase : public BackingStore
         StoreHeader h{};
         std::memcpy(h.magic, kMagic, sizeof(kMagic));
         h.version = kFormatVersion;
-        h.flags = checksums_ ? 1u : 0u;
+        h.flags = kFlagChecksums;
         h.page_bytes = page_bytes_;
         h.num_pages = num_pages_;
         if (::pwrite(fd_, &h, sizeof(h), 0) !=
@@ -243,7 +219,6 @@ class FileStoreBase : public BackingStore
     serving::Status
     VerifyCrc(int64_t page, std::span<const uint8_t> data) const
     {
-        if (!checksums_) return serving::Status::Ok();
         const uint32_t got = Crc32(data);
         if (got != crc_[static_cast<size_t>(page)]) {
             return serving::Status::Error(
@@ -257,11 +232,10 @@ class FileStoreBase : public BackingStore
     void
     UpdateCrc(int64_t page, std::span<const uint8_t> data)
     {
-        if (checksums_) crc_[static_cast<size_t>(page)] = Crc32(data);
+        crc_[static_cast<size_t>(page)] = Crc32(data);
     }
 
     std::string path_;
-    bool checksums_;
     int64_t data_offset_;
     int fd_ = -1;
     std::vector<uint32_t> crc_;
@@ -421,7 +395,7 @@ class MmapStore final : public FileStoreBase
         StoreHeader h{};
         std::memcpy(h.magic, kMagic, sizeof(kMagic));
         h.version = kFormatVersion;
-        h.flags = checksums_ ? 1u : 0u;
+        h.flags = kFlagChecksums;
         h.page_bytes = page_bytes_;
         h.num_pages = num_pages_;
         std::memcpy(map_, &h, sizeof(h));

@@ -60,8 +60,6 @@ struct StoreConfig
     /** true: create/truncate the file; false: open an existing store and
      *  validate its header against page_bytes / num_pages. */
     bool create = true;
-    /** Maintain + verify the per-page CRC32 table (file/mmap). */
-    bool checksum_pages = true;
 };
 
 /**

@@ -10,8 +10,8 @@
 #include <cstring>
 #include <filesystem>
 
-#include "fault/fault.h"
 #include "store/backing_store.h"
+#include "store/io_util.h"
 #include "telemetry/telemetry.h"
 
 namespace secemb::store {
@@ -28,129 +28,6 @@ constexpr int64_t kCkptPrologueBytes = 24;  // magic + version + flags + len
 // Sanity bound on a single record payload (an eviction pre-image of a
 // deep tree with 4 KiB pages is well under this).
 constexpr int64_t kMaxRecordPayload = int64_t{1} << 28;
-
-serving::Status
-Errno(serving::StatusCode code, const std::string& what)
-{
-    return serving::Status::Error(code,
-                                  what + ": " + std::strerror(errno));
-}
-
-serving::Status
-CheckOpenFault()
-{
-    if (fault::ShouldInject(fault::FaultSite::kIoOpen)) {
-        return serving::Status::Error(serving::StatusCode::kInternal,
-                                      "injected open failure");
-    }
-    return serving::Status::Ok();
-}
-
-serving::Status
-CheckReadFault()
-{
-    if (fault::ShouldInject(fault::FaultSite::kIoRead)) {
-        return serving::Status::Error(serving::StatusCode::kInternal,
-                                      "injected read failure (EIO)");
-    }
-    return serving::Status::Ok();
-}
-
-serving::Status
-CheckWriteFault()
-{
-    if (fault::ShouldInject(fault::FaultSite::kIoWrite)) {
-        return serving::Status::Error(
-            serving::StatusCode::kResourceExhausted,
-            "injected write failure (ENOSPC)");
-    }
-    return serving::Status::Ok();
-}
-
-void
-PutBytes(std::vector<uint8_t>* out, const void* data, size_t n)
-{
-    const size_t off = out->size();
-    out->resize(off + n);
-    std::memcpy(out->data() + off, data, n);
-}
-
-void
-PutU32(std::vector<uint8_t>* out, uint32_t v)
-{
-    const size_t n = out->size();
-    out->resize(n + sizeof(v));
-    std::memcpy(out->data() + n, &v, sizeof(v));
-}
-
-void
-PutU64(std::vector<uint8_t>* out, uint64_t v)
-{
-    const size_t n = out->size();
-    out->resize(n + sizeof(v));
-    std::memcpy(out->data() + n, &v, sizeof(v));
-}
-
-void
-PutI64(std::vector<uint8_t>* out, int64_t v)
-{
-    PutU64(out, static_cast<uint64_t>(v));
-}
-
-template <typename T>
-void
-PutVec(std::vector<uint8_t>* out, const std::vector<T>& v)
-{
-    const size_t n = out->size();
-    const size_t bytes = v.size() * sizeof(T);
-    out->resize(n + bytes);
-    if (bytes > 0) std::memcpy(out->data() + n, v.data(), bytes);
-}
-
-/** Bounds-checked little reader over a byte buffer. */
-class ByteReader
-{
-  public:
-    ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size)
-    {
-    }
-
-    bool GetU32(uint32_t* v) { return GetRaw(v, sizeof(*v)); }
-    bool GetU64(uint64_t* v) { return GetRaw(v, sizeof(*v)); }
-    bool
-    GetI64(int64_t* v)
-    {
-        return GetRaw(v, sizeof(*v));
-    }
-
-    template <typename T>
-    bool
-    GetVec(std::vector<T>* v, size_t count)
-    {
-        const size_t bytes = count * sizeof(T);
-        if (size_ - off_ < bytes) return false;
-        v->resize(count);
-        if (bytes > 0) std::memcpy(v->data(), data_ + off_, bytes);
-        off_ += bytes;
-        return true;
-    }
-
-    size_t remaining() const { return size_ - off_; }
-
-  private:
-    bool
-    GetRaw(void* v, size_t bytes)
-    {
-        if (size_ - off_ < bytes) return false;
-        std::memcpy(v, data_ + off_, bytes);
-        off_ += bytes;
-        return true;
-    }
-
-    const uint8_t* data_;
-    size_t size_;
-    size_t off_ = 0;
-};
 
 serving::Status
 WriteAll(int fd, const uint8_t* data, size_t size, const std::string& what)

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "oblivious/ct_ops.h"
+#include "store/io_util.h"
 #include "telemetry/telemetry.h"
 
 namespace secemb::store {
@@ -467,42 +468,6 @@ RawOram::Write(int64_t id, std::span<const uint32_t> in)
 // Durability: checkpoint, journal, recovery replay
 // ---------------------------------------------------------------------------
 
-namespace {
-
-void
-AppendU32(std::vector<uint8_t>* out, uint32_t v)
-{
-    const size_t n = out->size();
-    out->resize(n + sizeof(v));
-    std::memcpy(out->data() + n, &v, sizeof(v));
-}
-
-void
-AppendU64(std::vector<uint8_t>* out, uint64_t v)
-{
-    const size_t n = out->size();
-    out->resize(n + sizeof(v));
-    std::memcpy(out->data() + n, &v, sizeof(v));
-}
-
-uint32_t
-TakeU32(const uint8_t* p)
-{
-    uint32_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-}
-
-uint64_t
-TakeU64(const uint8_t* p)
-{
-    uint64_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-}
-
-}  // namespace
-
 serving::Status
 RawOram::InitDurability()
 {
@@ -573,14 +538,11 @@ RawOram::AppendAccessRecord(uint64_t id, uint32_t new_leaf, Op op,
                             const uint32_t* block)
 {
     journal_payload_.clear();
-    AppendU64(&journal_payload_, id);
-    AppendU32(&journal_payload_, new_leaf);
-    AppendU32(&journal_payload_, op == Op::kWrite ? 1u : 0u);
-    const size_t n = journal_payload_.size();
-    journal_payload_.resize(
-        n + static_cast<size_t>(block_words_) * sizeof(uint32_t));
-    std::memcpy(journal_payload_.data() + n, block,
-                static_cast<size_t>(block_words_) * sizeof(uint32_t));
+    PutU64(&journal_payload_, id);
+    PutU32(&journal_payload_, new_leaf);
+    PutU32(&journal_payload_, op == Op::kWrite ? 1u : 0u);
+    PutBytes(&journal_payload_, block,
+             static_cast<size_t>(block_words_) * sizeof(uint32_t));
 
     if (auto s = journal_.Append(JournalRecordType::kAccess, seq_ + 1,
                                  journal_payload_,
@@ -602,24 +564,19 @@ RawOram::AppendEvictRecord(uint64_t counter_before, uint32_t leaf)
     // Captured after FetchPath and before phase 1: slot metadata and the
     // decrypted page content are still the pre-eviction state.
     journal_payload_.clear();
-    AppendU64(&journal_payload_, counter_before);
-    AppendU32(&journal_payload_, leaf);
-    AppendU32(&journal_payload_, 0);  // pad
+    PutU64(&journal_payload_, counter_before);
+    PutU32(&journal_payload_, leaf);
+    PutU32(&journal_payload_, 0);  // pad
     for (int64_t level = 0; level <= levels_; ++level) {
         const int64_t b = path_buckets_[static_cast<size_t>(level)];
         const uint32_t* words = PathWords(level);
         for (int64_t z = 0; z < bucket_slots_; ++z) {
             const size_t slot =
                 static_cast<size_t>(b * bucket_slots_ + z);
-            AppendU64(&journal_payload_, slot_id_[slot]);
-            AppendU32(&journal_payload_, slot_leaf_[slot]);
-            const size_t n = journal_payload_.size();
-            journal_payload_.resize(
-                n + static_cast<size_t>(block_words_) * sizeof(uint32_t));
-            std::memcpy(journal_payload_.data() + n,
-                        words + z * block_words_,
-                        static_cast<size_t>(block_words_) *
-                            sizeof(uint32_t));
+            PutU64(&journal_payload_, slot_id_[slot]);
+            PutU32(&journal_payload_, slot_leaf_[slot]);
+            PutBytes(&journal_payload_, words + z * block_words_,
+                     static_cast<size_t>(block_words_) * sizeof(uint32_t));
         }
     }
 
@@ -747,19 +704,19 @@ RawOram::RestoreFromCheckpoint(const CheckpointData& d)
 serving::Status
 RawOram::ReplayAccess(const JournalRecord& rec)
 {
+    ByteReader r(rec.payload.data(), rec.payload.size());
+    uint64_t id = 0;
+    uint32_t new_leaf = 0, op = 0;
+    std::vector<uint32_t> block;
     if (rec.payload.size() !=
-        static_cast<size_t>(JournalAccessPayloadBytes(block_words_))) {
+            static_cast<size_t>(JournalAccessPayloadBytes(block_words_)) ||
+        !r.GetU64(&id) || !r.GetU32(&new_leaf) || !r.GetU32(&op) ||
+        !r.GetVec(&block, static_cast<size_t>(block_words_))) {
         return serving::Status::Error(
             serving::StatusCode::kInternal,
             "access record " + std::to_string(rec.seq) +
                 " has a malformed payload");
     }
-    const uint8_t* p = rec.payload.data();
-    const uint64_t id = TakeU64(p);
-    const uint32_t new_leaf = TakeU32(p + 8);
-    std::vector<uint32_t> block(static_cast<size_t>(block_words_));
-    std::memcpy(block.data(), p + 16,
-                static_cast<size_t>(block_words_) * sizeof(uint32_t));
     if (id >= static_cast<uint64_t>(num_blocks_) ||
         new_leaf >= static_cast<uint32_t>(num_leaves_)) {
         return serving::Status::Error(
@@ -790,17 +747,18 @@ serving::Status
 RawOram::ReplayEvict(const JournalRecord& rec)
 {
     const int64_t path_slots = (levels_ + 1) * bucket_slots_;
+    ByteReader r(rec.payload.data(), rec.payload.size());
+    uint64_t counter = 0;
+    uint32_t rec_leaf = 0, pad = 0;
     if (rec.payload.size() !=
-        static_cast<size_t>(
-            JournalEvictPayloadBytes(path_slots, block_words_))) {
+            static_cast<size_t>(
+                JournalEvictPayloadBytes(path_slots, block_words_)) ||
+        !r.GetU64(&counter) || !r.GetU32(&rec_leaf) || !r.GetU32(&pad)) {
         return serving::Status::Error(
             serving::StatusCode::kInternal,
             "evict record " + std::to_string(rec.seq) +
                 " has a malformed payload");
     }
-    const uint8_t* p = rec.payload.data();
-    const uint64_t counter = TakeU64(p);
-    const uint32_t rec_leaf = TakeU32(p + 8);
     if (counter != evict_counter_) {
         return serving::Status::Error(
             serving::StatusCode::kInternal,
@@ -823,17 +781,16 @@ RawOram::ReplayEvict(const JournalRecord& rec)
         path_buckets_[static_cast<size_t>(level)] =
             slots::BucketOnPath(levels_, leaf, level);
     }
-    const uint8_t* e = p + 16;
-    std::vector<uint32_t> block(static_cast<size_t>(block_words_));
+    // The size check above covers every slot read below.
+    std::vector<uint32_t> block;
     for (int64_t level = 0; level <= levels_; ++level) {
         const int64_t b = path_buckets_[static_cast<size_t>(level)];
         for (int64_t z = 0; z < bucket_slots_; ++z) {
-            const uint64_t e_id = TakeU64(e);
-            const uint32_t e_leaf = TakeU32(e + 8);
-            std::memcpy(block.data(), e + 12,
-                        static_cast<size_t>(block_words_) *
-                            sizeof(uint32_t));
-            e += 12 + static_cast<size_t>(block_words_) * sizeof(uint32_t);
+            uint64_t e_id = 0;
+            uint32_t e_leaf = 0;
+            r.GetU64(&e_id);
+            r.GetU32(&e_leaf);
+            r.GetVec(&block, static_cast<size_t>(block_words_));
             const uint64_t valid = ~EqMask(e_id, kDummyId);
             CheckStashRoom(slots::Insert(StashRun(), valid, e_id, e_leaf,
                                          block.data()),

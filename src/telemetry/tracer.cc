@@ -118,32 +118,6 @@ LocalRing()
     return ring;
 }
 
-/** Span names are string literals by convention, but the trace document
- *  must stay well-formed JSON whatever a caller passes. */
-std::string
-EscapeJson(const char* s)
-{
-    std::string out;
-    for (; *s != '\0'; ++s) {
-        const char c = *s;
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x",
-                                  static_cast<unsigned>(
-                                      static_cast<unsigned char>(c)));
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
 }  // namespace
 
 void
@@ -199,6 +173,35 @@ ClearSpans()
     for (ThreadRing* ring : st.rings) ring->Clear();
 }
 
+std::string
+JsonEscape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (const char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                // Promote through unsigned char: a plain (signed) char
+                // would sign-extend into %x and overflow the %04x width.
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(
+                                  static_cast<unsigned char>(c)));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
 bool
 WriteChromeTrace(const std::string& path)
 {
@@ -212,7 +215,7 @@ WriteChromeTrace(const std::string& path)
             f,
             "%s\n{\"name\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%u,"
             "\"ts\":%.3f,\"dur\":%.3f}",
-            first ? "" : ",", EscapeJson(s.name).c_str(), s.tid,
+            first ? "" : ",", JsonEscape(s.name).c_str(), s.tid,
             static_cast<double>(s.start_ns) * 1e-3,
             static_cast<double>(s.dur_ns) * 1e-3);
         first = false;

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace secemb::telemetry {
@@ -63,6 +64,15 @@ void ClearSpans();
  * Returns false if the file cannot be written.
  */
 bool WriteChromeTrace(const std::string& path);
+
+/**
+ * Escape a string for embedding in a JSON document (no quotes added):
+ * quote, backslash, \n, \r and \t get their short escapes, other bytes
+ * below 0x20 become \u00XX, and every other byte passes through. The
+ * one escaper for every JSON this library writes: chrome traces, flight
+ * recordings and bench reports.
+ */
+std::string JsonEscape(std::string_view s);
 
 /** RAII span: records [construction, destruction) under `name`. */
 class SpanGuard

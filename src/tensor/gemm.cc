@@ -3,7 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "perfmon/perfmon.h"
 #include "telemetry/telemetry.h"
 #include "tensor/parallel.h"
 
@@ -14,7 +13,7 @@ namespace {
 /**
  * Validate all three operands of C = A * B against the public shape
  * (m, k, n). `b_rows`/`b_cols` are what the B operand must actually be
- * — (k, n) for Gemm, (n, k) for GemmBT — so a mismatched B fails here
+ * — (k, n) for GemmNaive, (n, k) for GemmBT — so a mismatched B fails here
  * instead of producing silent out-of-bounds reads.
  */
 void
@@ -47,30 +46,6 @@ AssertKernelAlignment(const Tensor& a, const Tensor& c)
 }
 
 }  // namespace
-
-void
-Gemm(const Tensor& a, const Tensor& b, Tensor& c, int nthreads)
-{
-    const int64_t m = a.size(0), k = a.size(1), n = b.size(1);
-    if (b.size(0) != k) throw std::invalid_argument("Gemm: inner mismatch");
-    CheckMatMulShapes(a, b, c, m, k, n, k, n);
-    TELEMETRY_SCOPED_COUNTERS("tensor.gemm");
-    TELEMETRY_COUNT("tensor.gemm.calls", 1);
-    TELEMETRY_COUNT("tensor.gemm.flops", 2 * m * k * n);
-    AssertKernelAlignment(a, c);
-
-    // Transient pack: A and B here are usually activations, not weights.
-    kernels::PackedB packed;
-    kernels::PackB(b.data(), k, n, /*transposed_src=*/false,
-                   kernels::ActiveIsa(), &packed);
-    kernels::GemmArgs args;
-    args.a = a.data();
-    args.b = &packed;
-    args.c = c.data();
-    args.m = m;
-    args.nthreads = nthreads;
-    kernels::GemmPacked(args);
-}
 
 void
 GemmBT(const Tensor& a, const Tensor& b_t, Tensor& c, int nthreads)
@@ -123,14 +98,6 @@ GemmAT(const Tensor& a_t, const Tensor& b, Tensor& c, int nthreads)
     args.m = m;
     args.nthreads = nthreads;
     kernels::GemmPacked(args);
-}
-
-Tensor
-MatMul(const Tensor& a, const Tensor& b, int nthreads)
-{
-    Tensor c({a.size(0), b.size(1)});
-    Gemm(a, b, c, nthreads);
-    return c;
 }
 
 void

@@ -13,12 +13,12 @@
  * (tensor/kernels): cache-blocked microkernels selected per the active
  * ISA tier (SECEMB_ISA), with B packed into 64-byte-aligned panels. The
  * *Naive reference loops are kept as the correctness/perf baseline for
- * tests and benchmarks. Gemm/GemmBT/GemmAT pack their B operand per call
- * at f32. AffineActForward takes B already packed: the caller owns the
+ * tests and benchmarks. GemmBT/GemmAT pack their B operand per call at
+ * f32. AffineActForward takes B already packed: the caller owns the
  * panels and their precision (f32 / bf16 / int8 quantize-on-pack), and
- * decides when they are stale. nn::Linear repacks its weight after an
- * optimizer step, LoadParameters or Parameter::BumpVersion(); a raw
- * write after the first Forward is not seen.
+ * decides when they are stale. nn::Linear repacks its weight after
+ * Adam::Step or Parameter::BumpVersion(); a raw write after the first
+ * Forward is not seen.
  */
 
 #include <cstdint>
@@ -29,21 +29,15 @@
 namespace secemb {
 
 /**
- * C = A * B for row-major A (m x k), B (k x n), C (m x n).
+ * C = A * B^T for row-major A (m x k), B (n x k), C (m x n).
  *
  * Packed-kernel path (transient B pack); optionally parallelised over
  * row tiles of C with nthreads.
  */
-void Gemm(const Tensor& a, const Tensor& b, Tensor& c, int nthreads = 1);
-
-/** C = A * B^T for A (m x k), B (n x k), C (m x n). */
 void GemmBT(const Tensor& a, const Tensor& b_t, Tensor& c, int nthreads = 1);
 
 /** C = A^T * B for A (k x m), B (k x n), C (m x n). */
 void GemmAT(const Tensor& a_t, const Tensor& b, Tensor& c, int nthreads = 1);
-
-/** Returning convenience wrapper around Gemm. */
-Tensor MatMul(const Tensor& a, const Tensor& b, int nthreads = 1);
 
 /**
  * y = act(x * W + bias broadcast) for x (m x k), W packed k x n, bias

@@ -22,8 +22,8 @@
  * weight and repacks only when the weight's version, its precision or
  * the effective tier changes, so serving workloads pack each FC weight
  * once and reuse the panels across every batch. Weights change through
- * an optimizer step, LoadParameters or Parameter::BumpVersion(); a raw
- * write after the first Forward is not seen.
+ * Adam::Step or Parameter::BumpVersion(); a raw write after the first
+ * Forward is not seen.
  *
  * Obliviousness: control flow in every kernel depends only on shapes
  * (public in the threat model); the packed traversal touches the whole

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -295,20 +294,6 @@ ParallelFor(int64_t n, int nthreads,
         return;
     }
     ThreadPool::Instance().Run(n, workers, fn);
-}
-
-int
-DefaultNumThreads()
-{
-    static const int cached = [] {
-        if (const char* env = std::getenv("SECEMB_THREADS")) {
-            const int v = std::atoi(env);
-            if (v > 0) return v;
-        }
-        const unsigned hw = std::thread::hardware_concurrency();
-        return hw > 0 ? static_cast<int>(hw) : 1;
-    }();
-    return cached;
 }
 
 bool

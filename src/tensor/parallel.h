@@ -44,14 +44,6 @@ void ParallelFor(int64_t n, int nthreads,
                  const std::function<void(int64_t, int64_t)>& fn);
 
 /**
- * Default worker count for callers that do not sweep thread counts:
- * the SECEMB_THREADS environment variable if set to a positive integer,
- * otherwise std::thread::hardware_concurrency() (minimum 1). Read once
- * and cached.
- */
-int DefaultNumThreads();
-
-/**
  * True while the calling thread is executing inside a ParallelFor region
  * (as the caller or as a pool worker). Nested ParallelFor calls observe
  * this and run inline.

@@ -96,15 +96,6 @@ Tensor::Offset2(int64_t i, int64_t j) const
     return i * shape_[1] + j;
 }
 
-int64_t
-Tensor::Offset3(int64_t i, int64_t j, int64_t k) const
-{
-    assert(dim() == 3);
-    assert(i >= 0 && i < shape_[0] && j >= 0 && j < shape_[1] &&
-           k >= 0 && k < shape_[2]);
-    return (i * shape_[1] + j) * shape_[2] + k;
-}
-
 float&
 Tensor::at(int64_t i)
 {
@@ -129,18 +120,6 @@ float
 Tensor::at(int64_t i, int64_t j) const
 {
     return data_[static_cast<size_t>(Offset2(i, j))];
-}
-
-float&
-Tensor::at(int64_t i, int64_t j, int64_t k)
-{
-    return data_[static_cast<size_t>(Offset3(i, j, k))];
-}
-
-float
-Tensor::at(int64_t i, int64_t j, int64_t k) const
-{
-    return data_[static_cast<size_t>(Offset3(i, j, k))];
 }
 
 std::span<float>
@@ -206,32 +185,10 @@ Tensor::SubInPlace(const Tensor& other)
 }
 
 Tensor&
-Tensor::MulInPlace(const Tensor& other)
-{
-    assert(numel() == other.numel());
-    for (size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
-    return *this;
-}
-
-Tensor&
 Tensor::ScaleInPlace(float s)
 {
     for (float& v : data_) v *= s;
     return *this;
-}
-
-Tensor&
-Tensor::AddScalarInPlace(float s)
-{
-    for (float& v : data_) v += s;
-    return *this;
-}
-
-Tensor
-Tensor::Add(const Tensor& other) const
-{
-    Tensor t = *this;
-    return t.AddInPlace(other), t;
 }
 
 Tensor
@@ -239,57 +196,6 @@ Tensor::Sub(const Tensor& other) const
 {
     Tensor t = *this;
     return t.SubInPlace(other), t;
-}
-
-Tensor
-Tensor::Mul(const Tensor& other) const
-{
-    Tensor t = *this;
-    return t.MulInPlace(other), t;
-}
-
-Tensor
-Tensor::Scale(float s) const
-{
-    Tensor t = *this;
-    return t.ScaleInPlace(s), t;
-}
-
-float
-Tensor::Sum() const
-{
-    // Pairwise-ish accumulation in double for stability on long vectors.
-    double acc = 0.0;
-    for (float v : data_) acc += v;
-    return static_cast<float>(acc);
-}
-
-float
-Tensor::Mean() const
-{
-    return numel() == 0 ? 0.0f : Sum() / static_cast<float>(numel());
-}
-
-float
-Tensor::Max() const
-{
-    assert(!data_.empty());
-    return *std::max_element(data_.begin(), data_.end());
-}
-
-float
-Tensor::Min() const
-{
-    assert(!data_.empty());
-    return *std::min_element(data_.begin(), data_.end());
-}
-
-int64_t
-Tensor::Argmax() const
-{
-    assert(!data_.empty());
-    return std::distance(data_.begin(),
-                         std::max_element(data_.begin(), data_.end()));
 }
 
 float

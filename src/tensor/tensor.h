@@ -77,8 +77,6 @@ class Tensor
     float at(int64_t i) const;
     float& at(int64_t i, int64_t j);
     float at(int64_t i, int64_t j) const;
-    float& at(int64_t i, int64_t j, int64_t k);
-    float at(int64_t i, int64_t j, int64_t k) const;
 
     /** Row view of a 2-D tensor. */
     std::span<float> row(int64_t i);
@@ -96,25 +94,14 @@ class Tensor
     Tensor& Fill(float value);
     Tensor& AddInPlace(const Tensor& other);
     Tensor& SubInPlace(const Tensor& other);
-    Tensor& MulInPlace(const Tensor& other);
     Tensor& ScaleInPlace(float s);
-    Tensor& AddScalarInPlace(float s);
 
     // -- Elementwise (returning) ---------------------------------------------
 
-    Tensor Add(const Tensor& other) const;
     Tensor Sub(const Tensor& other) const;
-    Tensor Mul(const Tensor& other) const;
-    Tensor Scale(float s) const;
 
     // -- Reductions ----------------------------------------------------------
 
-    float Sum() const;
-    float Mean() const;
-    float Max() const;
-    float Min() const;
-    /** Index of the maximum element (first on ties). */
-    int64_t Argmax() const;
     /** Squared L2 norm. */
     float SquaredNorm() const;
 
@@ -129,7 +116,6 @@ class Tensor
     AlignedFloatVector data_;
 
     int64_t Offset2(int64_t i, int64_t j) const;
-    int64_t Offset3(int64_t i, int64_t j, int64_t k) const;
 };
 
 /** numel for a shape. */

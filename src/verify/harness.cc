@@ -715,64 +715,6 @@ RecoveredCorpus(uint64_t seed)
     return corpus;
 }
 
-InterleavingResult
-RunInterleavingFuzz(const VerifyConfig& config, int interleavings)
-{
-    InterleavingResult result;
-    result.config = config;
-    const uint64_t cseed = ConstructionSeed(config);
-    const GeneratorFactory factory = MakeSubjectFactory(config);
-    const int sets = std::max(2, config.secret_sets);
-    const int perms = std::max(1, interleavings);
-
-    CanonicalTrace reference;
-    for (int set = 0; set < sets; ++set) {
-        const std::vector<int64_t> base = MakeSecretSet(config, set);
-        for (int k = 0; k < perms; ++k) {
-            // Permutation k is shared across secret sets so every trace
-            // pair differs in exactly one variable (ids or order).
-            std::vector<int64_t> order = base;
-            if (k > 0) {
-                Rng perm(Mix(config.seed,
-                             0x17e2ULL + static_cast<uint64_t>(k)));
-                for (size_t i = order.size(); i > 1; --i) {
-                    const size_t j =
-                        static_cast<size_t>(perm.NextBounded(i));
-                    std::swap(order[i - 1], order[j]);
-                }
-            }
-            const CanonicalTrace trace =
-                RunOne(config, factory, cseed, order);
-            if (result.runs == 0) {
-                reference = trace;
-                result.trace_len = trace.accesses.size();
-                if (reference.accesses.empty()) {
-                    result.detail = NoAccessesDetail(config);
-                    result.runs++;
-                    return result;
-                }
-            } else {
-                const TraceDivergence d =
-                    CompareCanonicalShape(reference, trace);
-                if (d.diverged) {
-                    std::ostringstream os;
-                    os << config.Name() << ": secret set " << set
-                       << " interleaving " << k
-                       << " diverges in shape from the reference run: "
-                       << d.detail;
-                    result.detail = os.str();
-                    result.runs++;
-                    return result;
-                }
-            }
-            result.runs++;
-        }
-        result.secret_sets++;
-    }
-    result.passed = true;
-    return result;
-}
-
 std::vector<VerifyConfig>
 FuzzCorpus(Subject subject, uint64_t seed)
 {

@@ -152,30 +152,6 @@ struct StatisticalResult
 /** Run the fixed-vs-random statistical check on one configuration. */
 StatisticalResult RunStatistical(const VerifyConfig& config);
 
-/** Result of the interleaving-fuzz engine on one configuration. */
-struct InterleavingResult
-{
-    VerifyConfig config;
-    bool passed = false;
-    int runs = 0;          ///< traces compared (sets x interleavings)
-    int secret_sets = 0;   ///< secret sets covered
-    size_t trace_len = 0;  ///< canonical accesses per run
-    std::string detail;    ///< first divergent access context on failure
-};
-
-/**
- * Interleaving fuzz for order-sensitive subjects (the ORAM proxy): every
- * secret set is submitted under `interleavings` seeded arrival-order
- * permutations, each against a freshly built generator with the identical
- * construction seed, and every canonical trace must be shape-identical to
- * the first. This is the ordering side of the obliviousness argument:
- * the physical schedule may depend on arrival order (a public input) only
- * through the request count, never through the (secret) ids or their
- * duplicate structure.
- */
-InterleavingResult RunInterleavingFuzz(const VerifyConfig& config,
-                                       int interleavings);
-
 /** Statistical check over a custom factory (negative controls). */
 StatisticalResult RunStatisticalWith(const VerifyConfig& config,
                                      const GeneratorFactory& factory);

@@ -242,6 +242,36 @@ TEST(ThresholdTableTest, NearestConfigurationWins)
     EXPECT_EQ(ThresholdTable().Lookup(32, 1, 1234), 1234);
 }
 
+TEST(ThresholdTableTest, AddRejectsNonPositiveConfigurations)
+{
+    // Regression: entries with batch_size <= 0 or nthreads <= 0 made
+    // Lookup's log2 ratios NaN; NaN never compares < best_dist, so every
+    // lookup silently returned the fallback. Such entries must be
+    // rejected at insertion.
+    ThresholdTable table;
+    EXPECT_THROW(table.Add({0, 1, 4096}), std::invalid_argument);
+    EXPECT_THROW(table.Add({-8, 1, 4096}), std::invalid_argument);
+    EXPECT_THROW(table.Add({32, 0, 4096}), std::invalid_argument);
+    EXPECT_THROW(table.Add({32, -2, 4096}), std::invalid_argument);
+    EXPECT_THROW(table.Add({32, 1, -1}), std::invalid_argument);
+    EXPECT_TRUE(table.empty());
+
+    table.Add({32, 1, 4096});  // valid rows still accepted
+    EXPECT_EQ(table.Lookup(32, 1), 4096);
+}
+
+TEST(ThresholdTableTest, LookupNearestAfterValidation)
+{
+    // With validation in place, nearest-configuration lookup behaves for
+    // every stored entry (no NaN distances possible).
+    ThresholdTable table;
+    table.Add({8, 1, 4000});
+    table.Add({64, 4, 2000});
+    EXPECT_EQ(table.Lookup(8, 1), 4000);
+    EXPECT_EQ(table.Lookup(9, 1), 4000);
+    EXPECT_EQ(table.Lookup(128, 8), 2000);
+}
+
 TEST(HybridTest, ChoosesByThreshold)
 {
     EXPECT_EQ(ChooseTechnique(100, 4096), Technique::kLinearScan);
@@ -425,13 +455,10 @@ TEST(PooledDeathTest, LinearScanAssertsNonDecreasingOffsets)
 
 // --- factory / footprint ordering ----------------------------------------
 
-TEST(FactoryTest, NamesAndSecurity)
+TEST(FactoryTest, Names)
 {
     EXPECT_EQ(GenKindName(GenKind::kIndexLookup),
               "Index Lookup (non-secure)");
-    EXPECT_FALSE(GenKindIsSecure(GenKind::kIndexLookup));
-    EXPECT_TRUE(GenKindIsSecure(GenKind::kCircuitOram));
-    EXPECT_TRUE(GenKindIsSecure(GenKind::kHybridVaried));
 }
 
 TEST(FactoryTest, FootprintOrderingMatchesTableVI)

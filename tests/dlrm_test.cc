@@ -329,25 +329,12 @@ INSTANTIATE_TEST_SUITE_P(
         }
     });
 
-TEST(TrainableDlrmTest, EmbeddingBytesTableVsDhe)
-{
-    DlrmConfig cfg = TinyConfig();
-    cfg.table_sizes = {100000, 100000, 100000};
-    Rng rng(11);
-    TrainableDlrm table_model(cfg, EmbeddingMode::kTable, rng);
-    TrainableDlrm dhe_model(cfg, EmbeddingMode::kDheVaried, rng);
-    EXPECT_GT(table_model.EmbeddingParamBytes(),
-              dhe_model.EmbeddingParamBytes());
-}
-
 TEST(TrainableDlrmTest, AccessorsGuardMode)
 {
     Rng rng(12);
     TrainableDlrm table_model(TinyConfig(), EmbeddingMode::kTable, rng);
-    EXPECT_NO_THROW(table_model.table(0));
     EXPECT_THROW(table_model.dhe(0), std::logic_error);
     TrainableDlrm dhe_model(TinyConfig(), EmbeddingMode::kDheUniform, rng);
-    EXPECT_THROW(dhe_model.table(0), std::logic_error);
     EXPECT_NO_THROW(dhe_model.dhe(0));
 }
 
@@ -373,7 +360,6 @@ TEST_P(SecureDlrmTest, InferenceRunsAndOutputsProbabilities)
         EXPECT_GE(probs.at(i), 0.0f);
         EXPECT_LE(probs.at(i), 1.0f);
     }
-    EXPECT_GT(model.EmbeddingFootprintBytes(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -392,58 +378,6 @@ INSTANTIATE_TEST_SUITE_P(
           default: return "HybridVaried";
         }
     });
-
-TEST(SecureDlrmTest, PooledInferenceMatchesSingleHotForUnitBags)
-{
-    // With every bag of length 1, pooled inference must equal the
-    // single-hot path exactly.
-    const DlrmConfig cfg = TinyConfig();
-    Rng rng(30);
-    std::vector<std::unique_ptr<core::EmbeddingGenerator>> gens;
-    for (int64_t s : cfg.table_sizes) {
-        gens.push_back(core::MakeGenerator(core::GenKind::kLinearScan, s,
-                                           cfg.emb_dim, rng));
-    }
-    Rng mlp_rng(31);
-    SecureDlrm model(cfg, std::move(gens), mlp_rng);
-    SyntheticCtrDataset ds(cfg, 32);
-    const CtrBatch b = ds.NextBatch(4);
-
-    std::vector<std::vector<int64_t>> offsets(
-        b.sparse.size(), std::vector<int64_t>{0, 1, 2, 3, 4});
-    const Tensor single = model.Inference(b.dense, b.sparse);
-    const Tensor pooled =
-        model.InferencePooled(b.dense, b.sparse, offsets);
-    EXPECT_TRUE(pooled.AllClose(single, 1e-5f));
-}
-
-TEST(SecureDlrmTest, PooledInferenceHandlesVariableBags)
-{
-    const DlrmConfig cfg = TinyConfig();
-    Rng rng(33);
-    std::vector<std::unique_ptr<core::EmbeddingGenerator>> gens;
-    for (int64_t s : cfg.table_sizes) {
-        gens.push_back(core::MakeGenerator(core::GenKind::kDheVaried, s,
-                                           cfg.emb_dim, rng));
-    }
-    Rng mlp_rng(34);
-    SecureDlrm model(cfg, std::move(gens), mlp_rng);
-
-    const int64_t batch = 3;
-    Tensor dense = Tensor::Randn({batch, cfg.num_dense}, rng);
-    // Feature 0: bags {1,2}, {}, {0}; features 1/2: single-hot.
-    std::vector<std::vector<int64_t>> ids{{1, 2, 0}, {0, 1, 2},
-                                          {3, 4, 5}};
-    std::vector<std::vector<int64_t>> offsets{{0, 2, 2, 3},
-                                              {0, 1, 2, 3},
-                                              {0, 1, 2, 3}};
-    const Tensor probs = model.InferencePooled(dense, ids, offsets);
-    EXPECT_EQ(probs.shape(), (Shape{batch}));
-    for (int64_t i = 0; i < batch; ++i) {
-        EXPECT_GE(probs.at(i), 0.0f);
-        EXPECT_LE(probs.at(i), 1.0f);
-    }
-}
 
 TEST(SecureDlrmTest, SecureMatchesNonSecureWithSameTables)
 {

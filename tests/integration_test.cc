@@ -16,6 +16,7 @@
 #include "profile/profiler.h"
 #include "sidechannel/attacker.h"
 #include "sidechannel/oblivious_check.h"
+#include "test_util.h"
 
 namespace secemb {
 namespace {
@@ -178,11 +179,13 @@ TEST(IntegrationTest, LlmSecureGenerationMatchesAcrossProtections)
     const std::vector<std::vector<int64_t>> prompts{{9, 8, 7},
                                                     {1, 2, 3}};
     const auto base =
-        build(core::GenKind::kIndexLookup)->Generate(prompts, 4);
-    EXPECT_EQ(build(core::GenKind::kLinearScan)->Generate(prompts, 4),
-              base);
-    EXPECT_EQ(build(core::GenKind::kCircuitOram)->Generate(prompts, 4),
-              base);
+        test::GreedyDecode(*build(core::GenKind::kIndexLookup), prompts, 4);
+    EXPECT_EQ(
+        test::GreedyDecode(*build(core::GenKind::kLinearScan), prompts, 4),
+        base);
+    EXPECT_EQ(
+        test::GreedyDecode(*build(core::GenKind::kCircuitOram), prompts, 4),
+        base);
 }
 
 TEST(IntegrationTest, ProfiledHybridNeverSlowerThanWorstPure)

@@ -30,7 +30,6 @@
 
 #include "nn/layers.h"
 #include "nn/optim.h"
-#include "nn/serialize.h"
 #include "telemetry/telemetry.h"
 #include "tensor/aligned.h"
 #include "tensor/gemm.h"
@@ -41,6 +40,7 @@
 #include "verify/harness.h"
 
 #include "kernel_tier.h"
+#include "test_util.h"
 
 namespace secemb {
 namespace {
@@ -172,8 +172,8 @@ TEST(KernelShapeCheckTest, GemmRejectsMismatchedB)
     Tensor a({4, 8}), c({4, 5});
     Tensor b_bad_cols({8, 6});   // n disagrees with C
     Tensor b_bad_rows({7, 5});   // inner dim disagrees with A
-    EXPECT_THROW(Gemm(a, b_bad_cols, c), std::invalid_argument);
-    EXPECT_THROW(Gemm(a, b_bad_rows, c), std::invalid_argument);
+    EXPECT_THROW(test::PackedGemm(a, b_bad_cols, c), std::invalid_argument);
+    EXPECT_THROW(test::PackedGemm(a, b_bad_rows, c), std::invalid_argument);
     EXPECT_THROW(GemmNaive(a, b_bad_cols, c), std::invalid_argument);
 }
 
@@ -236,7 +236,7 @@ TEST(KernelPropertyTest, GemmMatchesNaiveOnEveryTier)
             const Tensor b = Tensor::Randn({tc.k, tc.n}, rng);
             Tensor want({tc.m, tc.n}), got({tc.m, tc.n});
             GemmNaive(a, b, want);
-            Gemm(a, b, got, tc.nthreads);
+            test::PackedGemm(a, b, got, tc.nthreads);
             ASSERT_LE(MaxRelError(got, want), kRelTol)
                 << kernels::IsaName(isa) << " m=" << tc.m << " k=" << tc.k
                 << " n=" << tc.n << " t=" << tc.nthreads;
@@ -293,12 +293,12 @@ TEST(KernelPropertyTest, TiersAgreeWithEachOther)
     Tensor base({65, 129});
     {
         ScopedIsa scoped(tiers.front());
-        Gemm(a, b, base);
+        test::PackedGemm(a, b, base);
     }
     for (size_t i = 1; i < tiers.size(); ++i) {
         ScopedIsa scoped(tiers[i]);
         Tensor got({65, 129});
-        Gemm(a, b, got);
+        test::PackedGemm(a, b, got);
         EXPECT_LE(MaxRelError(got, base), kRelTol)
             << kernels::IsaName(tiers[i]);
     }
@@ -1044,33 +1044,17 @@ TEST_P(LinearPackTest, ForwardsPackOnce)
 
 TEST_P(LinearPackTest, OptimizerStepsRepack)
 {
-    // Learning rates large enough that stale panels would miss the
+    // A learning rate large enough that stale panels would miss the
     // int8 bound by a wide margin.
-    nn::Sgd sgd(lin_.Parameters(), 0.5f);
     nn::Adam adam(lin_.Parameters(), 0.5f);
     ExpectForward(lin_, x_, Pack::kMiss);
-    for (nn::Optimizer* opt : {static_cast<nn::Optimizer*>(&sgd),
-                               static_cast<nn::Optimizer*>(&adam)}) {
+    for (int step = 0; step < 2; ++step) {
         lin_.ZeroGrad();
         lin_.Backward(Tensor::Ones({x_.size(0), lin_.out_features()}));
-        opt->Step();
+        adam.Step();
         ExpectForward(lin_, x_, Pack::kRepack);
         ExpectForward(lin_, x_, Pack::kHit);
     }
-}
-
-TEST_P(LinearPackTest, LoadParametersRepacks)
-{
-    ExpectForward(lin_, x_, Pack::kMiss);
-    Rng other_rng(157);
-    nn::Linear other(48, 40, other_rng);
-    const std::string path = ::testing::TempDir() + "secemb_linear_pack_" +
-                             kernels::DtypeName(GetParam()) + ".bin";
-    nn::SaveParameters(other.Parameters(), path);
-    nn::LoadParameters(lin_.Parameters(), path);
-    std::remove(path.c_str());
-    ExpectForward(lin_, x_, Pack::kRepack);
-    ExpectForward(lin_, x_, Pack::kHit);
 }
 
 TEST_P(LinearPackTest, SetDtypeRepacks)

@@ -342,16 +342,6 @@ INSTANTIATE_TEST_SUITE_P(Modes, GptModeTest,
                                         : "Dhe";
                          });
 
-TEST(GptModelTest, TokenEmbeddingBytesSmallerWithDhe)
-{
-    GptConfig cfg = GptConfig::Tiny();
-    cfg.vocab_size = 5000;
-    Rng rng(10);
-    GptModel table(cfg, TokenEmbMode::kTable, rng);
-    GptModel dhe(cfg, TokenEmbMode::kDhe, rng);
-    EXPECT_LT(dhe.TokenEmbeddingBytes(), table.TokenEmbeddingBytes());
-}
-
 class SecureGptKindTest : public ::testing::TestWithParam<core::GenKind>
 {
 };
@@ -369,7 +359,7 @@ TEST_P(SecureGptKindTest, PrefillDecodeGenerate)
     const Tensor logits = model.Prefill(prompts);
     EXPECT_EQ(logits.shape(), (Shape{2, cfg.vocab_size}));
 
-    const auto gen_tokens = model.Generate(prompts, 3);
+    const auto gen_tokens = test::GreedyDecode(model, prompts, 3);
     EXPECT_EQ(gen_tokens.size(), 2u);
     EXPECT_EQ(gen_tokens[0].size(), 3u);
     for (const auto& seq : gen_tokens) {
@@ -429,7 +419,8 @@ TEST(SecureGptTest, DeterministicGenerationAcrossEquivalentBackends)
     auto a = build(core::GenKind::kIndexLookup);
     auto b = build(core::GenKind::kLinearScan);
     const std::vector<std::vector<int64_t>> prompts{{3, 1, 4, 1, 5}};
-    EXPECT_EQ(a->Generate(prompts, 5), b->Generate(prompts, 5));
+    EXPECT_EQ(test::GreedyDecode(*a, prompts, 5),
+              test::GreedyDecode(*b, prompts, 5));
 }
 
 TEST(CorpusTest, TokensInRangeAndDeterministic)
@@ -467,7 +458,8 @@ TEST(CorpusTest, HasLearnableStructure)
 
 TEST(GptConfigTest, Presets)
 {
-    const GptConfig medium = GptConfig::Gpt2Medium();
+    // The default configuration is the paper's GPT-2 medium.
+    const GptConfig medium;
     EXPECT_EQ(medium.vocab_size, 50257);
     EXPECT_EQ(medium.dim, 1024);
     EXPECT_EQ(medium.num_layers, 24);

@@ -265,26 +265,6 @@ TEST(LossTest, PerplexityIsExpOfCrossEntropy)
     EXPECT_NEAR(Perplexity(std::log(14.6f)), 14.6f, 1e-3f);
 }
 
-TEST(OptimTest, SgdStepMovesAgainstGradient)
-{
-    Parameter p(Tensor::Values({1.0f, 2.0f}));
-    p.grad = Tensor::Values({0.5f, -1.0f});
-    Sgd opt({&p}, 0.1f);
-    opt.Step();
-    EXPECT_NEAR(p.value.at(0), 0.95f, 1e-6f);
-    EXPECT_NEAR(p.value.at(1), 2.1f, 1e-6f);
-}
-
-TEST(OptimTest, MomentumAccumulates)
-{
-    Parameter p(Tensor::Values({0.0f}));
-    Sgd opt({&p}, 0.1f, 0.9f);
-    p.grad = Tensor::Values({1.0f});
-    opt.Step();  // v=1, w=-0.1
-    opt.Step();  // v=1.9, w=-0.29
-    EXPECT_NEAR(p.value.at(0), -0.29f, 1e-5f);
-}
-
 TEST(OptimTest, AdamConvergesOnQuadratic)
 {
     // Minimise (w - 3)^2 from w = 0.

@@ -168,6 +168,41 @@ TEST(StoreChaosTest, TornWriteDetectedByChecksumOnNextRead)
     EXPECT_EQ(out, pages[static_cast<size_t>(good_page)]);
 }
 
+TEST(StoreChaosTest, ClearedChecksumFlagIsRefusedNotObeyed)
+{
+    // The header carries no checksum of its own, so its checksum flag
+    // must not be a switch: flipping bit 0 of the flags word (offset 12,
+    // after the 8-byte magic and the version) beside a torn data byte
+    // must not turn the torn page into a clean read.
+    const std::string path = TempPath("flag_flip.store");
+    std::vector<std::vector<uint8_t>> pages;
+    SeedStoreFile(path, &pages);
+    const uint64_t data_offset = static_cast<uint64_t>(
+        StoreFileDataOffset(/*page_bytes=*/256, /*num_pages=*/8));
+    fault::CorruptFileBytes(path, /*seed=*/205, /*flips=*/1,
+                            /*skip_prefix=*/data_offset);
+    {
+        std::fstream f(path,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekg(12);
+        const char flags = static_cast<char>(f.get());
+        f.seekp(12);
+        f.put(static_cast<char>(flags ^ 1));
+        ASSERT_TRUE(f.good());
+    }
+
+    for (StoreBackend backend : {StoreBackend::kFile, StoreBackend::kMmap}) {
+        StoreConfig config = FileConfig(path);
+        config.backend = backend;
+        config.create = false;
+        std::unique_ptr<BackingStore> store;
+        EXPECT_EQ(MakeBackingStore(config, 8, &store).code,
+                  serving::StatusCode::kInvalidArgument)
+            << StoreBackendName(backend);
+        EXPECT_EQ(store, nullptr);
+    }
+}
+
 TEST(StoreChaosTest, TruncationIsShortReadOnFileAndOpenErrorOnMmap)
 {
     const std::string path = TempPath("truncated.store");

@@ -159,6 +159,10 @@ TEST(StoreTest, ReopenGeometryMismatchIsTyped)
     config.page_bytes = 256;  // right page size, wrong page count
     EXPECT_EQ(MakeBackingStore(config, 9, &store).code,
               serving::StatusCode::kInvalidArgument);
+
+    // A refused open leaves the file as it was: the right geometry
+    // still opens it.
+    EXPECT_TRUE(MakeBackingStore(config, 8, &store).ok());
 }
 
 TEST(StoreTest, PagedScanMatchesInRamScan)

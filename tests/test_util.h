@@ -3,15 +3,20 @@
 /**
  * @file
  * Shared test helpers: finite-difference gradient checking against the
- * analytic backward passes.
+ * analytic backward passes, A * B through the packed GEMM path, and the
+ * greedy decode loop.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <vector>
 
+#include "llm/gpt.h"
 #include "nn/module.h"
+#include "tensor/gemm.h"
 #include "tensor/tensor.h"
 
 namespace secemb::test {
@@ -42,6 +47,40 @@ ExpectGradientsClose(const std::function<float(const Tensor&)>& loss,
         EXPECT_NEAR(numeric, analytic, tol * scale)
             << "coordinate " << i;
     }
+}
+
+/**
+ * C = A * B through a transient f32 pack for the active tier, the
+ * packed-B path every nn::Linear runs (no bias, no activation).
+ */
+inline void
+PackedGemm(const Tensor& a, const Tensor& b, Tensor& c, int nthreads = 1)
+{
+    kernels::PackedB packed;
+    kernels::PackB(b.data(), b.size(0), b.size(1), /*transposed_src=*/false,
+                   kernels::ActiveIsa(), &packed);
+    AffineActForward(a, packed, Tensor(), c, nthreads);
+}
+
+/**
+ * Greedy decoding as examples/llm_generate.cpp runs it: prefill, then
+ * `steps` oblivious argmaxes, feeding each token back through a decode
+ * step. Returns the generated ids per prompt.
+ */
+inline std::vector<std::vector<int64_t>>
+GreedyDecode(llm::SecureGpt& model,
+             const std::vector<std::vector<int64_t>>& prompts, int steps)
+{
+    Tensor logits = model.Prefill(prompts);
+    std::vector<std::vector<int64_t>> generated(prompts.size());
+    for (int s = 0; s < steps; ++s) {
+        const std::vector<int64_t> next = model.GreedyTokens(logits);
+        for (size_t b = 0; b < generated.size(); ++b) {
+            generated[b].push_back(next[b]);
+        }
+        if (s + 1 < steps) logits = model.DecodeStep(next);
+    }
+    return generated;
 }
 
 }  // namespace secemb::test
