@@ -567,13 +567,15 @@ BENCHMARK(BM_HostFmaPeak);
 /** One core reading a 64 MB buffer end to end, far past the caches:
  * the bandwidth bound of the GEMM rows. Like the f32 tile it prefetches
  * ahead (4 KB), because the hardware prefetcher stops at page
- * boundaries; a plain sweep reads about 20% slower. */
+ * boundaries; a plain sweep reads about 20% slower. `Alloc` picks the
+ * pages the buffer sits on. */
+template <class Alloc>
 void
-BM_HostStreamRead(benchmark::State& state)
+StreamRead(benchmark::State& state)
 {
     constexpr size_t kBytes = size_t{64} << 20;
     constexpr uintptr_t kAhead = 4096;
-    const std::vector<uint64_t> buf(kBytes / sizeof(uint64_t), 1);
+    const std::vector<uint64_t, Alloc> buf(kBytes / sizeof(uint64_t), 1);
     for (auto _ : state) {
         uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
         for (size_t i = 0; i < buf.size(); i += 4) {
@@ -591,7 +593,23 @@ BM_HostStreamRead(benchmark::State& state)
         static_cast<double>(kBytes),
         benchmark::Counter::kIsIterationInvariantRate);
 }
+
+/** The sweep on 4 KiB pages. */
+void
+BM_HostStreamRead(benchmark::State& state)
+{
+    StreamRead<std::allocator<uint64_t>>(state);
+}
 BENCHMARK(BM_HostStreamRead);
+
+/** The sweep on the 2 MiB pages that packed panels of a huge page or
+ * more sit on (kernels::PanelAllocator), like the LM head's. */
+void
+BM_HostStreamReadHuge(benchmark::State& state)
+{
+    StreamRead<kernels::PanelAllocator<uint64_t>>(state);
+}
+BENCHMARK(BM_HostStreamReadHuge);
 
 // ---------------------------------------------------------------------------
 // gemm-kernel mode: naive vs packed vs packed+fused epilogue
@@ -901,12 +919,15 @@ BM_GemmKernelSkinnyM(benchmark::State& state)
  * emit the secemb-bench-v1 JSON document next to the usual table. It
  * also gives every BM_GemmKernel* row an integer `pct_of_bound`: the
  * row's time as a percentage of the larger of its compute time at the
- * BM_HostFmaPeak rate and its traffic time at the BM_HostStreamRead
- * rate, both from this run (a t-thread row gets t cores' bounds). The
- * stream rate is a DRAM rate taken once per run, so a row can read
- * above 100 when its operands stay cached between iterations or the
- * host's bandwidth rises after the host rows ran. A row gets none when
- * the filter left the host rows out.
+ * BM_HostFmaPeak rate and its traffic time at the stream rate, both
+ * from this run (a t-thread row gets t cores' bounds). The stream rate
+ * is the larger of BM_HostStreamRead's (4 KiB pages) and
+ * BM_HostStreamReadHuge's (2 MiB pages), so a row whose panel sits on
+ * huge pages is judged against the rate those pages allow. It is a
+ * DRAM rate taken once per run, so a row can read above 100 when its
+ * operands stay cached between iterations or the host's bandwidth
+ * rises after the host rows ran. A row gets none when the filter left
+ * the host rows out.
  */
 class CollectingReporter : public benchmark::ConsoleReporter
 {
@@ -923,6 +944,7 @@ class CollectingReporter : public benchmark::ConsoleReporter
     ReportRuns(const std::vector<Run>& reported) override
     {
         std::vector<Run> runs = reported;
+        double stream_bytes = 0.0;
         for (Run& run : runs) {
             // Repetitions: bounds and percentages come from each run and
             // the median, not from the mean, stddev or cv rows.
@@ -935,7 +957,8 @@ class CollectingReporter : public benchmark::ConsoleReporter
             if (name.rfind("BM_HostFmaPeak", 0) == 0) {
                 peak_flops_ = run.counters["flops"].value;
             } else if (name.rfind("BM_HostStreamRead", 0) == 0) {
-                read_bytes_ = run.counters["bytes"].value;
+                // The last run of a row: the median under repetitions.
+                stream_bytes = run.counters["bytes"].value;
             } else if (name.rfind("BM_GemmKernel", 0) == 0 &&
                        peak_flops_ > 0.0 && read_bytes_ > 0.0) {
                 const size_t t = name.find("threads:");
@@ -949,6 +972,7 @@ class CollectingReporter : public benchmark::ConsoleReporter
                     benchmark::Counter(std::round(100.0 * share));
             }
         }
+        read_bytes_ = std::max(read_bytes_, stream_bytes);
         for (const Run& run : runs) {
             if (run.error_occurred || run.iterations <= 0) continue;
             CapturedRun captured;

@@ -20,7 +20,7 @@ RoundUpPow2(size_t n)
 }
 
 // A FlightEvent packs into four 64-bit words so slots can be arrays of
-// relaxed atomics: writers and readers may race on a wrapped slot, and
+// atomics: writers and readers may race on a wrapped slot, and
 // word-atomic payloads keep that race benign (and TSan-clean) — the
 // stamp check then discards any mixed read.
 constexpr size_t kEventWords = 4;
@@ -90,13 +90,16 @@ FlightRecorder::Record(const FlightEvent& event) noexcept
 {
     const uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
     Slot& slot = slots_[seq & mask_];
-    // Invalidate, write payload (relaxed word atomics), publish. Readers
-    // accept only when the stamp is identical before and after copying.
+    // Invalidate, write payload, publish. Readers accept only when the
+    // stamp is identical before and after copying. The word stores are
+    // release stores so that they cannot move above the invalidation: a
+    // reader that sees any word of this event also sees the cleared
+    // stamp. On x86 they compile to plain moves.
     slot.stamp.store(0, std::memory_order_release);
     uint64_t w[4];
     Encode(event, w);
     for (size_t i = 0; i < 4; ++i) {
-        slot.words[i].store(w[i], std::memory_order_relaxed);
+        slot.words[i].store(w[i], std::memory_order_release);
     }
     slot.stamp.store(seq + 1, std::memory_order_release);
 }
@@ -113,11 +116,13 @@ FlightRecorder::Snapshot() const
         const Slot& slot = slots_[seq & mask_];
         const uint64_t s1 = slot.stamp.load(std::memory_order_acquire);
         if (s1 != seq + 1) continue;  // overwritten or mid-write
+        // Acquire word loads, not a fence (which TSan does not model):
+        // the second stamp load cannot move above them, and a word of a
+        // newer event brings that event's cleared stamp with it.
         uint64_t w[4];
         for (size_t i = 0; i < 4; ++i) {
-            w[i] = slot.words[i].load(std::memory_order_relaxed);
+            w[i] = slot.words[i].load(std::memory_order_acquire);
         }
-        std::atomic_thread_fence(std::memory_order_acquire);
         const uint64_t s2 = slot.stamp.load(std::memory_order_relaxed);
         if (s1 != s2) continue;  // torn: overwritten while copying
         out.push_back(Decode(w));

@@ -14,13 +14,13 @@
  * dumps the whole window for chrome://tracing.
  *
  * Concurrency: Record() is wait-free for writers (one fetch_add claiming
- * a slot, plain stores, one release store publishing it). Readers run
- * concurrently and validate each slot's stamp before and after copying,
- * discarding entries that were being overwritten mid-copy. An entry can
- * be misread only if the ring wraps a full capacity during one half-
- * finished write — capacity choices make that astronomically unlikely,
- * and a torn read at worst drops a diagnostic event, never corrupts the
- * server.
+ * a slot, release stores of the cleared stamp and the payload words, one
+ * release store publishing it). Readers run concurrently and validate
+ * each slot's stamp before and after copying, discarding entries that
+ * were being overwritten mid-copy. An entry can be misread only if the
+ * ring wraps a full capacity during one half-finished write — capacity
+ * choices make that astronomically unlikely, and a torn read at worst
+ * drops a diagnostic event, never corrupts the server.
  *
  * Observability rule: events are recorded at public control-flow points
  * with public payloads (ids, depths, status codes) — never index values —

@@ -59,10 +59,11 @@ struct AlignedAllocator64
     }
 };
 
-/** The storage type behind Tensor payloads and packed kernel panels. */
+/** The storage type behind Tensor payloads and GEMM scratch. Packed
+ * panels use kernels::PanelAllocator. */
 using AlignedFloatVector = std::vector<float, AlignedAllocator64<float>>;
 
-/** Aligned raw storage for quantized (bf16/int8) packed panels. */
+/** Aligned raw storage for quantized (bf16/int8) A-pack scratch. */
 using AlignedByteVector =
     std::vector<unsigned char, AlignedAllocator64<unsigned char>>;
 

@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <string>
 
+#include <sys/mman.h>
+
 #include "telemetry/telemetry.h"
 #include "tensor/kernels/driver.h"
 
@@ -262,6 +264,13 @@ EffectiveIsaFor(Isa want, Dtype dtype)
         }
     }
     return Isa::kScalar;
+}
+
+void
+AdviseHugePages(void* p, std::size_t bytes)
+{
+    const std::size_t whole = bytes / kHugePageBytes * kHugePageBytes;
+    (void)madvise(p, whole, MADV_HUGEPAGE);
 }
 
 void

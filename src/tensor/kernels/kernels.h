@@ -17,7 +17,8 @@
  * satisfy clamp down to the widest supported tier.
  *
  * B operands are packed into 64-byte-aligned NR-wide column panels
- * (cache-blocked MC/KC/NC traversal). This layer keeps no weight state:
+ * (cache-blocked MC/KC/NC traversal), on 2 MiB pages from one huge
+ * page up (PanelAllocator). This layer keeps no weight state:
  * a PackedB belongs to its caller. nn::Linear owns the panels of its
  * weight and repacks only when the weight's version, its precision or
  * the effective tier changes, so serving workloads pack each FC weight
@@ -34,7 +35,9 @@
 
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "tensor/aligned.h"
@@ -220,11 +223,73 @@ struct Epilogue
 // Packed operands
 // ---------------------------------------------------------------------------
 
+/** One x86-64 transparent huge page. */
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+/**
+ * madvise(MADV_HUGEPAGE) on the whole huge pages of [p, p + bytes),
+ * where `p` is kHugePageBytes-aligned. A failure (a kernel built
+ * without THP) is ignored: the pages stay 4 KiB and hold the same bytes.
+ */
+void AdviseHugePages(void* p, std::size_t bytes);
+
+/**
+ * The allocator of packed panels. A request of at least one huge page
+ * starts on a 2 MiB boundary, and its whole huge pages are advised
+ * before the vector's zero-fill first touches them, so the GEMM's B
+ * stream walks 2 MiB pages; the partial tail stays on 4 KiB pages, so
+ * resident memory does not grow. Smaller requests take
+ * AlignedAllocator64's path. Panels are packed once and then read by
+ * every call, which is why they, and not tensors or scratch, get this.
+ */
+template <class T>
+struct PanelAllocator
+{
+    using value_type = T;
+
+    PanelAllocator() = default;
+    template <class U>
+    PanelAllocator(const PanelAllocator<U>&)
+    {
+    }
+
+    T*
+    allocate(std::size_t n)
+    {
+        const std::size_t bytes = n * sizeof(T);
+        if (bytes < kHugePageBytes) {
+            return AlignedAllocator64<T>().allocate(n);
+        }
+        void* p = ::operator new(bytes, std::align_val_t{kHugePageBytes});
+        AdviseHugePages(p, bytes);
+        return static_cast<T*>(p);
+    }
+
+    void
+    deallocate(T* p, std::size_t n)
+    {
+        const std::size_t bytes = n * sizeof(T);
+        if (bytes < kHugePageBytes) {
+            AlignedAllocator64<T>().deallocate(p, n);
+        } else {
+            ::operator delete(p, bytes, std::align_val_t{kHugePageBytes});
+        }
+    }
+
+    template <class U>
+    bool
+    operator==(const PanelAllocator<U>&) const
+    {
+        return true;
+    }
+};
+
 /**
  * B (k x n) packed into NR-wide column panels for one tier: panel j
  * holds rows 0..k of columns [j*nr, j*nr+nr) as k contiguous nr-float
- * groups, zero-padded to nr. The buffer is 64-byte aligned and panel
- * strides preserve that alignment.
+ * groups, zero-padded to nr. The buffer is 64-byte aligned (2 MiB
+ * aligned from one huge page up, see PanelAllocator) and panel strides
+ * preserve that alignment.
  *
  * Quantized precisions store panels in `qdata` instead of `data`:
  *   kBf16 : the same group layout with 2-byte bf16 elements.
@@ -243,8 +308,9 @@ struct PackedB
     Isa isa = Isa::kScalar;
     Dtype dtype = Dtype::kF32;
     bool transposed_src = false;  ///< packed from an n x k (B^T) source
-    AlignedFloatVector data;      ///< kF32 panels
-    AlignedByteVector qdata;      ///< kBf16 / kInt8 panels
+    std::vector<float, PanelAllocator<float>> data;  ///< kF32 panels
+    /** kBf16 / kInt8 panels. */
+    std::vector<unsigned char, PanelAllocator<unsigned char>> qdata;
     /** kInt8: dequant scale per padded column (panels() * nr). */
     AlignedFloatVector col_scales;
     /** kInt8: per k-block sums of the quantized column values, indexed

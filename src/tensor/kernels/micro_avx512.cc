@@ -24,11 +24,14 @@ struct MicroAvx512
 {
     static constexpr int kMr = 8;
     static constexpr int kNr = 32;
-    /** B-panel prefetch distance in k steps: 16 groups of 128 B run
-     * 2 KB ahead of the loads. On the 4 x 256 x 50257 LM head, one
-     * thread, 16 steps took 4.3 ms against 6.3 ms at 8, 5.8 ms at 32
-     * and 8.9 ms with no prefetch (medians of 6 interleaved runs). */
-    static constexpr int64_t kPrefetchSteps = 16;
+    /** B-panel prefetch distance in k steps: 64 groups of 128 B run
+     * 8 KB ahead of the loads. On the 4 x 256 x 50257 LM head, one
+     * thread, with its panel on 2 MiB pages, 64 steps took 4.21 ms
+     * against 4.54 ms at 16 and 4.25 ms at 32 (medians of 6 interleaved
+     * runs on a Xeon of family 6, model 143; 64 beat 16 in all 6), and
+     * no m = 32 dlrm-batch shape got slower. 16 steps on 4 KiB pages
+     * took 5.78 ms there. */
+    static constexpr int64_t kPrefetchSteps = 64;
 
     static void
     Tile(const float* pa, const float* pb, int64_t kc, float* acc)

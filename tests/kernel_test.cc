@@ -46,6 +46,7 @@ namespace secemb {
 namespace {
 
 using kernels::Activation;
+using kernels::Dtype;
 using kernels::Isa;
 
 /** Forces a tier for the scope of a test; restores normal selection. */
@@ -161,6 +162,100 @@ TEST(KernelAlignmentTest, PackedPanelsAre64ByteAligned)
         EXPECT_EQ((packed.nr * 4) % 64 == 0 || (64 % (packed.nr * 4)) == 0,
                   true);
     }
+}
+
+/** The VmFlags and AnonHugePages of the /proc/self/smaps mapping that
+ * holds `p`; `found` stays false when no mapping does. */
+struct SmapsEntry
+{
+    bool found = false;
+    std::string vm_flags;
+    std::string anon_huge_pages;
+};
+
+SmapsEntry
+SmapsEntryOf(const void* p)
+{
+    SmapsEntry entry;
+    std::FILE* f = std::fopen("/proc/self/smaps", "r");
+    if (f == nullptr) return entry;
+    const auto addr = reinterpret_cast<unsigned long>(p);
+    bool inside = false;
+    char line[512];
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+        unsigned long lo = 0, hi = 0;
+        char perms[8];
+        if (std::sscanf(line, "%lx-%lx %7s", &lo, &hi, perms) == 3) {
+            if (entry.found) break;  // past the entry's last field
+            inside = lo <= addr && addr < hi;
+            entry.found = inside;
+        } else if (inside) {
+            std::string field(line);
+            field.erase(field.find_last_not_of(" \n") + 1);
+            if (field.rfind("VmFlags:", 0) == 0) {
+                entry.vm_flags = field.substr(8) + " ";
+            } else if (field.rfind("AnonHugePages:", 0) == 0) {
+                entry.anon_huge_pages = field.substr(14);
+            }
+        }
+    }
+    std::fclose(f);
+    return entry;
+}
+
+TEST(KernelAlignmentTest, PanelsOfAHugePageSitOnAdvisedHugePages)
+{
+    const char* thp = "/sys/kernel/mm/transparent_hugepage/enabled";
+    std::FILE* mode_file = std::fopen(thp, "r");
+    if (mode_file == nullptr) {
+        GTEST_SKIP() << "no " << thp << ": kernel built without THP";
+    }
+    char mode[128] = {};
+    if (std::fgets(mode, sizeof(mode), mode_file) == nullptr) mode[0] = 0;
+    std::fclose(mode_file);
+    std::printf("THP enabled: %s", mode);
+
+    // k = 256, n = 8192: 8 MiB at f32, 4 MiB at bf16 and 2 MiB at int8,
+    // on every tier.
+    constexpr int64_t kK = 256, kN = 8192;
+    Rng rng(24);
+    const Tensor b = Tensor::Randn({kK, kN}, rng);
+    for (Isa isa : SupportedTiers()) {
+        for (Dtype dtype : {Dtype::kF32, Dtype::kBf16, Dtype::kInt8}) {
+            kernels::PackedB packed;
+            kernels::PackB(b.data(), kK, kN, /*transposed_src=*/false, isa,
+                           dtype, &packed);
+            const bool f32 = dtype == Dtype::kF32;
+            const void* panels = f32 ? static_cast<const void*>(
+                                           packed.data.data())
+                                     : packed.qdata.data();
+            const size_t bytes = f32 ? packed.data.size() * sizeof(float)
+                                     : packed.qdata.size();
+            const std::string where = std::string(kernels::IsaName(isa)) +
+                                      "/" + kernels::DtypeName(dtype);
+            ASSERT_GE(bytes, kernels::kHugePageBytes) << where;
+            EXPECT_EQ(reinterpret_cast<uintptr_t>(panels) %
+                          kernels::kHugePageBytes,
+                      0u)
+                << where;
+            const SmapsEntry entry = SmapsEntryOf(panels);
+            ASSERT_TRUE(entry.found) << where;
+            EXPECT_NE(entry.vm_flags.find(" hg "), std::string::npos)
+                << where << ": VmFlags:" << entry.vm_flags;
+            // Whether the kernel granted huge pages depends on free
+            // memory, so this is printed, not asserted.
+            std::printf("%s: %zu bytes, AnonHugePages:%s\n", where.c_str(),
+                        bytes, entry.anon_huge_pages.c_str());
+        }
+    }
+
+    // Under one huge page (1 MiB at f32): the 64-byte path.
+    const Tensor small = Tensor::Randn({kK, 1024}, rng);
+    kernels::PackedB packed;
+    kernels::PackB(small.data(), kK, 1024, /*transposed_src=*/false,
+                   kernels::ActiveIsa(), &packed);
+    ASSERT_LT(packed.data.size() * sizeof(float), kernels::kHugePageBytes);
+    EXPECT_TRUE(IsAligned64(packed.data.data()));
 }
 
 // ---------------------------------------------------------------------------
@@ -688,8 +783,6 @@ TEST(APackScratchTest, ScratchShrinksAfterLargePack)
 // ---------------------------------------------------------------------------
 // Low-precision tiers (int8 / bf16)
 // ---------------------------------------------------------------------------
-
-using kernels::Dtype;
 
 /** Forces a precision for the scope of a test; restores env selection. */
 class ScopedDtype
