@@ -8,7 +8,10 @@
  * vocabulary but shrink the transformer (dim 256, 4 layers), prompt and
  * decode lengths (--prompt/--decode/--vocab/--dim to override): the
  * comparison under test is *between embedding techniques* on an
- * identical trunk, which the scaling preserves.
+ * identical trunk, which the scaling preserves. TBT is the mean of
+ * --decode steps (default 20) after 2 untimed warm-up steps: over 8
+ * steps with none, one technique's batch-1 decode spread over 6.5–10.8
+ * ms in 5 runs on a 4-vCPU Xeon.
  */
 
 #include <cstdio>
@@ -29,10 +32,11 @@ main(int argc, char** argv)
     const int64_t vocab = args.GetInt("--vocab", 50257);
     const int64_t dim = args.GetInt("--dim", 256);
     const int64_t prompt_len = args.GetInt("--prompt", 48);
-    const int64_t decode_len = args.GetInt("--decode", 8);
+    const int64_t decode_len = args.GetInt("--decode", 20);
+    constexpr int64_t kWarmupSteps = 2;
 
     llm::GptConfig cfg = llm::GptConfig::BenchScale(dim, vocab, 4);
-    cfg.max_seq = prompt_len + decode_len + 8;
+    cfg.max_seq = prompt_len + kWarmupSteps + decode_len + 8;
 
     std::printf("=== Fig. 15: GPT prefill/decode latency per technique "
                 "(vocab %ld, dim %ld, prompt %ld, decode %ld) ===\n\n",
@@ -82,11 +86,12 @@ main(int argc, char** argv)
             Tensor logits = model.Prefill(prompts);
             const double ttft_ns = timer.ElapsedNs();
 
+            auto decode = [&] {
+                logits = model.DecodeStep(model.GreedyTokens(logits));
+            };
+            for (int64_t s = 0; s < kWarmupSteps; ++s) decode();
             timer.Reset();
-            for (int64_t s = 0; s < decode_len; ++s) {
-                const auto next = model.GreedyTokens(logits);
-                logits = model.DecodeStep(next);
-            }
+            for (int64_t s = 0; s < decode_len; ++s) decode();
             const double tbt_ns = timer.ElapsedNs() / decode_len;
 
             table.AddRow({std::string(core::GenKindName(kind)),

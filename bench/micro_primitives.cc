@@ -118,7 +118,7 @@ RunBatchScan(benchmark::State& state, ParallelImpl&& parallel_for)
     std::vector<float> out(static_cast<size_t>(batch * cols));
     for (auto _ : state) {
         parallel_for(batch, kCmpThreads, [&](int64_t b, int64_t e) {
-            oblivious::ScanRows(table.flat(), 0, cols, ids, {}, b, e, out);
+            oblivious::ScanRows(table.flat(), 0, cols, ids, b, e, out);
         });
         benchmark::DoNotOptimize(out.data());
         benchmark::ClobberMemory();
@@ -238,7 +238,7 @@ BM_LinearScanLookup(benchmark::State& state)
     int64_t idx = 0;
     for (auto _ : state) {
         const int64_t id = idx++ % rows;
-        oblivious::ScanRows(table.flat(), 0, cols, {&id, 1}, {}, 0, 1, out);
+        oblivious::ScanRows(table.flat(), 0, cols, {&id, 1}, 0, 1, out);
         benchmark::DoNotOptimize(out.data());
         benchmark::ClobberMemory();
     }
@@ -264,7 +264,7 @@ BM_ScanRowsBatch(benchmark::State& state)
     }
     std::vector<float> out(static_cast<size_t>(ids_n * cols));
     for (auto _ : state) {
-        oblivious::ScanRows(table.flat(), 0, cols, ids, {}, 0, ids_n, out);
+        oblivious::ScanRows(table.flat(), 0, cols, ids, 0, ids_n, out);
         benchmark::DoNotOptimize(out.data());
         benchmark::ClobberMemory();
     }

@@ -159,7 +159,7 @@ main(int argc, char** argv)
             oram::ProxyConfig pc;
             pc.batch_window = window;
             auto p = std::make_unique<core::ProxiedOramTable>(
-                table, oram::OramKind::kPath, rng, nullptr, pc);
+                table, oram::OramKind::kPath, rng, pc);
             proxied = p.get();
             gen = std::move(p);
         }

@@ -107,8 +107,7 @@ RunLoad(const std::shared_ptr<core::EmbeddingGenerator>& gen,
                              .GetHistogram("serving.queue_depth.sample")
                              .TakeSnapshot();
     if (!flight_trace_path.empty() &&
-        server.flight_recorder() != nullptr &&
-        !server.flight_recorder()->WriteChromeTrace(flight_trace_path)) {
+        !server.flight_recorder().WriteChromeTrace(flight_trace_path)) {
         std::fprintf(stderr, "srv01: cannot write %s\n",
                      flight_trace_path.c_str());
     }

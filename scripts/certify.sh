@@ -44,8 +44,9 @@ while [[ $# -gt 0 ]]; do
     esac
 done
 
-echo "== [1/9] Build =="
-cmake -S "${REPO_ROOT}" -B "${BUILD_DIR}" -DCMAKE_BUILD_TYPE=Release
+echo "== [1/9] Build (warnings are errors) =="
+cmake -S "${REPO_ROOT}" -B "${BUILD_DIR}" -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "${BUILD_DIR}" -j"$(nproc)"
 
 PRECISIONS=(f32 bf16 int8)

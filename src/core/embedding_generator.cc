@@ -1,6 +1,8 @@
 #include "core/embedding_generator.h"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace secemb::core {
 
@@ -9,17 +11,17 @@ EmbeddingGenerator::GeneratePooled(std::span<const int64_t> indices,
                                    std::span<const int64_t> offsets,
                                    Tensor& out)
 {
-    assert(offsets.size() >= 1);
+    if (offsets.empty() || offsets.front() != 0 ||
+        offsets.back() != static_cast<int64_t>(indices.size()) ||
+        !std::is_sorted(offsets.begin(), offsets.end())) {
+        throw std::invalid_argument(
+            "GeneratePooled: offsets must run from 0 to indices.size() "
+            "without decreasing");
+    }
     const int64_t n = static_cast<int64_t>(offsets.size()) - 1;
     const int64_t d = dim();
     assert(out.size(0) == n && out.size(1) == d);
-    assert(offsets[0] == 0 &&
-           offsets[static_cast<size_t>(n)] ==
-               static_cast<int64_t>(indices.size()));
 
-    // Default: generate every bag element, then segment-sum. Each
-    // element generation is oblivious per the concrete technique, and
-    // the summation pattern depends only on the public bag lengths.
     Tensor all({static_cast<int64_t>(indices.size()), d});
     Generate(indices, all);
     out.Fill(0.0f);

@@ -60,9 +60,12 @@ class EmbeddingGenerator
      * its embeddings — the DLRM sum-pooling case where one feature holds
      * several ids per request. out is (offsets.size()-1 x dim()).
      *
-     * Bag lengths are public in the threat model (the number of sparse
-     * accesses is not hidden); the ids themselves remain protected by
-     * the underlying technique.
+     * One Generate call over every bag element, then an in-order sum of
+     * each bag from +0. Bag lengths are public in the threat model (the
+     * number of sparse accesses is not hidden), so the sum reveals
+     * nothing; the ids stay protected by Generate's technique. Throws
+     * std::invalid_argument, before generating anything, unless offsets
+     * run from 0 to indices.size() without decreasing.
      */
     virtual void GeneratePooled(std::span<const int64_t> indices,
                                 std::span<const int64_t> offsets,
@@ -89,7 +92,8 @@ class EmbeddingGenerator
     /**
      * Select the GEMM weight precision for compute-based generators
      * (DHE decoder, hybrid's DHE side): f32 / bf16 / int8
-     * quantize-on-pack. Table-based generators have no GEMM and ignore
+     * quantize-on-pack, overriding the SECEMB_PRECISION default they
+     * were built with. Table-based generators have no GEMM and ignore
      * it. Precision changes arithmetic only — the memory access pattern
      * (and hence the canonical trace) is unchanged at every setting.
      */
@@ -120,8 +124,8 @@ class EmbeddingGenerator
      * Seal a durable checkpoint of any crash-consistent storage this
      * generator owns (RAW ORAM checkpoint + journal reset; a paged scan
      * table syncs its pages). No-op Ok for generators without durable
-     * state. serving::Server calls this on its background checkpoint
-     * interval.
+     * state. A durable RAW ORAM also checkpoints on its own, on its
+     * access count and journal limit.
      */
     virtual serving::Status CheckpointStorage()
     {

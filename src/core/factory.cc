@@ -67,72 +67,41 @@ MakeGenerator(GenKind kind, int64_t table_size, int64_t dim, Rng& rng,
         return g;
       }
       case GenKind::kPathOram:
-        return std::make_unique<OramTable>(
-            table(), oram::OramKind::kPath, rng, opt.oram_params);
+        return std::make_unique<OramTable>(table(), oram::OramKind::kPath,
+                                           rng);
       case GenKind::kCircuitOram:
-        return std::make_unique<OramTable>(
-            table(), oram::OramKind::kCircuit, rng, opt.oram_params);
+        return std::make_unique<OramTable>(table(),
+                                           oram::OramKind::kCircuit, rng);
       case GenKind::kProxyOram:
         return std::make_unique<ProxiedOramTable>(
-            table(), oram::OramKind::kPath, rng, opt.oram_params);
+            table(), oram::OramKind::kPath, rng);
       case GenKind::kPagedScan: {
-        const store::StoreConfig sc =
-            opt.store ? *opt.store : store::StoreConfig{};
-        if (opt.recover_storage) {
-            std::unique_ptr<PagedScanTable> g;
-            store::ThrowIfError(
-                PagedScanTable::Recover(table_size, dim, sc, &g));
-            g->set_nthreads(opt.nthreads);
-            return g;
-        }
         const Tensor t = table();
-        auto g = std::make_unique<PagedScanTable>(t, sc);
+        auto g = std::make_unique<PagedScanTable>(
+            t, opt.store ? *opt.store : store::StoreConfig{});
         g->set_nthreads(opt.nthreads);
         return g;
       }
       case GenKind::kRawOram: {
-        const store::StoreConfig sc =
-            opt.store ? *opt.store : store::StoreConfig{};
-        store::RawOramConfig rc;
-        if (opt.oram_params != nullptr) rc.posmap = *opt.oram_params;
-        if (opt.durability != nullptr) {
-            rc.durability = *opt.durability;
-            // Checkpoints serialize the leaf table directly, which
-            // needs the flat (non-recursive) representation.
-            rc.posmap.enable_recursion = false;
-        }
-        if (opt.recover_storage) {
-            std::unique_ptr<RawOramTable> g;
-            store::ThrowIfError(
-                RawOramTable::Recover(table_size, dim, rng, sc, rc, &g));
-            return g;
-        }
         const Tensor t = table();
-        return std::make_unique<RawOramTable>(t, rng, sc, rc);
+        return std::make_unique<RawOramTable>(
+            t, rng, opt.store ? *opt.store : store::StoreConfig{});
       }
-      case GenKind::kDheUniform: {
-        auto g = std::make_unique<DheGenerator>(
+      case GenKind::kDheUniform:
+        return std::make_unique<DheGenerator>(
             MakeDhe(false, table_size, dim, rng, opt), table_size);
-        g->set_precision(opt.precision);
-        return g;
-      }
-      case GenKind::kDheVaried: {
-        auto g = std::make_unique<DheGenerator>(
+      case GenKind::kDheVaried:
+        return std::make_unique<DheGenerator>(
             MakeDhe(true, table_size, dim, rng, opt), table_size);
-        g->set_precision(opt.precision);
-        return g;
-      }
       case GenKind::kHybridUniform:
       case GenKind::kHybridVaried: {
         static const ThresholdTable kDefault;  // empty -> 4096 fallback
         const ThresholdTable& thr =
             opt.thresholds ? *opt.thresholds : kDefault;
-        auto g = std::make_unique<HybridGenerator>(
+        return std::make_unique<HybridGenerator>(
             MakeDhe(kind == GenKind::kHybridVaried, table_size, dim, rng,
                     opt),
             table_size, thr, opt.batch_size, opt.nthreads);
-        g->set_precision(opt.precision);
-        return g;
       }
     }
     return nullptr;

@@ -12,9 +12,7 @@
 
 #include "core/embedding_generator.h"
 #include "core/hybrid.h"
-#include "oram/params.h"
 #include "store/backing_store.h"
-#include "store/durable.h"
 #include "tensor/rng.h"
 
 namespace secemb::core {
@@ -44,32 +42,11 @@ struct GeneratorOptions
     /** Execution configuration, consumed by the hybrid planner. */
     int batch_size = 32;
     int nthreads = 1;
-    /**
-     * GEMM weight precision for the compute-based kinds (DHE decoder,
-     * hybrid's DHE side); table kinds have no GEMM and ignore it.
-     * Defaults to the process-wide kernels::ActiveDtype()
-     * (SECEMB_PRECISION env var, f32 when unset).
-     */
-    kernels::Dtype precision = kernels::ActiveDtype();
     /** Profiled thresholds for hybrid kinds (nullptr: built-in default). */
     const ThresholdTable* thresholds = nullptr;
-    /** ORAM overrides for the ORAM kinds (nullptr: paper defaults). */
-    const oram::OramParams* oram_params = nullptr;
     /** Backing-store configuration for the out-of-core kinds (nullptr:
      *  in-memory store with StoreConfig defaults). */
     const store::StoreConfig* store = nullptr;
-    /** Crash-consistency configuration for kRawOram (nullptr: off).
-     *  Requires a file-backed `store`; recursion is disabled on the
-     *  position map automatically (checkpoints snapshot a flat map). */
-    const store::DurabilityConfig* durability = nullptr;
-    /**
-     * Reattach to existing on-disk state instead of creating it: the
-     * paged kinds open their stores with create=false and, for durable
-     * kRawOram, replay checkpoint + journal (RawOram::Recover). The
-     * factory throws store::StoreError with the recovery path's typed
-     * status on failure — recover-before-serve must fail closed.
-     */
-    bool recover_storage = false;
     /**
      * Pre-trained weights. If table is non-null it seeds the table-based
      * kinds; if dhe is non-null it seeds the DHE/hybrid kinds. When null,
@@ -81,7 +58,10 @@ struct GeneratorOptions
 
 /**
  * Build a generator of the requested kind for a feature with `table_size`
- * rows and dimension `dim`.
+ * rows and dimension `dim`. ORAM kinds take the paper's parameters, and
+ * compute kinds the process-wide GEMM precision (kernels::ActiveDtype(),
+ * from SECEMB_PRECISION). Out-of-core kinds create their store; to reopen
+ * a durable RAW ORAM after a crash, use RawOramTable::Recover.
  */
 std::unique_ptr<EmbeddingGenerator> MakeGenerator(
     GenKind kind, int64_t table_size, int64_t dim, Rng& rng,

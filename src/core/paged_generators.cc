@@ -12,20 +12,6 @@ PagedScanTable::PagedScanTable(const Tensor& table,
 {
 }
 
-serving::Status
-PagedScanTable::Recover(int64_t rows, int64_t dim,
-                        const store::StoreConfig& config,
-                        std::unique_ptr<PagedScanTable>* out)
-{
-    std::unique_ptr<store::PagedTable> table;
-    if (auto s = store::PagedTable::Recover(rows, dim, config, &table);
-        !s.ok()) {
-        return s;
-    }
-    out->reset(new PagedScanTable(std::move(table)));
-    return serving::Status::Ok();
-}
-
 void
 PagedScanTable::Generate(std::span<const int64_t> indices, Tensor& out)
 {
@@ -33,17 +19,6 @@ PagedScanTable::Generate(std::span<const int64_t> indices, Tensor& out)
            out.size(1) == dim());
     store::ThrowIfError(
         table_.LookupBatch(indices, out.data(), nthreads_));
-}
-
-void
-PagedScanTable::GeneratePooled(std::span<const int64_t> indices,
-                               std::span<const int64_t> offsets,
-                               Tensor& out)
-{
-    assert(out.size(0) == static_cast<int64_t>(offsets.size()) - 1 &&
-           out.size(1) == dim());
-    store::ThrowIfError(
-        table_.LookupPooled(indices, offsets, out.data(), nthreads_));
 }
 
 RawOramTable::RawOramTable(const Tensor& table, Rng& rng,

@@ -34,19 +34,7 @@ class PagedScanTable : public EmbeddingGenerator
      *  Throws store::StoreError on store creation/upload failure. */
     PagedScanTable(const Tensor& table, const store::StoreConfig& config);
 
-    /**
-     * Reattach to an existing on-disk table (store::PagedTable::Recover):
-     * the store header validates geometry, no upload happens. Use after a
-     * crash or restart when `config.path` already holds the table.
-     */
-    static serving::Status Recover(int64_t rows, int64_t dim,
-                                   const store::StoreConfig& config,
-                                   std::unique_ptr<PagedScanTable>* out);
-
     void Generate(std::span<const int64_t> indices, Tensor& out) override;
-    void GeneratePooled(std::span<const int64_t> indices,
-                        std::span<const int64_t> offsets,
-                        Tensor& out) override;
     int64_t dim() const override { return table_.dim(); }
     int64_t num_rows() const override { return table_.rows(); }
     int64_t MemoryFootprintBytes() const override
@@ -69,12 +57,6 @@ class PagedScanTable : public EmbeddingGenerator
     store::PagedTable& paged() { return table_; }
 
   private:
-    /** For Recover(). */
-    explicit PagedScanTable(std::unique_ptr<store::PagedTable> table)
-        : table_(std::move(*table))
-    {
-    }
-
     store::PagedTable table_;
     int nthreads_ = 1;
 };

@@ -61,46 +61,24 @@ LinearScanTable::Generate(std::span<const int64_t> indices, Tensor& out)
 {
     TELEMETRY_SCOPED_COUNTERS("scan.generate");
     TELEMETRY_SCOPED_LATENCY("scan.generate.ns");
-    Scan(indices, {}, static_cast<int64_t>(indices.size()), out);
-}
-
-void
-LinearScanTable::GeneratePooled(std::span<const int64_t> indices,
-                                std::span<const int64_t> offsets,
-                                Tensor& out)
-{
-    assert(!offsets.empty());
-    TELEMETRY_SCOPED_COUNTERS("scan.generate_pooled");
-    TELEMETRY_SCOPED_LATENCY("scan.generate.ns");
-    out.Fill(0.0f);
-    Scan(indices, offsets, static_cast<int64_t>(offsets.size()) - 1, out);
-}
-
-void
-LinearScanTable::Scan(std::span<const int64_t> indices,
-                      std::span<const int64_t> offsets, int64_t slots,
-                      Tensor& out)
-{
+    const int64_t n = static_cast<int64_t>(indices.size());
     const int64_t d = dim();
-    assert(out.size(0) == slots && out.size(1) == d);
+    assert(out.size(0) == n && out.size(1) == d);
     assert(std::all_of(indices.begin(), indices.end(), [&](int64_t idx) {
         return idx >= 0 && idx < num_rows();
     }));
-    // Every id reads the whole table whatever its value (bag sizes are
-    // public; see EmbeddingGenerator::GeneratePooled), so the trace is
+    // Every id reads the whole table whatever its value, so the trace is
     // recorded up front and the scan itself runs untraced.
     if (recorder_ != nullptr) {
-        const int64_t scanned =
-            offsets.empty() ? slots : offsets.back() - offsets.front();
-        for (int64_t e = 0; e < scanned; ++e) {
+        for (int64_t i = 0; i < n; ++i) {
             recorder_->Record(trace_base_,
                               static_cast<uint32_t>(table_.SizeBytes()),
                               false);
         }
     }
     // A full pass over the table per id; slots split across threads.
-    ParallelFor(slots, nthreads_, [&](int64_t b0, int64_t b1) {
-        oblivious::ScanRows(table_.flat(), 0, d, indices, offsets, b0, b1,
+    ParallelFor(n, nthreads_, [&](int64_t b0, int64_t b1) {
+        oblivious::ScanRows(table_.flat(), 0, d, indices, b0, b1,
                             out.flat());
     });
 }
@@ -156,13 +134,11 @@ OramTable::Generate(std::span<const int64_t> indices, Tensor& out)
 // ---------------------------------------------------------------------------
 
 ProxiedOramTable::ProxiedOramTable(const Tensor& table, oram::OramKind kind,
-                                   Rng& rng,
-                                   const oram::OramParams* params,
-                                   const oram::ProxyConfig& config)
+                                   Rng& rng, const oram::ProxyConfig& config)
     : rows_(table.size(0)),
       dim_(table.size(1)),
       proxy_(std::make_unique<oram::OramProxy>(
-          LoadTree(table, kind, rng, params), config))
+          LoadTree(table, kind, rng, nullptr), config))
 {
 }
 

@@ -60,9 +60,6 @@ class LinearScanTable : public EmbeddingGenerator
     explicit LinearScanTable(Tensor table);
 
     void Generate(std::span<const int64_t> indices, Tensor& out) override;
-    void GeneratePooled(std::span<const int64_t> indices,
-                        std::span<const int64_t> offsets,
-                        Tensor& out) override;
     int64_t dim() const override { return table_.size(1); }
     int64_t num_rows() const override { return table_.size(0); }
     int64_t MemoryFootprintBytes() const override
@@ -80,10 +77,6 @@ class LinearScanTable : public EmbeddingGenerator
     uint64_t trace_base() const { return trace_base_; }
 
   private:
-    /** Generate (offsets empty) or GeneratePooled into `slots` rows. */
-    void Scan(std::span<const int64_t> indices,
-              std::span<const int64_t> offsets, int64_t slots, Tensor& out);
-
     Tensor table_;
     int nthreads_ = 1;
     sidechannel::TraceRecorder* recorder_ = nullptr;
@@ -146,11 +139,9 @@ class ProxiedOramTable : public EmbeddingGenerator
      * @param table (rows x dim) trained table, bulk-loaded into the tree
      * @param kind Path or Circuit
      * @param rng leaf randomness
-     * @param params optional ORAM overrides; defaults follow the paper
      * @param config proxy tunables (the window size)
      */
     ProxiedOramTable(const Tensor& table, oram::OramKind kind, Rng& rng,
-                     const oram::OramParams* params = nullptr,
                      const oram::ProxyConfig& config = {});
 
     void Generate(std::span<const int64_t> indices, Tensor& out) override;

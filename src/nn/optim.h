@@ -49,8 +49,6 @@ class Adam : public Optimizer
          float beta2 = 0.999f, float eps = 1e-8f);
     void Step() override;
 
-    void set_lr(float lr) { lr_ = lr; }
-
   private:
     float lr_, beta1_, beta2_, eps_;
     int64_t t_ = 0;

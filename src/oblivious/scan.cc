@@ -23,8 +23,6 @@ struct BaselineTier
 {
     using Lanes =
         int32_t __attribute__((vector_size(16), aligned(4), may_alias));
-    using Floats =
-        float __attribute__((vector_size(16), aligned(4), may_alias));
     static constexpr int kSlots = 3;
     static constexpr int kVecs = 2;
 };
@@ -76,35 +74,20 @@ Active()
 
 void
 ScanRows(std::span<const float> block, int64_t first_row, int64_t dim,
-         std::span<const int64_t> ids, std::span<const int64_t> offsets,
-         int64_t b0, int64_t b1, std::span<float> out)
+         std::span<const int64_t> ids, int64_t b0, int64_t b1,
+         std::span<float> out)
 {
     assert(dim > 0 && block.size() % static_cast<size_t>(dim) == 0);
-    assert(0 <= b0 && b0 <= b1);
+    assert(0 <= b0 && b0 <= b1 && b1 <= static_cast<int64_t>(ids.size()));
     assert(static_cast<int64_t>(out.size()) >= b1 * dim);
-    const bool pooled = !offsets.empty();
-    // Slot b's ids are ids[slot_begin(b), slot_begin(b + 1)).
-    auto slot_begin = [&](int64_t b) {
-        return pooled ? offsets[static_cast<size_t>(b)] : b;
-    };
-    if (pooled) {
-        assert(static_cast<int64_t>(offsets.size()) > b1);
-        for (int64_t b = b0; b < b1; ++b) {
-            assert(0 <= slot_begin(b) && slot_begin(b) <= slot_begin(b + 1) &&
-                   slot_begin(b + 1) <= static_cast<int64_t>(ids.size()));
-        }
-    } else {
-        assert(b1 <= static_cast<int64_t>(ids.size()));
-    }
     const int64_t rows = static_cast<int64_t>(block.size()) / dim;
     // Row counters and keys are 32-bit lanes; the row count is public.
     assert(rows < static_cast<int64_t>(detail::kNoRow));
-    // Public shapes only: block rows times the ids of the slots.
-    TELEMETRY_COUNT("oblivious.vscan.rows",
-                    rows * (slot_begin(b1) - slot_begin(b0)));
+    // Public shapes only: block rows times the slots.
+    TELEMETRY_COUNT("oblivious.vscan.rows", rows * (b1 - b0));
     if (rows == 0) return;  // nothing to read, so every slot stays as is
-    Active().scan({block.data(), rows, first_row, dim, ids.data(),
-                  pooled ? offsets.data() : nullptr, b0, b1, out.data()});
+    Active().scan(
+        {block.data(), rows, first_row, dim, ids.data(), b0, b1, out.data()});
 }
 
 int64_t

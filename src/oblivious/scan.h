@@ -19,21 +19,15 @@ namespace secemb::oblivious {
  * The oblivious linear scan (Section V-A2), the one kernel behind every
  * scan-based table. `block` holds rows [first_row, first_row + block.size()
  * / dim) of a row-major table with rows of `dim` floats. For each batch
- * slot b in [b0, b1) and each of its ids, the kernel reads every row of the
- * block and folds the row whose number equals the id into out[b * dim,
- * (b + 1) * dim):
- *   - single-hot (offsets empty): slot b has the one id ids[b], and the
- *     matching row is blended in, a bit-exact copy;
- *   - pooled: slot b has the bag ids[offsets[b], offsets[b + 1]), and each
- *     matching row is added in, in bag order.
- * An id outside the block leaves its slot unchanged, so scanning every
- * block of a table (the pages of a paged table) completes the lookup. The
- * rows and columns read are a function of the shapes only, never of the
- * ids. Offsets must be non-decreasing within [0, ids.size()] (asserted).
+ * slot b in [b0, b1), the kernel reads every row of the block and blends
+ * the row whose number equals ids[b] into out[b * dim, (b + 1) * dim), a
+ * bit-exact copy. An id outside the block leaves its slot unchanged, so
+ * scanning every block of a table (the pages of a paged table) completes
+ * the lookup. The rows and columns read are a function of the shapes
+ * only, never of the ids.
  */
 void ScanRows(std::span<const float> block, int64_t first_row, int64_t dim,
-              std::span<const int64_t> ids,
-              std::span<const int64_t> offsets, int64_t b0, int64_t b1,
+              std::span<const int64_t> ids, int64_t b0, int64_t b1,
               std::span<float> out);
 
 /**

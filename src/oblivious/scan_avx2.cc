@@ -16,8 +16,6 @@ struct Avx2Tier
 {
     using Lanes =
         int32_t __attribute__((vector_size(32), aligned(4), may_alias));
-    using Floats =
-        float __attribute__((vector_size(32), aligned(4), may_alias));
     static constexpr int kSlots = 4;
     static constexpr int kVecs = 2;
 };

@@ -17,8 +17,6 @@ struct Avx512Tier
 {
     using Lanes =
         int32_t __attribute__((vector_size(64), aligned(4), may_alias));
-    using Floats =
-        float __attribute__((vector_size(64), aligned(4), may_alias));
     static constexpr int kSlots = 4;
     static constexpr int kVecs = 4;
 };

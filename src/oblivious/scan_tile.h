@@ -19,13 +19,8 @@
  * tile's lookup count is instantiated too, so short calls do no padded
  * work.
  *
- * Pooled bags run every bag element through the same tiles, selecting
- * into a register chunk that starts at zero, and then add each
- * element's chunk into its slot in bag order.
- *
  * A Tier provides:
  *   using Lanes;   // int32 vector, aligned(4) and may_alias
- *   using Floats;  // float vector of the same width, likewise
  *   static constexpr int kSlots, kVecs;  // the register tile
  * aligned(4) because callers hand in subspans and page buffers aligned
  * to an element only; may_alias because the lanes alias float tables
@@ -48,7 +43,6 @@ struct ScanArgs
     int64_t first_row;
     int64_t dim;
     const int64_t* ids;
-    const int64_t* offsets;  ///< nullptr for single-hot lookups
     int64_t b0, b1;
     float* out;
 };
@@ -75,7 +69,6 @@ template <class Tier>
 struct TiledScan
 {
     using Lanes = typename Tier::Lanes;
-    using Floats = typename Tier::Floats;
     static constexpr int64_t kLanes = sizeof(Lanes) / sizeof(int32_t);
 
     /** The block row `id` names, or kNoRow, in constant time. The
@@ -91,15 +84,13 @@ struct TiledScan
     }
 
     /**
-     * Columns [c, c + kV * kLanes) of the kN lookups: dst[s] is lookup
-     * s's output row. Single-hot overwrites it with the matching row (a
-     * bit-exact blend); pooled adds the matching row, or zero, plus
-     * `canon`.
+     * Columns [c, c + kV * kLanes) of the kN lookups whose output rows
+     * start at `dst`, one row of a.dim floats per lookup: each is
+     * overwritten with the matching row, a bit-exact blend.
      */
-    template <int kN, int kV, bool kPooled>
+    template <int kN, int kV>
     static void
-    Chunk(const ScanArgs& a, const uint32_t* keys, float* const* dst,
-          int64_t c, float canon)
+    Chunk(const ScanArgs& a, const uint32_t* keys, float* dst, int64_t c)
     {
         Lanes key[kN];
         Lanes acc[kN][kV];
@@ -108,9 +99,8 @@ struct TiledScan
             key[s] = Lanes{} + static_cast<int32_t>(keys[s]);
 #pragma GCC unroll 16
             for (int v = 0; v < kV; ++v) {
-                acc[s][v] = kPooled ? Lanes{}
-                                    : *reinterpret_cast<const Lanes*>(
-                                          dst[s] + c + v * kLanes);
+                acc[s][v] = *reinterpret_cast<const Lanes*>(
+                    dst + s * a.dim + c + v * kLanes);
             }
         }
         Lanes row = {};
@@ -131,33 +121,26 @@ struct TiledScan
             }
             row += 1;
         }
-        // In lookup order: elements of one bag add into one output row.
 #pragma GCC unroll 16
         for (int s = 0; s < kN; ++s) {
 #pragma GCC unroll 16
             for (int v = 0; v < kV; ++v) {
-                float* d = dst[s] + c + v * kLanes;
-                if constexpr (kPooled) {
-                    Floats& f = *reinterpret_cast<Floats*>(d);
-                    f = (f + std::bit_cast<Floats>(acc[s][v])) + canon;
-                } else {
-                    *reinterpret_cast<Lanes*>(d) = acc[s][v];
-                }
+                *reinterpret_cast<Lanes*>(dst + s * a.dim + c + v * kLanes) =
+                    acc[s][v];
             }
         }
     }
 
     /** Columns [c, dim), one at a time, as Chunk does. */
-    template <int kN, bool kPooled>
+    template <int kN>
     static void
-    Tail(const ScanArgs& a, const uint32_t* keys, float* const* dst,
-         int64_t c, float canon)
+    Tail(const ScanArgs& a, const uint32_t* keys, float* dst, int64_t c)
     {
         for (; c < a.dim; ++c) {
             uint32_t acc[kN];
 #pragma GCC unroll 16
             for (int s = 0; s < kN; ++s) {
-                acc[s] = kPooled ? 0u : std::bit_cast<uint32_t>(dst[s][c]);
+                acc[s] = std::bit_cast<uint32_t>(dst[s * a.dim + c]);
             }
             const float* src = a.block + c;
             for (int64_t r = 0; r < a.rows; ++r, src += a.dim) {
@@ -171,69 +154,45 @@ struct TiledScan
             }
 #pragma GCC unroll 16
             for (int s = 0; s < kN; ++s) {
-                const float got = std::bit_cast<float>(acc[s]);
-                dst[s][c] = kPooled ? (dst[s][c] + got) + canon : got;
+                dst[s * a.dim + c] = std::bit_cast<float>(acc[s]);
             }
         }
     }
 
-    template <int kN, bool kPooled>
+    template <int kN>
     static void
-    Lookups(const ScanArgs& a, const uint32_t* keys, float* const* dst,
-            float canon)
+    Lookups(const ScanArgs& a, const uint32_t* keys, float* dst)
     {
         int64_t c = 0;
         for (; c + Tier::kVecs * kLanes <= a.dim; c += Tier::kVecs * kLanes) {
-            Chunk<kN, Tier::kVecs, kPooled>(a, keys, dst, c, canon);
+            Chunk<kN, Tier::kVecs>(a, keys, dst, c);
         }
         for (; c + kLanes <= a.dim; c += kLanes) {
-            Chunk<kN, 1, kPooled>(a, keys, dst, c, canon);
+            Chunk<kN, 1>(a, keys, dst, c);
         }
-        Tail<kN, kPooled>(a, keys, dst, c, canon);
+        Tail<kN>(a, keys, dst, c);
     }
 
     /** Lookups<n> for the public count n in [1, kN]. */
     template <int kN = Tier::kSlots>
     static void
-    Dispatch(int n, bool pooled, const ScanArgs& a, const uint32_t* keys,
-             float* const* dst, float canon)
+    Dispatch(int n, const ScanArgs& a, const uint32_t* keys, float* dst)
     {
         if constexpr (kN > 1) {
-            if (n < kN) return Dispatch<kN - 1>(n, pooled, a, keys, dst, canon);
+            if (n < kN) return Dispatch<kN - 1>(n, a, keys, dst);
         }
-        if (pooled) {
-            Lookups<kN, true>(a, keys, dst, canon);
-        } else {
-            Lookups<kN, false>(a, keys, dst, canon);
-        }
+        Lookups<kN>(a, keys, dst);
     }
 
     static void
     Run(const ScanArgs& a)
     {
-        const bool pooled = a.offsets != nullptr;
-        // A pooled element must add exactly as the per-row definition
-        // of the scan, out += (match ? row : +0) over every block row.
-        // Over two or more rows that turns a -0 total into +0, which one
-        // more `+ 0.0f` reproduces; over one row it is a single add, and
-        // `+ -0.0f` is the identity.
-        const float canon = a.rows > 1 ? 0.0f : -0.0f;
-        const int64_t e0 = pooled ? a.offsets[a.b0] : a.b0;
-        const int64_t e1 = pooled ? a.offsets[a.b1] : a.b1;
-        int64_t b = a.b0;  // the slot of bag element e (pooled)
-        for (int64_t e = e0; e < e1; e += Tier::kSlots) {
-            const int n = static_cast<int>(
-                std::min<int64_t>(Tier::kSlots, e1 - e));
+        for (int64_t b = a.b0; b < a.b1; b += Tier::kSlots) {
+            const int n =
+                static_cast<int>(std::min<int64_t>(Tier::kSlots, a.b1 - b));
             uint32_t keys[Tier::kSlots];
-            float* dst[Tier::kSlots];
-            for (int s = 0; s < n; ++s) {
-                keys[s] = Key(a.ids[e + s], a);
-                if (pooled) {
-                    while (a.offsets[b + 1] <= e + s) ++b;
-                }
-                dst[s] = a.out + (pooled ? b : e + s) * a.dim;
-            }
-            Dispatch(n, pooled, a, keys, dst, canon);
+            for (int s = 0; s < n; ++s) keys[s] = Key(a.ids[b + s], a);
+            Dispatch(n, a, keys, a.out + b * a.dim);
         }
     }
 };

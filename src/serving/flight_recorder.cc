@@ -73,7 +73,6 @@ FlightHopName(FlightHop hop)
         case FlightHop::kDeadlineExceeded: return "deadline_exceeded";
         case FlightHop::kRespond: return "respond";
         case FlightHop::kStoreWriteback: return "store_writeback";
-        case FlightHop::kStoreCheckpoint: return "store_checkpoint";
     }
     return "unknown";
 }

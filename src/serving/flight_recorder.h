@@ -52,7 +52,6 @@ enum class FlightHop : uint8_t
     kDeadlineExceeded,   ///< dropped at serve time: deadline passed
     kRespond,            ///< response published (ok or error)
     kStoreWriteback,     ///< a storage sync failed (code says why)
-    kStoreCheckpoint,    ///< a storage checkpoint failed (code says why)
 };
 
 /** Stable name for JSON / debugging ("enqueue", "shed", ...). */

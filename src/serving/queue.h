@@ -9,11 +9,12 @@
  * control / load shedding), kShutdown once Shutdown() has been called, and
  * kResourceExhausted when the underlying allocation fails (which the fault
  * framework can force via FaultAllocator). The single consumer (the
- * batcher) blocks with a timeout in PopWait.
+ * batcher) blocks in Pop for a batch's first request and with a timeout
+ * in PopWait for the rest.
  *
  * Shutdown semantics: producers are rejected from the moment Shutdown()
- * returns, but the consumer keeps draining whatever was admitted —
- * PopWait returns kDrained only once the queue is both shut down and
+ * returns, but the consumer keeps draining whatever was admitted — Pop
+ * and PopWait return kDrained only once the queue is both shut down and
  * empty, so no admitted request is ever dropped on the floor.
  */
 
@@ -58,6 +59,16 @@ class BoundedQueue
         return StatusCode::kOk;
     }
 
+    /** Blocking dequeue (kItem or kDrained); drains queued items past
+     *  shutdown. */
+    PopResult
+    Pop(T* out)
+    {
+        std::unique_lock<std::mutex> lk(mu_);
+        cv_.wait(lk, [this] { return !items_.empty() || shutdown_; });
+        return TakeLocked(out);
+    }
+
     /** Blocking dequeue with timeout; drains queued items past shutdown. */
     PopResult
     PopWait(T* out, uint64_t timeout_ns)
@@ -65,12 +76,7 @@ class BoundedQueue
         std::unique_lock<std::mutex> lk(mu_);
         cv_.wait_for(lk, std::chrono::nanoseconds(timeout_ns),
                      [this] { return !items_.empty() || shutdown_; });
-        if (!items_.empty()) {
-            *out = std::move(items_.front());
-            items_.pop_front();
-            return PopResult::kItem;
-        }
-        return shutdown_ ? PopResult::kDrained : PopResult::kTimeout;
+        return TakeLocked(out);
     }
 
     /** Reject producers from now on; wakes the consumer to drain. */
@@ -101,6 +107,17 @@ class BoundedQueue
     size_t capacity() const { return capacity_; }
 
   private:
+    PopResult
+    TakeLocked(T* out)
+    {
+        if (!items_.empty()) {
+            *out = std::move(items_.front());
+            items_.pop_front();
+            return PopResult::kItem;
+        }
+        return shutdown_ ? PopResult::kDrained : PopResult::kTimeout;
+    }
+
     mutable std::mutex mu_;
     std::condition_variable cv_;
     std::deque<T, Alloc> items_;

@@ -16,8 +16,11 @@ namespace {
 /// Highest degrade level (see the header's level table).
 constexpr int kMaxDegradeLevel = 2;
 
-/// Batcher idle poll period while the queue is empty.
-constexpr uint64_t kIdleWaitNs = 2'000'000;
+/// Upper bound of the doubling retry backoff.
+constexpr uint64_t kRetryBackoffCapUs = 800;
+
+/// Lifecycle events the flight recorder keeps.
+constexpr size_t kFlightRecorderEvents = 2048;
 
 }  // namespace
 
@@ -28,20 +31,14 @@ Server::Server(
       config_(config),
       clock_(config.clock != nullptr ? config.clock : &DefaultClock()),
       queue_(config.queue_capacity == 0 ? 1 : config.queue_capacity),
+      flight_(kFlightRecorderEvents),
       sinks_(features_.size()),
       degrade_level_(std::clamp(config.min_degrade_level, 0,
                                 kMaxDegradeLevel))
 {
     if (config_.max_batch < 1) config_.max_batch = 1;
-    if (config_.flight_recorder_capacity > 0) {
-        flight_ = std::make_unique<FlightRecorder>(
-            config_.flight_recorder_capacity);
-    }
     for (auto& sink : sinks_) {
         sink.store(nullptr, std::memory_order_relaxed);
-    }
-    for (auto& f : features_) {
-        if (f != nullptr) f->set_precision(config_.precision);
     }
     batcher_ = std::thread([this] { BatcherLoop(); });
 }
@@ -54,18 +51,16 @@ Server::Shutdown()
     std::call_once(shutdown_once_, [this] {
         queue_.Shutdown();
         if (batcher_.joinable()) batcher_.join();
-        if (config_.sync_storage_on_shutdown) {
-            // Batcher is joined: generators are quiescent, so the flush
-            // races nothing. In-RAM generators return Ok trivially.
-            for (size_t f = 0; f < features_.size(); ++f) {
-                const Status s = features_[f]->SyncStorage();
-                if (!s.ok()) {
-                    storage_sync_failures_.fetch_add(
-                        1, std::memory_order_relaxed);
-                    TELEMETRY_COUNT("serving.storage_sync_failures", 1);
-                    RecordHop(0, FlightHop::kStoreWriteback, s.code,
-                              static_cast<int>(f), degrade_level(), 0);
-                }
+        // Batcher is joined: generators are quiescent, so the flush races
+        // nothing. In-RAM generators return Ok trivially.
+        for (size_t f = 0; f < features_.size(); ++f) {
+            const Status s = features_[f]->SyncStorage();
+            if (!s.ok()) {
+                storage_sync_failures_.fetch_add(1,
+                                                 std::memory_order_relaxed);
+                TELEMETRY_COUNT("serving.storage_sync_failures", 1);
+                RecordHop(0, FlightHop::kStoreWriteback, s.code,
+                          static_cast<int>(f), degrade_level(), 0);
             }
         }
     });
@@ -220,23 +215,10 @@ Server::BatcherLoop()
 {
     using PopResult =
         BoundedQueue<Pending, fault::FaultAllocator<Pending>>::PopResult;
-    if (config_.storage_sync_interval_us > 0) {
-        next_storage_sync_ns_ =
-            NowNs() + config_.storage_sync_interval_us * 1000;
-    }
-    if (config_.storage_checkpoint_interval_us > 0) {
-        next_storage_ckpt_ns_ =
-            NowNs() + config_.storage_checkpoint_interval_us * 1000;
-    }
     std::vector<Pending> batch;
     for (;;) {
         Pending first;
-        const PopResult r = queue_.PopWait(&first, kIdleWaitNs);
-        if (r == PopResult::kDrained) break;
-        if (r == PopResult::kTimeout) {
-            MaybeRunStorageMaintenance();
-            continue;
-        }
+        if (queue_.Pop(&first) == PopResult::kDrained) break;
 
         batch.clear();
         batch.push_back(std::move(first));
@@ -268,51 +250,6 @@ Server::BatcherLoop()
                       static_cast<uint32_t>(batch.size()));
         }
         ServeBatch(batch);
-        // Between batches the generators are quiescent (this thread is
-        // their only caller), so durable maintenance races nothing.
-        MaybeRunStorageMaintenance();
-    }
-}
-
-void
-Server::MaybeRunStorageMaintenance()
-{
-    // Clock-driven public schedule: the decision reads only the time
-    // source, never request values, so the extra store IO it causes is
-    // independent of any secret and stays off the canonical trace (only
-    // generation attempts record into the verify sinks).
-    const uint64_t now = NowNs();
-    if (next_storage_sync_ns_ != 0 && now >= next_storage_sync_ns_) {
-        for (size_t f = 0; f < features_.size(); ++f) {
-            const Status s = features_[f]->SyncStorage();
-            if (!s.ok()) {
-                storage_sync_failures_.fetch_add(1,
-                                                 std::memory_order_relaxed);
-                TELEMETRY_COUNT("serving.storage_sync_failures", 1);
-                RecordHop(0, FlightHop::kStoreWriteback, s.code,
-                          static_cast<int>(f), degrade_level(), 0);
-            }
-        }
-        storage_syncs_.fetch_add(1, std::memory_order_relaxed);
-        TELEMETRY_COUNT("serving.storage_syncs", 1);
-        next_storage_sync_ns_ =
-            now + config_.storage_sync_interval_us * 1000;
-    }
-    if (next_storage_ckpt_ns_ != 0 && now >= next_storage_ckpt_ns_) {
-        for (size_t f = 0; f < features_.size(); ++f) {
-            const Status s = features_[f]->CheckpointStorage();
-            if (!s.ok()) {
-                storage_checkpoint_failures_.fetch_add(
-                    1, std::memory_order_relaxed);
-                TELEMETRY_COUNT("serving.storage_checkpoint_failures", 1);
-                RecordHop(0, FlightHop::kStoreCheckpoint, s.code,
-                          static_cast<int>(f), degrade_level(), 0);
-            }
-        }
-        storage_checkpoints_.fetch_add(1, std::memory_order_relaxed);
-        TELEMETRY_COUNT("serving.storage_checkpoints", 1);
-        next_storage_ckpt_ns_ =
-            now + config_.storage_checkpoint_interval_us * 1000;
     }
 }
 
@@ -415,34 +352,14 @@ Server::ServeGroupReturningFault(int feature, bool pooled,
                        p->req.indices.end());
     }
 
-    Tensor out;
-    std::function<void()> call;
-    if (!pooled) {
-        out = Tensor({static_cast<int64_t>(indices.size()), dim});
-        call = [&] { gen.Generate(indices, out); };
-    } else if (degrade >= kMaxDegradeLevel) {
-        // Degraded pooled path: generate every id per-slot, then sum the
-        // bags locally. The generator touches the same model state in the
-        // same order as the native pooled path (one oblivious lookup per
-        // id), so the recorded trace is unchanged — only the (public)
-        // pooling arithmetic moves into the server.
-        call = [&] {
-            Tensor flat({static_cast<int64_t>(indices.size()), dim});
-            gen.Generate(indices, flat);
-            out = Tensor(
-                {static_cast<int64_t>(offsets.size()) - 1, dim});
-            for (size_t b = 0; b + 1 < offsets.size(); ++b) {
-                float* dst = out.data() + static_cast<int64_t>(b) * dim;
-                for (int64_t i = offsets[b]; i < offsets[b + 1]; ++i) {
-                    const float* src = flat.data() + i * dim;
-                    for (int64_t d = 0; d < dim; ++d) dst[d] += src[d];
-                }
-            }
-        };
-    } else {
-        out = Tensor({static_cast<int64_t>(offsets.size()) - 1, dim});
-        call = [&] { gen.GeneratePooled(indices, offsets, out); };
-    }
+    Tensor out({row_cursor, dim});
+    const std::function<void()> call = [&] {
+        if (pooled) {
+            gen.GeneratePooled(indices, offsets, out);
+        } else {
+            gen.Generate(indices, out);
+        }
+    };
 
     for (const Pending* p : group) {
         RecordHop(p->id, FlightHop::kServeStart, StatusCode::kOk, feature,
@@ -526,8 +443,7 @@ Server::GenerateWithRetry(int feature, const std::function<void()>& call,
         TELEMETRY_COUNT("serving.retries", 1);
         const int shift = std::min(attempt, 20);
         const uint64_t backoff_us =
-            std::min(config_.retry_backoff_us << shift,
-                     config_.retry_backoff_cap_us);
+            std::min(config_.retry_backoff_us << shift, kRetryBackoffCapUs);
         if (backoff_us > 0) {
             std::this_thread::sleep_for(
                 std::chrono::microseconds(backoff_us));
@@ -570,7 +486,6 @@ void
 Server::RecordHop(uint64_t id, FlightHop hop, StatusCode code,
                   int feature, int degrade, uint32_t detail)
 {
-    if (flight_ == nullptr) return;
     FlightEvent e;
     e.request_id = id;
     e.t_ns = NowNs();
@@ -580,19 +495,15 @@ Server::RecordHop(uint64_t id, FlightHop hop, StatusCode code,
     e.feature = static_cast<int16_t>(feature);
     e.hop = hop;
     e.degrade = static_cast<uint8_t>(std::clamp(degrade, 0, 255));
-    flight_->Record(e);
+    flight_.Record(e);
 }
 
 void
 Server::UpdateDegrade(bool batch_had_faults)
 {
     const size_t cap = queue_.capacity();
-    const size_t high = config_.degrade_high_watermark != 0
-                            ? config_.degrade_high_watermark
-                            : (3 * cap) / 4;
-    const size_t low = config_.degrade_low_watermark != 0
-                           ? config_.degrade_low_watermark
-                           : cap / 4;
+    const size_t high = (3 * cap) / 4;
+    const size_t low = cap / 4;
     const size_t depth = queue_.size();
     const int floor_level =
         std::clamp(config_.min_degrade_level, 0, kMaxDegradeLevel);
@@ -643,17 +554,10 @@ Server::GetStats() const
     s.degraded_batches = degraded_batches_.load(std::memory_order_relaxed);
     s.storage_sync_failures =
         storage_sync_failures_.load(std::memory_order_relaxed);
-    s.storage_syncs = storage_syncs_.load(std::memory_order_relaxed);
-    s.storage_checkpoints =
-        storage_checkpoints_.load(std::memory_order_relaxed);
-    s.storage_checkpoint_failures =
-        storage_checkpoint_failures_.load(std::memory_order_relaxed);
     s.degrade_level = degrade_level_.load(std::memory_order_relaxed);
     s.queue_depth = queue_.size();
-    if (flight_ != nullptr) {
-        s.flight_recorded = flight_->recorded();
-        s.flight_dropped = flight_->dropped();
-    }
+    s.flight_recorded = flight_.recorded();
+    s.flight_dropped = flight_.dropped();
     return s;
 }
 

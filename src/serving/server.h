@@ -18,23 +18,23 @@
  * values. The degraded behaviours likewise touch only public execution
  * shape:
  *
- *   level 0  normal: full batch ceiling, native pooled generation
+ *   level 0  normal: full batch ceiling
  *   level 1  ceiling halved (bounds tail latency under pressure)
- *   level 2  ceiling quartered; pooled requests served per-slot
- *            (Generate over the flat index list + local segment-sum,
- *            skipping the native pooled path)
+ *   level 2  ceiling quartered
  *
- * Because each underlying generator is oblivious and the per-slot
- * fallback touches the same model state in the same order as the native
- * pooled path, degraded traces stay bit-identical across secret index
- * sets — certified by tests/serving_verify_test.cc through the
- * secemb-verify differential engine, with a planted value-dependent
- * fallback as the negative control.
+ * A flush that finds the queue at 3/4 of its capacity or more, or
+ * fault_streak_escalate faulted batches in a row, raises the level; a run
+ * of recover_after_batches fault-free flushes at 1/4 or less lowers it.
+ * Because each underlying generator is oblivious and a level changes only
+ * how many requests share a batch, degraded traces stay bit-identical
+ * across secret index sets — certified by tests/serving_verify_test.cc
+ * through the secemb-verify differential engine, with a planted
+ * value-dependent fallback as the negative control.
  *
  * Fault handling: generation attempts that fail with a *transient* fault
  * (std::bad_alloc, fault::InjectedFault — including worker exceptions
- * propagated out of ParallelFor) are retried with capped exponential
- * backoff; non-transient exceptions fail the affected requests
+ * propagated out of ParallelFor) are retried with exponential backoff
+ * capped at 800 us; non-transient exceptions fail the affected requests
  * immediately with kInternal. When a trace recorder is attached, each
  * attempt records into a scratch recorder that is appended to the sink
  * only on success, so failed partial traces (whose extent depends on
@@ -70,14 +70,8 @@ struct ServerConfig
     uint64_t default_deadline_us = 100000;
     /// Transient-fault retries per generation attempt.
     int max_retries = 2;
+    /// Backoff before the first retry; it doubles per retry, up to 800 us.
     uint64_t retry_backoff_us = 50;
-    uint64_t retry_backoff_cap_us = 800;
-    /// Queue depth (at flush time) that escalates the degrade level;
-    /// 0 = 3/4 of queue_capacity.
-    size_t degrade_high_watermark = 0;
-    /// Queue depth at/below which recovery credit accrues; 0 = 1/4 of
-    /// queue_capacity.
-    size_t degrade_low_watermark = 0;
     /// Consecutive faulted batches that escalate the degrade level.
     int fault_streak_escalate = 2;
     /// Calm (low-depth, fault-free) batches before stepping back down.
@@ -86,33 +80,9 @@ struct ServerConfig
     int min_degrade_level = 0;
     /// Worker threads handed to each generator.
     int nthreads = 1;
-    /// GEMM weight precision applied to every generator at construction
-    /// (compute-based generators quantize their decoder weights on the
-    /// next pack; table generators ignore it). Defaults to the
-    /// process-wide kernels::ActiveDtype() (SECEMB_PRECISION).
-    kernels::Dtype precision = kernels::ActiveDtype();
     /// Time source; nullptr = DefaultClock(). Point at a FaultSkewedClock
     /// to let a FaultPlan skew batcher time.
     const Clock* clock = nullptr;
-    /// Flight-recorder ring capacity (events, rounded up to a power of
-    /// two). 0 disables per-request lifecycle recording entirely.
-    size_t flight_recorder_capacity = 2048;
-    /// Call SyncStorage() on every generator during Shutdown so
-    /// out-of-core tables flush dirty pages durably before the process
-    /// exits. Failures are counted (ServerStats::storage_sync_failures)
-    /// and recorded as store_writeback flight hops with the error code.
-    bool sync_storage_on_shutdown = true;
-    /// Periodic SyncStorage() across all generators, driven off the
-    /// batcher thread between batches (generators are quiescent there).
-    /// 0 disables. The schedule is clock-driven and public — it never
-    /// depends on request values, so periodic flushes are trace-safe.
-    uint64_t storage_sync_interval_us = 0;
-    /// Periodic CheckpointStorage() across all generators (durable RAW
-    /// ORAM seals a checkpoint + resets its journal; others sync or
-    /// no-op). 0 disables. Failures are counted
-    /// (ServerStats::storage_checkpoint_failures) and recorded as
-    /// store_checkpoint flight hops; the server keeps serving.
-    uint64_t storage_checkpoint_interval_us = 0;
 };
 
 struct Request
@@ -157,18 +127,12 @@ struct ServerStats
     uint64_t retries = 0;
     uint64_t batches = 0;
     uint64_t degraded_batches = 0;
-    /// Generators whose SyncStorage() failed (shutdown or periodic).
+    /// Generators whose SyncStorage() failed at shutdown.
     uint64_t storage_sync_failures = 0;
-    /// Completed periodic SyncStorage sweeps (all features).
-    uint64_t storage_syncs = 0;
-    /// Completed periodic CheckpointStorage sweeps (all features).
-    uint64_t storage_checkpoints = 0;
-    /// Generators whose periodic CheckpointStorage() failed.
-    uint64_t storage_checkpoint_failures = 0;
     int degrade_level = 0;
     size_t queue_depth = 0;
     /// Flight-recorder occupancy: total lifecycle events recorded and
-    /// how many were overwritten by ring wrap (0/0 when disabled).
+    /// how many were overwritten by ring wrap.
     uint64_t flight_recorded = 0;
     uint64_t flight_dropped = 0;
 };
@@ -202,8 +166,12 @@ class Server
     Response SubmitAndWait(Request req);
 
     /**
-     * Stop admitting, drain everything already admitted, join the batcher.
-     * Idempotent and safe to call concurrently.
+     * Stop admitting, drain everything already admitted, join the batcher,
+     * then SyncStorage() every generator so out-of-core tables flush
+     * dirty pages durably. A failed sync is counted
+     * (ServerStats::storage_sync_failures) and recorded as a
+     * store_writeback flight hop with its code. Idempotent and safe to
+     * call concurrently.
      */
     void Shutdown();
 
@@ -212,12 +180,12 @@ class Server
     size_t queue_depth() const { return queue_.size(); }
 
     /**
-     * The per-request flight recorder, or nullptr when disabled
-     * (flight_recorder_capacity = 0). Query ForRequest(id) with a
-     * Response's request_id to reconstruct its path through the server;
-     * WriteChromeTrace dumps the retained window.
+     * The per-request flight recorder, a ring of the last 2048 lifecycle
+     * events. Query ForRequest(id) with a Response's request_id to
+     * reconstruct its path through the server; WriteChromeTrace dumps the
+     * retained window.
      */
-    const FlightRecorder* flight_recorder() const { return flight_.get(); }
+    const FlightRecorder& flight_recorder() const { return flight_; }
 
     /**
      * Attach a per-feature canonical-trace sink (verify harness hook).
@@ -238,7 +206,7 @@ class Server
 
     void BatcherLoop();
     void ServeBatch(std::vector<Pending>& batch);
-    /** Serve one same-feature group (`pooled` selects the pooled path);
+    /** Serve one same-feature group, single-hot or pooled (`pooled`);
      *  returns true if any generation attempt faulted. */
     bool ServeGroupReturningFault(int feature, bool pooled,
                                   std::vector<Pending*>& group,
@@ -250,14 +218,11 @@ class Server
                              int* retries_out);
     void Respond(Pending& p, Status status, Tensor embeddings, int retries,
                  int degrade);
-    /** Append one lifecycle event for request `id` (no-op when the
-     *  recorder is disabled). Payloads are public-only by contract. */
+    /** Append one lifecycle event for request `id`. Payloads are
+     *  public-only by contract. */
     void RecordHop(uint64_t id, FlightHop hop, StatusCode code,
                    int feature, int degrade, uint32_t detail);
     void UpdateDegrade(bool batch_had_faults);
-    /** Run any due periodic storage sync/checkpoint sweeps. Batcher
-     *  thread only — generators must be quiescent. */
-    void MaybeRunStorageMaintenance();
     int BatchCeiling(int degrade) const;
     uint64_t NowNs() const { return clock_->NowNs(); }
 
@@ -268,7 +233,7 @@ class Server
     const Clock* clock_;
 
     BoundedQueue<Pending, fault::FaultAllocator<Pending>> queue_;
-    std::unique_ptr<FlightRecorder> flight_;  ///< nullptr = disabled
+    FlightRecorder flight_;
     std::atomic<uint64_t> next_request_id_{1};
     std::thread batcher_;
     std::once_flag shutdown_once_;
@@ -279,10 +244,6 @@ class Server
     std::atomic<int> degrade_level_;
     int fault_streak_ = 0;
     int calm_batches_ = 0;
-
-    // Storage-maintenance due times (batcher thread only; 0 = disabled).
-    uint64_t next_storage_sync_ns_ = 0;
-    uint64_t next_storage_ckpt_ns_ = 0;
 
     // Counters (relaxed atomics; exact totals once quiesced).
     mutable std::atomic<uint64_t> submitted_{0};
@@ -296,9 +257,6 @@ class Server
     mutable std::atomic<uint64_t> batches_{0};
     mutable std::atomic<uint64_t> degraded_batches_{0};
     mutable std::atomic<uint64_t> storage_sync_failures_{0};
-    mutable std::atomic<uint64_t> storage_syncs_{0};
-    mutable std::atomic<uint64_t> storage_checkpoints_{0};
-    mutable std::atomic<uint64_t> storage_checkpoint_failures_{0};
 };
 
 }  // namespace secemb::serving

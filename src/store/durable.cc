@@ -361,7 +361,7 @@ Journal::OpenForAppend(const std::string& path, int64_t records,
 
 serving::Status
 Journal::Append(JournalRecordType type, uint64_t seq,
-                std::span<const uint8_t> payload, bool sync)
+                std::span<const uint8_t> payload)
 {
     if (fd_ < 0) {
         return serving::Status::Error(serving::StatusCode::kInternal,
@@ -382,7 +382,7 @@ Journal::Append(JournalRecordType type, uint64_t seq,
         !s.ok()) {
         return s;
     }
-    if (sync && ::fsync(fd_) != 0) {
+    if (::fsync(fd_) != 0) {
         return Errno(serving::StatusCode::kInternal, "fsync " + path_);
     }
     MaybeCrash(CrashSite::kJournalAppendAfter);

@@ -32,7 +32,8 @@
  *                re-executes the deterministic repack/re-encrypt/write
  *                idempotently without journaling page images. The journal
  *                is reset atomically (temp+rename) after each checkpoint;
- *                its length is bounded by DurabilityConfig::journal_limit.
+ *                its length is bounded by kJournalLimit records, and each
+ *                record is fsynced before its access returns.
  *
  * Recovery loads the checkpoint, verifies its CRC, replays the journal
  * with strict sequence continuity, and fails closed with typed
@@ -58,20 +59,17 @@
 
 namespace secemb::store {
 
+/** Journal records before a checkpoint is forced (the bounded WAL). */
+constexpr int64_t kJournalLimit = 4096;
+
 /** Durability tunables for one RawOram instance (part of RawOramConfig). */
 struct DurabilityConfig
 {
     /** Directory for ckpt.bin / journal.bin; empty = durability off. */
     std::string dir;
-    /** Accesses between automatic checkpoints (0 = only journal_limit
+    /** Accesses between automatic checkpoints (0 = only kJournalLimit
      *  and explicit Checkpoint() calls trigger one). */
     int64_t checkpoint_interval = 0;
-    /** Journal records before a checkpoint is forced (bounded WAL). */
-    int64_t journal_limit = 4096;
-    /** fsync the journal after every appended record. Required for the
-     *  "no acknowledged write lost" guarantee; false trades it for
-     *  throughput (data loss window = records since last sync). */
-    bool sync_each_append = true;
     /**
      * NEGATIVE CONTROL (leakage tests only): checkpoint only the
      * occupied stash entries instead of the full fixed-size sweep. The
@@ -178,8 +176,10 @@ class Journal
                           uint64_t geometry_hash);
     serving::Status OpenForAppend(const std::string& path,
                                   int64_t records, int64_t bytes);
+    /** Append one record and fsync it: an acknowledged access is never
+     *  lost. */
     serving::Status Append(JournalRecordType type, uint64_t seq,
-                           std::span<const uint8_t> payload, bool sync);
+                           std::span<const uint8_t> payload);
 
     bool open() const { return fd_ >= 0; }
     uint64_t base_seq() const { return base_seq_; }

@@ -40,18 +40,6 @@ class PagedTable
     PagedTable(const float* data, int64_t rows, int64_t dim,
                const StoreConfig& config);
 
-    /**
-     * Reattach to an existing on-disk table after a crash or restart:
-     * opens the store with create=false (the header validates page size
-     * and page count, so a geometry mismatch fails closed) and skips the
-     * upload. The scan table keeps no client-side state beyond its
-     * pages, so recovery is pure reattachment — the paged CRC table
-     * catches torn page writes on first touch.
-     */
-    static serving::Status Recover(int64_t rows, int64_t dim,
-                                   const StoreConfig& config,
-                                   std::unique_ptr<PagedTable>* out);
-
     int64_t rows() const { return rows_; }
     int64_t dim() const { return dim_; }
     int64_t rows_per_page() const { return rows_per_page_; }
@@ -66,16 +54,6 @@ class PagedTable
      */
     serving::Status LookupBatch(std::span<const int64_t> indices,
                                 float* out, int nthreads);
-
-    /**
-     * Pooled (multi-hot) lookup: out row b accumulates the sum of rows
-     * indices[offsets[b]..offsets[b+1]). out must hold
-     * (offsets.size()-1)*dim floats. Offsets must start at 0, end at
-     * indices.size() and never decrease; others are kInvalidArgument.
-     */
-    serving::Status LookupPooled(std::span<const int64_t> indices,
-                                 std::span<const int64_t> offsets,
-                                 float* out, int nthreads);
 
     /** Flush dirty cache frames and sync the store durably. */
     serving::Status Sync() { return cache_->Sync(); }
@@ -104,18 +82,6 @@ class PagedTable
     }
 
   private:
-    /** For Recover(), which fills every field itself. */
-    PagedTable() = default;
-
-    /**
-     * LookupBatch (offsets empty) or LookupPooled into `slots` rows of
-     * out: every page is fetched once, in order, and scanned into every
-     * slot.
-     */
-    serving::Status Scan(std::span<const int64_t> indices,
-                         std::span<const int64_t> offsets, int64_t slots,
-                         float* out, int nthreads);
-
     int64_t rows_ = 0;
     int64_t dim_ = 0;
     int64_t rows_per_page_ = 0;

@@ -83,13 +83,10 @@ RawOram::RawOram(int64_t num_blocks, int64_t block_words,
       num_leaves_(LeavesFor(num_blocks, bucket_slots_)),
       num_buckets_(2 * num_leaves_ - 1),
       eviction_period_(std::max<int64_t>(1, config.eviction_period)),
-      stash_capacity_(config.stash_capacity > 0
-                          ? config.stash_capacity
-                          : bucket_slots_ * (levels_ + 1) +
-                                8 * std::max<int64_t>(
-                                        1, config.eviction_period) +
-                                64),
-      encrypt_(config.encrypt_payloads),
+      // The path's slots, plus a margin of 8 blocks per access between
+      // evictions and 64 spare.
+      stash_capacity_(bucket_slots_ * (levels_ + 1) + 8 * eviction_period_ +
+                      64),
       cache_(std::move(cache)),
       rng_(rng.Next()),
       posmap_(oram::OramKind::kPath, num_blocks,
@@ -149,7 +146,7 @@ RawOram::RawOram(int64_t num_blocks, int64_t block_words,
         geometry_hash_ = DurableGeometryHash(g);
         // The durable IO schedule is part of the observable trace: the
         // checkpoint region is one fixed-size record, the journal region
-        // is bounded by journal_limit records of the (public) per-type
+        // is bounded by kJournalLimit records of the (public) per-type
         // maximum size. Offsets within the journal region are the public
         // byte cursor since the last reset.
         const int64_t ckpt_bytes = CheckpointSerializedBytes(
@@ -166,8 +163,7 @@ RawOram::RawOram(int64_t num_blocks, int64_t block_words,
         journal_trace_base_ = space.Reserve(
             static_cast<uint64_t>(
                 JournalFileHeaderBytes() +
-                (std::max<int64_t>(1, durability_.journal_limit) + 1) *
-                    max_record),
+                (kJournalLimit + 1) * max_record),
             4096, "store.ckpt.journal");
     }
 }
@@ -261,12 +257,9 @@ RawOram::BulkLoad(std::span<const uint32_t> data)
         std::memset(page.data(), 0, page.size());
         auto* words = reinterpret_cast<uint32_t*>(page.data());
         slots::CopyPayloads(BucketRun(b, words), data);
-        if (encrypt_) {
-            bucket_version_[static_cast<size_t>(b)] = 1;
-            cipher_.Apply(b, 1,
-                          std::span<uint32_t>(
-                              words, static_cast<size_t>(page_words)));
-        }
+        bucket_version_[static_cast<size_t>(b)] = 1;
+        cipher_.Apply(
+            b, 1, std::span<uint32_t>(words, static_cast<size_t>(page_words)));
         if (auto s = cache_->WritePage(b, page); !s.ok()) return s;
     }
     loaded_ = true;
@@ -290,14 +283,11 @@ RawOram::FetchPath(uint32_t leaf)
             static_cast<size_t>(page_bytes)};
         if (auto s = cache_->ReadPage(b, dst); !s.ok()) return s;
         stats_.page_reads++;
-        const uint64_t version = bucket_version_[static_cast<size_t>(b)];
-        if (encrypt_ && version > 0) {
-            cipher_.Apply(
-                b, version,
-                std::span<uint32_t>(
-                    reinterpret_cast<uint32_t*>(dst.data()),
-                    static_cast<size_t>(page_words)));
-        }
+        // Bulk load leaves every bucket at version 1 or later.
+        cipher_.Apply(b, bucket_version_[static_cast<size_t>(b)],
+                      std::span<uint32_t>(
+                          reinterpret_cast<uint32_t*>(dst.data()),
+                          static_cast<size_t>(page_words)));
     }
     return serving::Status::Ok();
 }
@@ -425,13 +415,10 @@ RawOram::RepackAndWriteBack(uint32_t leaf)
         // One stash scan per slot filled.
         for (int64_t z = 0; z < bucket_slots_; ++z) RecordStashScan(false);
         slots::Fill(StashRun(), BucketRun(b, words), levels_, leaf, level);
-        uint64_t& version = bucket_version_[static_cast<size_t>(b)];
-        if (encrypt_) {
-            ++version;
-            cipher_.Apply(b, version,
-                          std::span<uint32_t>(
-                              words, static_cast<size_t>(page_words)));
-        }
+        const uint64_t version = ++bucket_version_[static_cast<size_t>(b)];
+        cipher_.Apply(
+            b, version,
+            std::span<uint32_t>(words, static_cast<size_t>(page_words)));
         RecordPage(b, true);
         std::span<const uint8_t> src{page,
                                      static_cast<size_t>(page_bytes)};
@@ -545,8 +532,7 @@ RawOram::AppendAccessRecord(uint64_t id, uint32_t new_leaf, Op op,
              static_cast<size_t>(block_words_) * sizeof(uint32_t));
 
     if (auto s = journal_.Append(JournalRecordType::kAccess, seq_ + 1,
-                                 journal_payload_,
-                                 durability_.sync_each_append);
+                                 journal_payload_);
         !s.ok()) {
         return s;
     }
@@ -581,8 +567,7 @@ RawOram::AppendEvictRecord(uint64_t counter_before, uint32_t leaf)
     }
 
     if (auto s = journal_.Append(JournalRecordType::kEvict, seq_ + 1,
-                                 journal_payload_,
-                                 durability_.sync_each_append);
+                                 journal_payload_);
         !s.ok()) {
         return s;
     }
@@ -664,8 +649,7 @@ RawOram::MaybeAutoCheckpoint()
     const bool interval_due =
         durability_.checkpoint_interval > 0 &&
         accesses_since_ckpt_ >= durability_.checkpoint_interval;
-    const bool journal_full =
-        journal_.records() >= durability_.journal_limit;
+    const bool journal_full = journal_.records() >= kJournalLimit;
     if (interval_due || journal_full) return Checkpoint();
     return serving::Status::Ok();
 }

@@ -55,10 +55,6 @@ struct RawOramConfig
 {
     /** A: accesses between eviction passes. */
     int64_t eviction_period = 8;
-    /** Client-side stash slots; 0 = auto (path capacity + margin). */
-    int64_t stash_capacity = 0;
-    /** CTR re-encryption of every page written back. */
-    bool encrypt_payloads = true;
     /** Position-map tunables (recursion threshold, fanout). */
     oram::OramParams posmap = oram::OramParams::Defaults(
         oram::OramKind::kPath);
@@ -129,7 +125,7 @@ class RawOram
      * reset the journal to the checkpointed sequence number. Ok (no-op)
      * when durability is off. Automatic checkpoints fire from Access()
      * every `durability.checkpoint_interval` accesses and whenever the
-     * journal reaches `durability.journal_limit` records.
+     * journal reaches kJournalLimit records.
      */
     serving::Status Checkpoint();
 
@@ -249,7 +245,6 @@ class RawOram
     int64_t num_buckets_;
     int64_t eviction_period_;
     int64_t stash_capacity_;
-    bool encrypt_;
     bool loaded_ = false;
 
     std::unique_ptr<PageCache> cache_;

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/factory.h"
@@ -401,24 +403,28 @@ TEST_P(PooledTest, MatchesManualSegmentSum)
     Tensor out({3, kDim});
     gen->GeneratePooled(indices, offsets, out);
 
+    // Each bag is the in-order sum of its rows from +0, bit for bit.
     const Tensor all = gen->GenerateBatch(indices);
     for (int64_t j = 0; j < kDim; ++j) {
-        EXPECT_NEAR(out.at(0, j), all.at(0, j) + all.at(1, j), 1e-4f);
-        EXPECT_FLOAT_EQ(out.at(1, j), 0.0f);  // empty bag
-        EXPECT_NEAR(out.at(2, j),
-                    all.at(2, j) + all.at(3, j) + all.at(4, j), 1e-4f);
+        EXPECT_EQ(out.at(0, j), (0.0f + all.at(0, j)) + all.at(1, j));
+        EXPECT_EQ(out.at(1, j), 0.0f);  // empty bag
+        EXPECT_FALSE(std::signbit(out.at(1, j)));
+        EXPECT_EQ(out.at(2, j),
+                  ((0.0f + all.at(2, j)) + all.at(3, j)) + all.at(4, j));
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, PooledTest,
     ::testing::Values(GenKind::kIndexLookup, GenKind::kLinearScan,
-                      GenKind::kCircuitOram, GenKind::kDheVaried),
+                      GenKind::kCircuitOram, GenKind::kPagedScan,
+                      GenKind::kDheVaried),
     [](const auto& info) {
         switch (info.param) {
           case GenKind::kIndexLookup: return "IndexLookup";
           case GenKind::kLinearScan: return "LinearScan";
           case GenKind::kCircuitOram: return "CircuitOram";
+          case GenKind::kPagedScan: return "PagedScan";
           default: return "DheVaried";
         }
     });
@@ -440,17 +446,40 @@ TEST(PooledTest, LinearScanPooledTraceIndependentOfIds)
                      .diverged);
 }
 
-TEST(PooledDeathTest, LinearScanAssertsNonDecreasingOffsets)
+TEST(PooledTest, MalformedOffsetsThrowBeforeGenerating)
 {
-    // Earlier tests may have started the thread pool.
-    testing::FLAGS_gtest_death_test_style = "threadsafe";
     const Tensor table = FixedTable(33);
     LinearScanTable gen(table);
-    // Bag 0 would sum ids[0, 5) of a 3-id span.
+    sidechannel::TraceRecorder rec;
+    gen.set_recorder(&rec);
     const std::vector<int64_t> ids{1, 2, 3};
-    const std::vector<int64_t> offsets{0, 5, 3};
     Tensor out({2, kDim});
-    EXPECT_DEATH(gen.GeneratePooled(ids, offsets, out), "Assertion");
+    // Offsets that decrease, miss 0 or ids.size(), or are empty.
+    for (const std::vector<int64_t>& offsets :
+         std::vector<std::vector<int64_t>>{
+             {0, 5, 3}, {0, 2, 1, 3}, {1, 3}, {0, 2}, {}}) {
+        EXPECT_THROW(gen.GeneratePooled(ids, offsets, out),
+                     std::invalid_argument)
+            << "offsets of size " << offsets.size();
+    }
+    EXPECT_EQ(rec.size(), 0u) << "a rejected call generated rows";
+}
+
+TEST(PooledTest, PathOramRejectsOffsetsPastTheBatch)
+{
+    // Bag 0 of {0, 7, 3} would sum rows 0..6 of the 3 generated rows.
+    const Tensor table = FixedTable(34);
+    Rng rng(35);
+    OramTable gen(table, oram::OramKind::kPath, rng);
+    const std::vector<int64_t> ids{1, 2, 3};
+    Tensor out({2, kDim});
+    EXPECT_THROW(gen.GeneratePooled(ids, std::vector<int64_t>{0, 7, 3}, out),
+                 std::invalid_argument);
+    Tensor out3({3, kDim});
+    EXPECT_THROW(
+        gen.GeneratePooled(ids, std::vector<int64_t>{0, 2, 1, 3}, out3),
+        std::invalid_argument);
+    EXPECT_EQ(gen.oram().stats().accesses, 0);
 }
 
 // --- factory / footprint ordering ----------------------------------------

@@ -100,7 +100,6 @@ DurableConfig(const std::string& dir)
     RawOramConfig rc;
     rc.durability.dir = dir;
     rc.durability.checkpoint_interval = 12;
-    rc.durability.sync_each_append = true;
     rc.posmap.enable_recursion = false;
     return rc;
 }

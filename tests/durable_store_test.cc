@@ -3,8 +3,8 @@
  * Unit tests for the durable-state formats behind the crash harness
  * (`ctest -L crash`): journal framing/replay-load semantics, atomic
  * checkpoint round-trips, the public-constant checkpoint size, the
- * sparse negative control's refusal at recovery, the fsync-on-create
- * regression for FileStore, and PagedTable reattachment.
+ * sparse negative control's refusal at recovery, and the
+ * fsync-on-create regression for FileStore.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 
 #include "store/backing_store.h"
 #include "store/durable.h"
-#include "store/paged_table.h"
 
 namespace secemb::store {
 namespace {
@@ -113,11 +112,11 @@ TEST(JournalTest, AppendLoadRoundTrip)
     Journal j;
     ASSERT_TRUE(j.Reset(path, /*base_seq=*/0, geom).ok());
     ASSERT_TRUE(
-        j.Append(JournalRecordType::kAccess, 1, Payload(24, 1), true).ok());
+        j.Append(JournalRecordType::kAccess, 1, Payload(24, 1)).ok());
     ASSERT_TRUE(
-        j.Append(JournalRecordType::kEvict, 2, Payload(40, 9), true).ok());
+        j.Append(JournalRecordType::kEvict, 2, Payload(40, 9)).ok());
     ASSERT_TRUE(
-        j.Append(JournalRecordType::kAccess, 3, Payload(24, 5), true).ok());
+        j.Append(JournalRecordType::kAccess, 3, Payload(24, 5)).ok());
     EXPECT_EQ(j.records(), 3);
 
     JournalLoadResult loaded;
@@ -175,9 +174,9 @@ TEST(JournalTest, DamagedFinalRecordIsADroppableTail)
     Journal j;
     ASSERT_TRUE(j.Reset(path, 0, geom).ok());
     ASSERT_TRUE(
-        j.Append(JournalRecordType::kAccess, 1, Payload(24, 1), true).ok());
+        j.Append(JournalRecordType::kAccess, 1, Payload(24, 1)).ok());
     ASSERT_TRUE(
-        j.Append(JournalRecordType::kAccess, 2, Payload(24, 2), true).ok());
+        j.Append(JournalRecordType::kAccess, 2, Payload(24, 2)).ok());
     TruncateBy(path, 5);  // tear the last record mid-crc
 
     JournalLoadResult loaded;
@@ -199,9 +198,9 @@ TEST(JournalTest, MidJournalCorruptionFailsClosed)
     Journal j;
     ASSERT_TRUE(j.Reset(path, 0, geom).ok());
     ASSERT_TRUE(
-        j.Append(JournalRecordType::kAccess, 1, Payload(24, 1), true).ok());
+        j.Append(JournalRecordType::kAccess, 1, Payload(24, 1)).ok());
     ASSERT_TRUE(
-        j.Append(JournalRecordType::kAccess, 2, Payload(24, 2), true).ok());
+        j.Append(JournalRecordType::kAccess, 2, Payload(24, 2)).ok());
     // Flip a payload byte of record 1 (framing intact, CRC broken). A
     // valid record exists beyond it, so this is NOT a crash tail —
     // it is corruption, and recovery must refuse to guess.
@@ -344,52 +343,6 @@ TEST(FsyncTest, ParentDirSyncAndFileStoreCreation)
     sc.create = false;
     std::unique_ptr<BackingStore> reopened;
     EXPECT_TRUE(MakeBackingStore(sc, 4, &reopened).ok());
-    std::filesystem::remove_all(dir);
-}
-
-TEST(PagedTableTest, RecoverReattachesAndServesIdenticalRows)
-{
-    const std::string dir = TempPath("paged_recover");
-    ASSERT_TRUE(std::filesystem::create_directories(dir));
-    constexpr int64_t kRows = 24;
-    constexpr int64_t kDim = 8;
-
-    StoreConfig sc;
-    sc.backend = StoreBackend::kFile;
-    sc.path = dir + "/table.bin";
-    sc.page_bytes = 256;
-    sc.cache_pages = 3;
-    sc.create = true;
-
-    std::vector<float> data(static_cast<size_t>(kRows * kDim));
-    for (size_t i = 0; i < data.size(); ++i) {
-        data[i] = static_cast<float>(i) * 0.5f;
-    }
-    {
-        PagedTable table(data.data(), kRows, kDim, sc);
-        ASSERT_TRUE(table.Sync().ok());
-    }  // process "dies" with a clean store on disk
-
-    sc.create = false;
-    std::unique_ptr<PagedTable> recovered;
-    ASSERT_TRUE(PagedTable::Recover(kRows, kDim, sc, &recovered).ok());
-
-    const std::vector<int64_t> indices = {0, 7, 23, 7};
-    std::vector<float> out(indices.size() * kDim);
-    ASSERT_TRUE(
-        recovered->LookupBatch(indices, out.data(), /*nthreads=*/1).ok());
-    for (size_t b = 0; b < indices.size(); ++b) {
-        for (int64_t c = 0; c < kDim; ++c) {
-            EXPECT_EQ(out[b * kDim + static_cast<size_t>(c)],
-                      data[static_cast<size_t>(indices[b] * kDim + c)])
-                << "row " << indices[b] << " col " << c;
-        }
-    }
-
-    // Geometry mismatch fails closed (store header validates the page
-    // count a different row count implies).
-    std::unique_ptr<PagedTable> wrong;
-    EXPECT_FALSE(PagedTable::Recover(kRows * 4, kDim, sc, &wrong).ok());
     std::filesystem::remove_all(dir);
 }
 

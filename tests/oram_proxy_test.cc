@@ -226,8 +226,7 @@ TEST(ProxiedOramTableTest, GenerateMatchesTableRows)
     Rng rng(6);
     oram::ProxyConfig config;
     config.batch_window = 4;
-    core::ProxiedOramTable gen(table, OramKind::kPath, rng, nullptr,
-                               config);
+    core::ProxiedOramTable gen(table, OramKind::kPath, rng, config);
     gen.set_nthreads(2);
     EXPECT_EQ(gen.name(), "Path ORAM (proxy)");
     EXPECT_TRUE(gen.IsOblivious());

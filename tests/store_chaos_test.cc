@@ -11,13 +11,11 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/paged_generators.h"
@@ -313,7 +311,6 @@ TEST(StoreChaosTest, ShutdownSyncFailureIsCountedNotFatal)
     cfg.default_deadline_us = 0;
     cfg.flush_deadline_us = 50;
     cfg.nthreads = 1;
-    ASSERT_TRUE(cfg.sync_storage_on_shutdown);
     serving::Server server({paged}, cfg);
 
     serving::Request r;
@@ -518,82 +515,6 @@ TEST(StoreChaosTest, CheckpointWriteFaultIsTypedAndNonFatal)
     std::unique_ptr<RawOram> rec;
     EXPECT_TRUE(RecoverOram(dir, &rec).ok());
     std::filesystem::remove_all(dir);
-}
-
-TEST(StoreChaosTest, ServerRunsPeriodicStorageMaintenance)
-{
-    Rng rng(212);
-    auto paged = std::make_shared<core::PagedScanTable>(
-        Tensor::Randn({32, 8}, rng),
-        FileConfig(TempPath("periodic.store"), 256, 64));
-
-    serving::ServerConfig cfg;
-    cfg.default_deadline_us = 0;
-    cfg.flush_deadline_us = 50;
-    cfg.nthreads = 1;
-    cfg.storage_sync_interval_us = 500;
-    cfg.storage_checkpoint_interval_us = 500;
-    serving::Server server({paged}, cfg);
-
-    serving::Request r;
-    r.indices = {1, 2, 3};
-    ASSERT_TRUE(server.SubmitAndWait(std::move(r)).status.ok());
-    // The batcher's idle timeout (2 ms) outlives both intervals: the
-    // next few wakeups must run sync and checkpoint maintenance.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while ((server.GetStats().storage_syncs == 0 ||
-            server.GetStats().storage_checkpoints == 0) &&
-           std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    const serving::ServerStats stats = server.GetStats();
-    EXPECT_GE(stats.storage_syncs, 1u);
-    EXPECT_GE(stats.storage_checkpoints, 1u);
-    EXPECT_EQ(stats.storage_sync_failures, 0u);
-
-    // Still serving after maintenance cycles.
-    serving::Request again;
-    again.indices = {4, 5};
-    EXPECT_TRUE(server.SubmitAndWait(std::move(again)).status.ok());
-    server.Shutdown();
-}
-
-TEST(StoreChaosTest, PeriodicSyncFailureIsCountedAndServingContinues)
-{
-    Rng rng(213);
-    auto paged = std::make_shared<core::PagedScanTable>(
-        Tensor::Randn({32, 8}, rng),
-        // Whole-table cache: construction leaves dirty frames for the
-        // periodic sync to hit the injected write fault with.
-        FileConfig(TempPath("periodic_fail.store"), 256, 64));
-
-    serving::ServerConfig cfg;
-    cfg.default_deadline_us = 0;
-    cfg.flush_deadline_us = 50;
-    cfg.nthreads = 1;
-    cfg.storage_sync_interval_us = 500;
-    cfg.sync_storage_on_shutdown = false;
-    serving::Server server({paged}, cfg);
-
-    FaultPlan plan(214);
-    plan.ArmRate(FaultSite::kIoWrite, 1.0);
-    {
-        ScopedFaultInjection scope(&plan);
-        const auto deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(5);
-        while (server.GetStats().storage_sync_failures == 0 &&
-               std::chrono::steady_clock::now() < deadline) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-    }
-    EXPECT_GE(server.GetStats().storage_sync_failures, 1u);
-
-    // Maintenance failure never poisons the serving path.
-    serving::Request r;
-    r.indices = {7, 8};
-    EXPECT_TRUE(server.SubmitAndWait(std::move(r)).status.ok());
-    server.Shutdown();
 }
 
 }  // namespace

@@ -3,14 +3,18 @@
  * Out-of-core storage correctness: backend roundtrips (memory / file /
  * mmap), durable persistence and typed reopen validation, the page-packed
  * oblivious scan against its in-RAM reference, and the page-optimized RAW
- * ORAM (bulk load, reads, writes, stash bounds, the async-proxy front).
+ * ORAM (bulk load, reads, writes, stash bounds, ciphertext at rest).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,7 +22,6 @@
 #include "core/table_generators.h"
 #include "store/backing_store.h"
 #include "store/page_cache.h"
-#include "store/paged_table.h"
 #include "store/raw_oram.h"
 #include "tensor/rng.h"
 
@@ -203,22 +206,27 @@ TEST(StoreTest, PagedScanMatchesInRamScan)
 TEST(StoreTest, PagedPooledRejectsMalformedOffsets)
 {
     Rng rng(8);
-    const Tensor table = Tensor::Randn({10, 4}, rng);
-    PagedTable paged(table.data(), 10, 4,
-                     ConfigFor(StoreBackend::kMemory, "", /*page_bytes=*/64));
+    core::PagedScanTable paged(
+        Tensor::Randn({10, 4}, rng),
+        ConfigFor(StoreBackend::kMemory, "", /*page_bytes=*/64));
     const std::vector<int64_t> ids = {1, 2, 3};
-    std::vector<float> out(3 * 4);
+    Tensor out({2, 4});
+    const PageCacheStats before = paged.paged().cache_stats();
     // Decreasing offsets ({0, 5, 3}: bag 0 would read ids past the span)
-    // are rejected like offsets that miss 0 or ids.size().
+    // are rejected like offsets that miss 0 or ids.size(), before any
+    // page is read.
     for (const std::vector<int64_t>& offsets :
          std::vector<std::vector<int64_t>>{
              {0, 5, 3}, {0, 2, 1, 3}, {1, 3}, {0, 2}, {}}) {
-        EXPECT_EQ(paged.LookupPooled(ids, offsets, out.data(), 1).code,
-                  serving::StatusCode::kInvalidArgument)
+        EXPECT_THROW(paged.GeneratePooled(ids, offsets, out),
+                     std::invalid_argument)
             << "offsets of size " << offsets.size();
     }
-    const std::vector<int64_t> offsets = {0, 1, 1, 3};
-    EXPECT_TRUE(paged.LookupPooled(ids, offsets, out.data(), 1).ok());
+    const PageCacheStats after = paged.paged().cache_stats();
+    EXPECT_EQ(after.hits + after.misses, before.hits + before.misses);
+    Tensor pooled({3, 4});
+    EXPECT_NO_THROW(
+        paged.GeneratePooled(ids, std::vector<int64_t>{0, 1, 1, 3}, pooled));
 }
 
 TEST(StoreTest, RawOramGeometryIsPageDerived)
@@ -339,6 +347,46 @@ TEST(StoreTest, RawOramWriteThenReadBack)
             EXPECT_EQ(out[static_cast<size_t>(w)], want)
                 << "id " << id << " word " << w;
         }
+    }
+}
+
+TEST(StoreTest, RawOramPagesAreNeverPlaintextAtRest)
+{
+    // 64 random rows of 8 words: a row's 32 bytes turn up in ciphertext
+    // by chance with odds of about 2^-256.
+    const int64_t kBlocks = 64, kWords = 8;
+    std::vector<uint32_t> data(static_cast<size_t>(kBlocks * kWords));
+    Rng data_rng(23);
+    for (uint32_t& w : data) w = static_cast<uint32_t>(data_rng.Next());
+
+    const std::string path = TempPath("raworam_at_rest.store");
+    Rng rng(29);
+    auto oram = MakeRawOram(kBlocks, kWords,
+                            ConfigFor(StoreBackend::kFile, path,
+                                      /*page_bytes=*/256, /*cache_pages=*/4),
+                            rng);
+    ASSERT_TRUE(oram->BulkLoad(data).ok());
+    // Every block once: 64 reads, 8 eviction periods of the default 8.
+    std::vector<uint32_t> out(static_cast<size_t>(kWords));
+    for (int64_t id = 0; id < kBlocks; ++id) {
+        ASSERT_TRUE(oram->Read(id, out).ok());
+    }
+    ASSERT_GE(oram->stats().evictions, 2);
+    ASSERT_TRUE(oram->Sync().ok());
+
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<char> file((std::istreambuf_iterator<char>(in)),
+                                 std::istreambuf_iterator<char>());
+    ASSERT_GE(file.size(), static_cast<size_t>(
+                               RawOram::PagesNeeded(kBlocks, kWords, 256) *
+                               256));
+    for (int64_t id = 0; id < kBlocks; ++id) {
+        const char* row =
+            reinterpret_cast<const char*>(data.data() + id * kWords);
+        EXPECT_EQ(std::search(file.begin(), file.end(), row,
+                              row + kWords * sizeof(uint32_t)),
+                  file.end())
+            << "row " << id << " sits in the store file in plaintext";
     }
 }
 
