@@ -61,7 +61,7 @@ main(int argc, char** argv)
     raw.Print();
     std::printf(
         "\nExpected shape (paper Fig. 6): thresholds fall as batch size\n"
-        "rises, and rise as thread count rises (single-core host: the\n"
-        "thread trend may flatten since threads timeshare one core).\n");
+        "rises, and rise as thread count rises (on a shared VM with\n"
+        "fewer free cores than threads the thread trend may flatten).\n");
     return 0;
 }

@@ -3,12 +3,12 @@
  * Fig. 8 reproduction: per-model latency inflation as multiple copies of
  * one embedding-generation technique are co-located.
  *
- * The paper runs up to 24 co-located models on a 28-core Xeon. This host
- * is single-core, so single-model latencies are *measured* and the
- * co-location effect is applied with the documented contention model
- * (profile::ContentionModel, calibrated so memory-bound linear scan
- * suffers more interference than compute-bound DHE — the asymmetry the
- * paper's figure shows).
+ * The paper runs up to 24 co-located models on a 28-core Xeon. The
+ * evaluation host has 4 vCPUs, too few to host them, so single-model
+ * latencies are *measured* and the co-location effect is applied with
+ * the documented contention model (profile::ContentionModel,
+ * calibrated so memory-bound linear scan suffers more interference than
+ * compute-bound DHE — the asymmetry the paper's figure shows).
  */
 
 #include <cstdio>

@@ -9,7 +9,9 @@
 # use-after-free in the failure paths), TSan (queue/batcher/pool races),
 # and UBSan. The TSan pass additionally runs the concurrency label —
 # the serving queue, the thread pool and the page cache stress tests
-# are only meaningfully raced there.
+# are only meaningfully raced there. The ASan and UBSan passes also run
+# kernel_test, so every GEMM tier's merge, pack and epilogue checks run
+# instrumented.
 #
 # Between the two, a crash drill: the kill-based crash harness (forked
 # children SIGKILLed at seeded points inside the durable RAW ORAM's
@@ -77,6 +79,12 @@ for SAN in ${SANITIZERS}; do
     echo "-- ${SAN}: ctest -L robustness --"
     ctest --test-dir "${SAN_BUILD_DIR}" -L robustness \
         --output-on-failure --timeout 600
+    if [[ "${SAN}" == "address" || "${SAN}" == "undefined" ]]; then
+        cmake --build "${SAN_BUILD_DIR}" -j"$(nproc)" --target kernel_test
+        echo "-- ${SAN}: kernel_test --"
+        ctest --test-dir "${SAN_BUILD_DIR}" -R '^kernel_test$' \
+            --output-on-failure --timeout 600
+    fi
     if [[ "${SAN}" == "thread" ]]; then
         # The full concurrency label needs a few more binaries than the
         # robustness set.

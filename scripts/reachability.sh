@@ -20,6 +20,13 @@
 # every call kept as a call, "kept" means "reachable from a production
 # main".
 #
+# It also fails on any TELEMETRY_HIST("<name>" under src/ whose quoted
+# name appears in no production binary's source (bench/*.cc,
+# examples/*.cpp, src/verify/verify_main.cc, e2ebench/): a histogram no
+# report reads is a probe on the secure path that nothing needs. Spans
+# and counters are exempt, because the chrome trace and every --json
+# report export them all by walking the registry, not by name.
+#
 # What it cannot judge:
 #   - header-inline and template functions: they are weak symbols (nm
 #     type W), emitted in every object that uses them, so the inventory
@@ -42,6 +49,19 @@ JOBS="$(nproc)"
 
 CXX_FLAGS="-fno-inline -ffunction-sections -fdata-sections"
 LINK_FLAGS="-Wl,--gc-sections"
+
+# Histograms: every name the library records needs a reader. Runs
+# before the builds, from the sources alone.
+READER_SOURCES=("${REPO_ROOT}"/bench/*.cc "${REPO_ROOT}"/examples/*.cpp
+                "${REPO_ROOT}/src/verify/verify_main.cc"
+                "${REPO_ROOT}/e2ebench")
+mapfile -t HISTS < <(grep -rhozP 'TELEMETRY_HIST\(\s*"\K[^"]*' \
+                         "${REPO_ROOT}/src" | tr '\0' '\n' | sort -u)
+UNREAD_HISTS=()
+for name in "${HISTS[@]}"; do
+    grep -rqF -- "\"${name}\"" "${READER_SOURCES[@]}" \
+        || UNREAD_HISTS+=("${name}")
+done
 
 configure() {
     cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -93,8 +113,16 @@ reported=$(wc -l <"${WORK}/reported")
 echo "reachability: ${checked} library functions checked over ${#PROD[@]}" \
      "production binaries: ${kept} kept, ${allowed} allowlisted," \
      "${reported} unreached"
+echo "reachability: ${#HISTS[@]} histogram names checked," \
+     "${#UNREAD_HISTS[@]} with no reader"
 
 status=0
+if [[ "${#UNREAD_HISTS[@]}" -gt 0 ]]; then
+    echo "Histograms the library records that no production binary reads" \
+         "(delete the TELEMETRY_HIST site, or read it in a report):"
+    printf '  %s\n' "${UNREAD_HISTS[@]}"
+    status=1
+fi
 if [[ "${reported}" -gt 0 ]]; then
     echo "Library functions no production binary reaches (delete them," \
          "or name them in ${ALLOWLIST#"${REPO_ROOT}/"} with a reason):"

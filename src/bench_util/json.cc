@@ -443,13 +443,7 @@ BenchReport::ToJson() const
 bool
 BenchReport::WriteTo(const std::string& path) const
 {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    const std::string doc = ToJson();
-    const size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-    const bool ok = written == doc.size() && std::fclose(f) == 0;
-    if (written != doc.size()) std::fclose(f);
-    return ok;
+    return telemetry::WriteFile(path, ToJson());
 }
 
 }  // namespace secemb::bench

@@ -60,7 +60,6 @@ void
 LinearScanTable::Generate(std::span<const int64_t> indices, Tensor& out)
 {
     TELEMETRY_SCOPED_COUNTERS("scan.generate");
-    TELEMETRY_SCOPED_LATENCY("scan.generate.ns");
     const int64_t n = static_cast<int64_t>(indices.size());
     const int64_t d = dim();
     assert(out.size(0) == n && out.size(1) == d);

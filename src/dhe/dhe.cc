@@ -82,7 +82,6 @@ Tensor
 DheEmbedding::Forward(std::span<const int64_t> ids)
 {
     TELEMETRY_SCOPED_COUNTERS("dhe.forward");
-    TELEMETRY_SCOPED_LATENCY("dhe.forward.ns");
     TELEMETRY_COUNT("dhe.forward.calls", 1);
     TELEMETRY_COUNT("dhe.forward.ids", ids.size());
     const Tensor encoded = encoder_.Encode(ids, nthreads_);

@@ -177,7 +177,6 @@ SecureDlrm::Inference(const Tensor& dense,
                       const std::vector<std::vector<int64_t>>& sparse)
 {
     TELEMETRY_SPAN("dlrm.inference");
-    TELEMETRY_SCOPED_LATENCY("dlrm.inference.ns");
     TELEMETRY_COUNT("dlrm.inference.requests", dense.size(0));
     const Tensor dense_out = bot_->Forward(dense);
     std::vector<Tensor> embs;

@@ -100,7 +100,6 @@ GptModel::Forward(std::span<const int64_t> tokens, int64_t batch,
 {
     assert(static_cast<int64_t>(tokens.size()) == batch * seq);
     TELEMETRY_SPAN("llm.forward");
-    TELEMETRY_SCOPED_LATENCY("llm.forward.ns");
     TELEMETRY_COUNT("llm.forward.tokens", batch * seq);
     cached_tokens_.assign(tokens.begin(), tokens.end());
     cached_positions_.resize(static_cast<size_t>(batch * seq));
@@ -239,7 +238,6 @@ Tensor
 SecureGpt::Prefill(const std::vector<std::vector<int64_t>>& prompts)
 {
     TELEMETRY_SPAN("llm.prefill");
-    TELEMETRY_SCOPED_LATENCY("llm.prefill.ns");
     const int64_t batch = static_cast<int64_t>(prompts.size());
     assert(batch > 0);
     const int64_t seq = static_cast<int64_t>(prompts[0].size());
@@ -275,7 +273,6 @@ Tensor
 SecureGpt::DecodeStep(std::span<const int64_t> tokens)
 {
     TELEMETRY_SPAN("llm.decode_step");
-    TELEMETRY_SCOPED_LATENCY("llm.decode_step.ns");
     const int64_t batch = static_cast<int64_t>(tokens.size());
     assert(batch == batch_ && !caches_.empty());
     std::vector<int64_t> positions(static_cast<size_t>(batch),

@@ -67,7 +67,6 @@ void
 OramProxy::ReadWindow(std::span<const int64_t> ids, std::span<uint32_t> out)
 {
     TELEMETRY_SCOPED_COUNTERS("oram.proxy.window");
-    TELEMETRY_SCOPED_LATENCY("oram.proxy.window.ns");
     TELEMETRY_COUNT("oram.proxy.windows", 1);
 
     // Coalesce: slot i is served by the first slot of the window that

@@ -478,7 +478,6 @@ TreeOram::Access(int64_t id, Op op, std::span<uint32_t> read_out,
     // Spans/counters fire once per access whatever `id` is; recursive
     // position-map accesses nest their own oram.access spans.
     TELEMETRY_SCOPED_COUNTERS("oram.access");
-    TELEMETRY_SCOPED_LATENCY("oram.access.ns");
     TELEMETRY_COUNT("oram.accesses", 1);
 
     const uint32_t new_leaf = RandomLeaf();

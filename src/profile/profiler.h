@@ -68,9 +68,10 @@ core::ThresholdTable QuickThresholds(int batch_size, int nthreads,
 /**
  * Analytic co-location contention model.
  *
- * Our evaluation host is a single core, so the paper's 28-core co-location
- * experiments (Figs. 8, 9, 13) cannot be timed directly; instead measured
- * single-model latencies are extended with this documented model:
+ * The evaluation host has 4 vCPUs, too few to host the paper's 28-core
+ * co-location of up to 24 models (Figs. 8, 9, 13), so those experiments
+ * are not timed directly; instead measured single-model latencies are
+ * extended with this documented model:
  * oversubscription beyond `cores` timeshares linearly, and each co-located
  * model adds a small interference term — larger for memory-bound
  * techniques (linear scan) than compute-bound ones (DHE), the asymmetry

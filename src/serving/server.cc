@@ -148,7 +148,6 @@ Server::Submit(Request req)
         case StatusCode::kOk:
             accepted_.fetch_add(1, std::memory_order_relaxed);
             TELEMETRY_COUNT("serving.accepted", 1);
-            TELEMETRY_GAUGE_SET("serving.queue_depth", queue_.size());
             RecordHop(id, FlightHop::kEnqueue, StatusCode::kOk, feature,
                       degrade, 0);
             break;
@@ -235,13 +234,10 @@ Server::BatcherLoop()
             if (queue_.PopWait(&next, wait) != PopResult::kItem) break;
             batch.push_back(std::move(next));
         }
-        const size_t depth = queue_.size();
-        TELEMETRY_GAUGE_SET("serving.queue_depth", depth);
         // Sampled depth time-series: one observation per batch flush, so
         // the histogram answers "how deep did the queue run?" (p50/p99)
         // rather than only "how deep is it right now".
-        TELEMETRY_HIST("serving.queue_depth.sample",
-                       static_cast<int64_t>(depth));
+        TELEMETRY_HIST("serving.queue_depth.sample", queue_.size());
         const int degrade =
             degrade_level_.load(std::memory_order_relaxed);
         for (const Pending& p : batch) {
@@ -303,9 +299,6 @@ Server::ServeBatch(std::vector<Pending>& batch)
         TELEMETRY_COUNT("serving.degraded_batches", 1);
     }
     TELEMETRY_COUNT("serving.batches", 1);
-    TELEMETRY_HIST("serving.batch_size",
-                   static_cast<int64_t>(batch.size()));
-    TELEMETRY_HIST("serving.batch.ns", NowNs() - start);
     UpdateDegrade(had_faults);
 }
 
@@ -478,7 +471,6 @@ Server::Respond(Pending& p, Status status, Tensor embeddings, int retries,
         failed_.fetch_add(1, std::memory_order_relaxed);
         TELEMETRY_COUNT("serving.failed", 1);
     }
-    TELEMETRY_HIST("serving.e2e.ns", e2e);
     p.promise.set_value(std::move(resp));
 }
 
@@ -529,11 +521,8 @@ Server::UpdateDegrade(bool batch_had_faults)
     } else {
         calm_batches_ = 0;
     }
-    level = std::max(level, floor_level);
-    if (level != degrade_level_.load(std::memory_order_relaxed)) {
-        degrade_level_.store(level, std::memory_order_relaxed);
-        TELEMETRY_GAUGE_SET("serving.degrade_level", level);
-    }
+    degrade_level_.store(std::max(level, floor_level),
+                         std::memory_order_relaxed);
 }
 
 ServerStats

@@ -3,8 +3,7 @@
 /**
  * @file
  * Pluggable page-granular backing stores for out-of-core oblivious tables
- * (ROADMAP item 2, modeled on FEDORA-OramSim's disk_memory /
- * memory_adapters design).
+ * (modeled on FEDORA-OramSim's disk_memory / memory_adapters design).
  *
  * A BackingStore is an array of fixed-size pages addressed by page index.
  * Page size is chosen so one ORAM bucket or one scan stripe costs exactly

@@ -629,8 +629,6 @@ RawOram::Checkpoint()
     stats_.checkpoint_bytes = bytes;
     RecordCheckpointWrite(bytes);
     TELEMETRY_COUNT("store.ckpt.checkpoints", 1);
-    TELEMETRY_GAUGE_SET("store.ckpt.last_bytes",
-                        static_cast<double>(bytes));
     // Crash window: checkpoint renamed, journal not yet reset. Recovery
     // handles it by skipping journal records with seq <= last_seq.
     MaybeCrash(CrashSite::kCheckpointAfterRename);

@@ -139,7 +139,6 @@ struct Registry::Impl
 {
     mutable std::mutex mu;
     std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
-    std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
     std::map<std::string, std::unique_ptr<Histogram>, std::less<>>
         histograms;
 };
@@ -173,20 +172,6 @@ Registry::GetCounter(std::string_view name)
     return *it->second;
 }
 
-Gauge&
-Registry::GetGauge(std::string_view name)
-{
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    auto it = im.gauges.find(name);
-    if (it == im.gauges.end()) {
-        it = im.gauges
-                 .emplace(std::string(name), std::make_unique<Gauge>())
-                 .first;
-    }
-    return *it->second;
-}
-
 Histogram&
 Registry::GetHistogram(std::string_view name)
 {
@@ -211,9 +196,6 @@ Registry::TakeSnapshot() const
     for (const auto& [name, c] : im.counters) {
         snap.counters.emplace_back(name, c->Value());
     }
-    for (const auto& [name, g] : im.gauges) {
-        snap.gauges.emplace_back(name, g->Value());
-    }
     for (const auto& [name, h] : im.histograms) {
         snap.histograms.emplace_back(name, h->TakeSnapshot());
     }
@@ -226,7 +208,6 @@ Registry::ResetAll()
     Impl& im = impl();
     std::lock_guard<std::mutex> lock(im.mu);
     for (auto& [name, c] : im.counters) c->Reset();
-    for (auto& [name, g] : im.gauges) g->Reset();
     for (auto& [name, h] : im.histograms) h->Reset();
 }
 

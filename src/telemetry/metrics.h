@@ -2,8 +2,8 @@
 
 /**
  * @file
- * Metrics registry: branchless counters, gauges, and log-bucketed latency
- * histograms (p50/p95/p99).
+ * Metrics registry: branchless counters and log-bucketed histograms
+ * (p50/p95/p99).
  *
  * All mutation paths are wait-free atomic updates whose control flow never
  * depends on secret data: a counter increment happens for every call of an
@@ -43,34 +43,6 @@ class Counter
 
   private:
     std::atomic<uint64_t> value_{0};
-};
-
-/** Last-writer-wins instantaneous value. */
-class Gauge
-{
-  public:
-    void
-    Set(int64_t v) noexcept
-    {
-        value_.store(v, std::memory_order_relaxed);
-    }
-
-    void
-    Add(int64_t n) noexcept
-    {
-        value_.fetch_add(n, std::memory_order_relaxed);
-    }
-
-    int64_t
-    Value() const noexcept
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-    void Reset() noexcept { value_.store(0, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<int64_t> value_{0};
 };
 
 /**
@@ -135,31 +107,6 @@ class Histogram
     std::atomic<uint64_t> max_{0};
 };
 
-/** RAII timer recording the scope's duration (ns) into a histogram. */
-class ScopedLatency
-{
-  public:
-    explicit ScopedLatency(Histogram& hist)
-    {
-        if (Enabled()) {
-            hist_ = &hist;
-            start_ns_ = NowNs();
-        }
-    }
-
-    ~ScopedLatency()
-    {
-        if (hist_ != nullptr) hist_->Record(NowNs() - start_ns_);
-    }
-
-    ScopedLatency(const ScopedLatency&) = delete;
-    ScopedLatency& operator=(const ScopedLatency&) = delete;
-
-  private:
-    Histogram* hist_ = nullptr;
-    uint64_t start_ns_ = 0;
-};
-
 /**
  * Process-wide metric registry. Get* registers on first use and returns a
  * reference that stays valid for the process lifetime; lookups take a
@@ -172,13 +119,11 @@ class Registry
     static Registry& Instance();
 
     Counter& GetCounter(std::string_view name);
-    Gauge& GetGauge(std::string_view name);
     Histogram& GetHistogram(std::string_view name);
 
     struct MetricsSnapshot
     {
         std::vector<std::pair<std::string, uint64_t>> counters;
-        std::vector<std::pair<std::string, int64_t>> gauges;
         std::vector<std::pair<std::string, Histogram::Snapshot>>
             histograms;
     };
@@ -207,7 +152,8 @@ class Registry
         }                                                                 \
     } while (0)
 
-/** Record a duration/size sample into histogram `name`. */
+/** Record a sample into histogram `name` (string literal). A name that
+ *  no production binary's source reads fails scripts/reachability.sh. */
 #define TELEMETRY_HIST(name, v)                                           \
     do {                                                                  \
         if (::secemb::telemetry::Enabled()) {                             \
@@ -217,30 +163,9 @@ class Registry
             secemb_telemetry_h.Record(static_cast<uint64_t>(v));          \
         }                                                                 \
     } while (0)
-
-/** Set process gauge `name` (string literal) to value `v`. */
-#define TELEMETRY_GAUGE_SET(name, v)                                      \
-    do {                                                                  \
-        if (::secemb::telemetry::Enabled()) {                             \
-            static ::secemb::telemetry::Gauge& secemb_telemetry_g =       \
-                ::secemb::telemetry::Registry::Instance().GetGauge(name); \
-            secemb_telemetry_g.Set(static_cast<int64_t>(v));              \
-        }                                                                 \
-    } while (0)
-
-/** Time the rest of the scope into histogram `name` (ns samples). */
-#define TELEMETRY_SCOPED_LATENCY(name)                                    \
-    static ::secemb::telemetry::Histogram&                                \
-        SECEMB_TELEMETRY_CONCAT(secemb_telemetry_sl_h_, __LINE__) =       \
-            ::secemb::telemetry::Registry::Instance().GetHistogram(name); \
-    ::secemb::telemetry::ScopedLatency SECEMB_TELEMETRY_CONCAT(           \
-        secemb_telemetry_sl_, __LINE__)(                                  \
-        SECEMB_TELEMETRY_CONCAT(secemb_telemetry_sl_h_, __LINE__))
 #else
 #define TELEMETRY_COUNT(name, n) ((void)0)
 #define TELEMETRY_HIST(name, v) ((void)0)
-#define TELEMETRY_GAUGE_SET(name, v) ((void)0)
-#define TELEMETRY_SCOPED_LATENCY(name) ((void)0)
 #endif
 
 }  // namespace secemb::telemetry

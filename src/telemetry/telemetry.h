@@ -3,9 +3,9 @@
 /**
  * @file
  * Umbrella header for the telemetry subsystem: scoped-span tracing
- * (TELEMETRY_SPAN), counters/gauges/histograms (TELEMETRY_COUNT,
- * TELEMETRY_HIST, TELEMETRY_SCOPED_LATENCY), chrome://tracing export, and
- * the process metric registry.
+ * (TELEMETRY_SPAN), counters and histograms (TELEMETRY_COUNT,
+ * TELEMETRY_HIST), chrome://tracing export, and the process metric
+ * registry.
  *
  * Configure with the CMake option SECEMB_TELEMETRY (default ON). When OFF,
  * every macro expands to ((void)0) and instrumented code pays nothing; the

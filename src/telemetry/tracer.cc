@@ -203,26 +203,34 @@ JsonEscape(std::string_view s)
 }
 
 bool
-WriteChromeTrace(const std::string& path)
+WriteFile(const std::string& path, std::string_view doc)
 {
-    const std::vector<SpanEvent> spans = CollectSpans();
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) return false;
-    std::fprintf(f, "{\"traceEvents\":[");
+    const bool written =
+        std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
+    return std::fclose(f) == 0 && written;
+}
+
+bool
+WriteChromeTrace(const std::string& path)
+{
+    std::string doc = "{\"traceEvents\":[";
     bool first = true;
-    for (const SpanEvent& s : spans) {
-        std::fprintf(
-            f,
-            "%s\n{\"name\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%u,"
-            "\"ts\":%.3f,\"dur\":%.3f}",
-            first ? "" : ",", JsonEscape(s.name).c_str(), s.tid,
-            static_cast<double>(s.start_ns) * 1e-3,
-            static_cast<double>(s.dur_ns) * 1e-3);
+    for (const SpanEvent& s : CollectSpans()) {
+        char buf[128];
+        std::snprintf(buf, sizeof(buf),
+                      "\",\"ph\":\"X\",\"pid\":0,\"tid\":%u,\"ts\":%.3f,"
+                      "\"dur\":%.3f}",
+                      s.tid, static_cast<double>(s.start_ns) * 1e-3,
+                      static_cast<double>(s.dur_ns) * 1e-3);
+        doc += first ? "\n{\"name\":\"" : ",\n{\"name\":\"";
+        doc += JsonEscape(s.name);
+        doc += buf;
         first = false;
     }
-    std::fprintf(f, "\n]}\n");
-    const bool ok = std::fclose(f) == 0;
-    return ok;
+    doc += "\n]}\n";
+    return WriteFile(path, doc);
 }
 
 }  // namespace secemb::telemetry

@@ -74,6 +74,13 @@ bool WriteChromeTrace(const std::string& path);
  */
 std::string JsonEscape(std::string_view s);
 
+/**
+ * Write `doc` to `path`, replacing the file. Returns false if the file
+ * cannot be opened, written in full, or closed. The one file writer for
+ * every JSON document this library writes.
+ */
+bool WriteFile(const std::string& path, std::string_view doc);
+
 /** RAII span: records [construction, destruction) under `name`. */
 class SpanGuard
 {

@@ -98,15 +98,11 @@ class ThreadPool
             task_.helpers_joined = 0;
             task_.helpers_done = 0;
             task_.closed = false;
-#if SECEMB_TELEMETRY_ENABLED
-            task_.dispatch_ns = telemetry::NowNs();
-#endif
             ++generation_;
             ++regions_;
         }
         TELEMETRY_COUNT("pool.regions", 1);
         TELEMETRY_COUNT("pool.chunks", task_.nchunks);
-        TELEMETRY_GAUGE_SET("pool.active_workers", workers);
         cv_.notify_all();
 
         // The caller is participant #0: it claims chunks like any worker,
@@ -126,7 +122,6 @@ class ThreadPool
             error = task_.error;
             task_.fn = nullptr;
         }
-        TELEMETRY_GAUGE_SET("pool.active_workers", 0);
         if (error) std::rethrow_exception(error);
     }
 
@@ -156,7 +151,6 @@ class ThreadPool
         int helpers_joined = 0;         ///< guarded by mu_
         int helpers_done = 0;           ///< guarded by mu_
         bool closed = false;            ///< joins refused once caller drains
-        uint64_t dispatch_ns = 0;       ///< wake-latency reference point
     };
 
     ThreadPool() = default;
@@ -186,7 +180,6 @@ class ThreadPool
                 break;
             }
         }
-        TELEMETRY_GAUGE_SET("pool.threads", threads_.size());
     }
 
     /**
@@ -241,13 +234,6 @@ class ThreadPool
             }
             if (!joined) continue;
 
-#if SECEMB_TELEMETRY_ENABLED
-            // Wake latency: dispatch (generation bump) to this worker
-            // starting on the region. Public timing of public control
-            // flow — never secret-dependent.
-            TELEMETRY_HIST("pool.wake.ns",
-                           telemetry::NowNs() - task_.dispatch_ns);
-#endif
             tls_in_region = true;
             RunChunks();
             tls_in_region = false;

@@ -233,6 +233,12 @@ TEST(FlightRecorderTest, WriteChromeTraceRoundTrips)
     std::string err;
     EXPECT_TRUE(bench::JsonParse(ss.str(), &doc, &err)) << err;
     std::remove(path.c_str());
+
+    // A path under a directory that does not exist cannot be written.
+    EXPECT_FALSE(rec.WriteChromeTrace(
+        (std::filesystem::temp_directory_path() / "secemb_no_such_dir" /
+         "flight.json")
+            .string()));
 }
 
 // --- concurrency (TSan via `ctest -L concurrency`) -------------------------
